@@ -11,13 +11,13 @@ register-array sizes (collision pressure).
 from collections import defaultdict
 
 from repro.analysis.tables import format_table
-from repro.capture.dataplane import DataplaneMetrics, stream_key_bytes
-from repro.core import ZoomAnalyzer
+from repro.capture.register_metrics import DataplaneMetrics, stream_key_bytes
+from repro.core import AnalyzerConfig, ZoomAnalyzer
 
 
 def test_dataplane_accuracy(campus, report, benchmark):
     trace, _model, _analysis = campus
-    retained = ZoomAnalyzer(keep_records=True).analyze(trace.result.captures)
+    retained = ZoomAnalyzer(AnalyzerConfig(keep_records=True)).analyze(trace.result.captures)
     streams = [
         s for s in retained.media_streams() if s.media_type == 16 and s.packets > 100
     ]
@@ -81,7 +81,7 @@ def test_dataplane_throughput(validation, benchmark):
     """Per-packet cost of the three estimators (the switch does this at
     line rate; the model's Python throughput bounds simulation scale)."""
     result, _analysis = validation
-    retained = ZoomAnalyzer(keep_records=True).analyze(result.captures)
+    retained = ZoomAnalyzer(AnalyzerConfig(keep_records=True)).analyze(result.captures)
     records = []
     for stream in retained.media_streams():
         records.extend(stream.records)

@@ -3,7 +3,7 @@
 The pre-PacketSource analyzers materialized every capture as a
 ``list[CapturedPacket]`` before the first packet was analyzed.  This
 experiment pins down what the streaming readers buy: the same campus-scale
-pcap is analyzed (a) the old way — ``read_pcap`` into a list, then
+pcap is analyzed (a) the old way — every frame read into a list, then
 ``analyze`` — and (b) through ``AnalysisSession`` over a
 :class:`~repro.net.source.PcapFileSource`, which never holds more than one
 batch.  Peak allocation is measured with :mod:`tracemalloc`; the analysis
@@ -12,11 +12,10 @@ results are asserted identical before any number is reported.
 
 import time
 import tracemalloc
-import warnings
 
 from repro.analysis.tables import format_table
 from repro.core import AnalysisSession, AnalyzerConfig, ZoomAnalyzer
-from repro.net.pcap import read_pcap, write_pcap
+from repro.net.pcap import PcapReader, write_pcap
 from repro.net.source import PcapFileSource
 
 
@@ -37,42 +36,28 @@ def test_ingest_streaming_vs_eager(campus, tmp_path, report):
     file_bytes = pcap_path.stat().st_size
 
     def eager():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            packets = read_pcap(pcap_path)
+        packets = list(PcapReader(pcap_path))
         return ZoomAnalyzer().analyze(packets)
 
-    def streaming_scalar():
-        analyzer = ZoomAnalyzer(AnalyzerConfig())
-        with PcapFileSource(pcap_path) as source:
-            for batch in source.batches():
-                for parsed in batch:
-                    analyzer.feed_parsed(parsed)
-        return analyzer.result
-
     def streaming_batch():
-        # AnalysisSession.run drains frame_batches() when the source has
-        # them: raw FrameBatch buffers, columnar decode, lazy survivors.
+        # Raw FrameBatch buffers off the file: columnar decode, lazy
+        # survivors, one read chunk in memory at a time.
         session = AnalysisSession(AnalyzerConfig())
         return session.run(PcapFileSource(pcap_path))
 
     eager_result, eager_time, eager_peak = _measure(eager)
-    stream_result, stream_time, stream_peak = _measure(streaming_scalar)
     batch_result, batch_time, batch_peak = _measure(streaming_batch)
 
     # Same capture, same pipeline — the ingest paths must agree before
     # their costs are worth comparing.
-    for result in (stream_result, batch_result):
-        assert result.packets_total == eager_result.packets_total
-        assert result.packets_zoom == eager_result.packets_zoom
-        assert len(result.streams) == len(eager_result.streams)
-        assert result.encap_share_table() == eager_result.encap_share_table()
+    assert batch_result.packets_total == eager_result.packets_total
+    assert batch_result.packets_zoom == eager_result.packets_zoom
+    assert len(batch_result.streams) == len(eager_result.streams)
+    assert batch_result.encap_share_table() == eager_result.encap_share_table()
 
     # The point of the streaming reader: peak allocation should not grow
-    # with the capture (eager holds every frame at once).  The batch path
-    # must keep that bound — it buffers one read chunk plus its columns,
-    # never the whole capture.
-    assert stream_peak < eager_peak
+    # with the capture (eager holds every frame at once) — it buffers one
+    # read chunk plus its columns, never the whole capture.
     assert batch_peak < eager_peak
 
     mib = 1024 * 1024
@@ -82,19 +67,13 @@ def test_ingest_streaming_vs_eager(campus, tmp_path, report):
             ["ingest path", "wall s", "peak MiB", "packets/s"],
             [
                 (
-                    "eager (read_pcap + analyze)",
+                    "eager (list of frames + analyze)",
                     f"{eager_time:.2f}",
                     f"{eager_peak / mib:.1f}",
                     int(packet_count / eager_time),
                 ),
                 (
-                    "streaming scalar (batches of ParsedPacket)",
-                    f"{stream_time:.2f}",
-                    f"{stream_peak / mib:.1f}",
-                    int(packet_count / stream_time),
-                ),
-                (
-                    "streaming batch (FrameBatch fast path)",
+                    "streaming (raw FrameBatch buffers)",
                     f"{batch_time:.2f}",
                     f"{batch_peak / mib:.1f}",
                     int(packet_count / batch_time),
@@ -102,12 +81,9 @@ def test_ingest_streaming_vs_eager(campus, tmp_path, report):
             ],
         )
         + f"\n\ncapture: {packet_count} packets, {file_bytes / mib:.1f} MiB on disk"
-        + f"\npeak-memory ratio (eager/scalar streaming): "
-        f"{eager_peak / stream_peak:.1f}x"
-        + f"\npeak-memory ratio (eager/batch streaming): "
+        + f"\npeak-memory ratio (eager/streaming): "
         f"{eager_peak / batch_peak:.1f}x"
         + "\nnote: the campus trace is nearly all Zoom, so the batch "
-        "prefilter passes ~everything and its screening cost is pure "
-        "overhead here; the fast path pays off on border-style mixes — "
-        "see results/sharded_throughput.txt",
+        "prefilter passes ~everything; it pays off on border-style mixes "
+        "— see the border98 workload of benchmarks/harness",
     )

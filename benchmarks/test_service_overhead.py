@@ -1,7 +1,7 @@
 """What the live-monitoring layer costs on top of the rolling analyzer.
 
 The monitoring daemon adds three things to the rolling analyzer's packet
-path: the per-packet ``observe_packet`` feed into the window aggregator,
+path: the per-frame volume accounting of ``WindowAggregator.ingest``,
 the event-bus fan-in of stream/meeting events into open windows, and the
 exporters at window close (JSONL append plus a Prometheus render, standing
 in for a scrape).  This benchmark replays the §5 validation meeting through
@@ -14,8 +14,8 @@ reproduce the bare run's totals.
 import time
 
 from repro.analysis.tables import format_table
-from repro.core import AnalyzerConfig
-from repro.core.rolling import RollingZoomAnalyzer
+from repro.core import AnalyzerConfig, ZoomAnalyzer
+from repro.net.source import IterableSource
 from repro.service.exporters import JsonlWindowLog
 from repro.service.prometheus import render_metrics
 from repro.service.windows import WindowAggregator
@@ -29,16 +29,15 @@ def _config() -> AnalyzerConfig:
 
 
 def _run_bare(captures):
-    rolling = RollingZoomAnalyzer(_config())
+    rolling = ZoomAnalyzer(_config())
     start = time.perf_counter()
-    for capture in captures:
-        rolling.feed(capture)
-    rolling.sweep(float("inf"))
+    rolling.analyze(captures)
+    rolling.eviction.sweep(float("inf"))
     return time.perf_counter() - start, rolling
 
 
 def _run_monitored(captures, tmp_path):
-    rolling = RollingZoomAnalyzer(_config())
+    rolling = ZoomAnalyzer(_config())
     telemetry = rolling.result.telemetry
     windows = []
     log = JsonlWindowLog(tmp_path / "windows.jsonl", telemetry=telemetry)
@@ -57,10 +56,9 @@ def _run_monitored(captures, tmp_path):
         telemetry=telemetry,
     )
     start = time.perf_counter()
-    for capture in captures:
-        rolling.feed(capture)
-        aggregator.observe_packet(capture.timestamp, len(capture.data))
-    rolling.sweep(float("inf"))
+    for batch in IterableSource(captures).frame_batches():
+        aggregator.ingest(batch)
+    rolling.eviction.sweep(float("inf"))
     aggregator.flush(final=True)
     elapsed = time.perf_counter() - start
     log.close()
@@ -81,10 +79,11 @@ def test_service_overhead(validation, tmp_path, report):
         monitored_best = min(monitored_best, monitored_time)
 
     # Equivalence first: monitoring must not change what is measured.
-    assert monitored_rolling.streams_evicted == bare_rolling.streams_evicted
+    monitored, bare = monitored_rolling.eviction, bare_rolling.eviction
+    assert monitored.streams_evicted == bare.streams_evicted
     assert sum(w.packets_total for w in windows) == len(captures)
-    finalized_packets = sum(s.packets for s in monitored_rolling.finalized)
-    assert finalized_packets == sum(s.packets for s in bare_rolling.finalized)
+    finalized_packets = sum(s.packets for s in monitored.finalized)
+    assert finalized_packets == sum(s.packets for s in bare.finalized)
 
     bare_pps = len(captures) / bare_best
     monitored_pps = len(captures) / monitored_best

@@ -1,13 +1,13 @@
-"""Batch and sharded throughput vs the scalar single pass (§6 scale).
+"""Raw-batch and sharded throughput vs the prefilter-free single pass (§6 scale).
 
 The paper analyzes a 12-hour border-tap trace offline; a deployment that
 wants to keep up with the tap live needs both a cheaper per-frame path and
 more than one core.  This experiment measures the two levers separately:
 
 * **batch decode** — a border-style trace (95% provably non-Zoom
-  background, the mix a campus border actually carries) through the
-  scalar ``feed`` loop vs the ``read_batches``/``feed_batch`` fast path,
-  single core.  The prefilter drops the background before any
+  background, the mix a campus border actually carries) fed as prepared
+  batches (every frame parsed, no prefilter) vs the raw ``read_batches``
+  buffers, single core.  The prefilter drops the background before any
   ``ParsedPacket`` exists, so the target is a >=5x packet rate.
 * **flow-affine sharding** — the campus trace through
   :class:`~repro.core.sharded.ShardedAnalyzer`, whose process backend
@@ -101,9 +101,7 @@ def test_batch_and_sharded_throughput(campus, report):
 
     def scalar_pass():
         analyzer = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
-        for packet in PcapReader(io.BytesIO(border)):
-            analyzer.feed(packet)
-        return analyzer.result
+        return analyzer.analyze(PcapReader(io.BytesIO(border)))
 
     def batch_pass():
         analyzer = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
@@ -128,9 +126,9 @@ def test_batch_and_sharded_throughput(campus, report):
     batch_table = format_table(
         ["ingest path", "frames", "best s", "frames/s", "speedup"],
         [
-            ("scalar feed", BORDER_FRAMES, round(scalar_time, 2),
+            ("prepared batches", BORDER_FRAMES, round(scalar_time, 2),
              f"{scalar_pps:,.0f}", "1.00x"),
-            ("batch feed_batch", BORDER_FRAMES, round(batch_time, 2),
+            ("raw batches", BORDER_FRAMES, round(batch_time, 2),
              f"{batch_pps:,.0f}", f"{batch_speedup:.2f}x"),
         ],
     )
@@ -148,7 +146,9 @@ def test_batch_and_sharded_throughput(campus, report):
     _, single_time = _timed("single", lambda: ZoomAnalyzer().analyze(packets))
     sharded, sharded_time = _timed(
         "sharded",
-        lambda: ShardedAnalyzer(shards=SHARDS, backend=backend).analyze(packets),
+        lambda: ShardedAnalyzer(
+            AnalyzerConfig(shards=SHARDS, shard_backend=backend)
+        ).analyze(packets),
     )
 
     # The merged result must agree with the single pass on everything the
@@ -220,10 +220,10 @@ def test_telemetry_overhead(campus, report):
     packets = trace.result.captures
 
     _, off_time = _timed(
-        "telemetry off", lambda: ZoomAnalyzer(telemetry=False).analyze(packets)
+        "telemetry off", lambda: ZoomAnalyzer(AnalyzerConfig(telemetry=False)).analyze(packets)
     )
     enabled_result, on_time = _timed(
-        "telemetry on", lambda: ZoomAnalyzer(telemetry=True).analyze(packets)
+        "telemetry on", lambda: ZoomAnalyzer(AnalyzerConfig(telemetry=True)).analyze(packets)
     )
 
     snapshot = enabled_result.telemetry_snapshot()

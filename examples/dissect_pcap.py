@@ -17,8 +17,8 @@ import tempfile
 from pathlib import Path
 
 from repro.core.dissector import dissect
-from repro.net.packet import parse_frame
-from repro.net.pcap import read_pcap, write_pcap
+from repro.net.pcap import write_pcap
+from repro.net.source import open_capture_source
 from repro.rtp.stun import is_stun
 from repro.simulation import MeetingConfig, MeetingSimulator, ParticipantConfig
 from repro.zoom.constants import SERVER_MEDIA_PORT
@@ -56,8 +56,7 @@ def main() -> None:
 
     printed = 0
     kinds_seen = set()
-    for captured in read_pcap(path):
-        packet = parse_frame(captured.data, captured.timestamp)
+    for packet in open_capture_source(path):
         if not packet.is_udp or is_stun(packet.payload):
             continue
         from_server = SERVER_MEDIA_PORT in (packet.src_port, packet.dst_port)
@@ -67,7 +66,7 @@ def main() -> None:
         if kind in kinds_seen and len(kinds_seen) < 4:
             continue
         kinds_seen.add(kind)
-        print(f"--- packet @ t={captured.timestamp:.4f}s "
+        print(f"--- packet @ t={packet.timestamp:.4f}s "
               f"{packet.src_ip}:{packet.src_port} -> {packet.dst_ip}:{packet.dst_port} ---")
         print(tree.render())
         print()

@@ -36,14 +36,13 @@ Quickstart::
 __version__ = "1.0.0"
 
 from repro.core import AnalysisSession, AnalyzerConfig, ZoomAnalyzer
-from repro.net import open_capture_source, read_pcap, write_pcap
+from repro.net import open_capture_source, write_pcap
 
 __all__ = [
     "AnalysisSession",
     "AnalyzerConfig",
     "ZoomAnalyzer",
     "open_capture_source",
-    "read_pcap",
     "write_pcap",
     "__version__",
 ]

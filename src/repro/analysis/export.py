@@ -166,9 +166,9 @@ class FeatureRowSink(AnalysisSink):
 
     Register on a continuously-operating analyzer's bus::
 
-        analyzer = RollingZoomAnalyzer(...)
+        analyzer = ZoomAnalyzer(AnalyzerConfig(rolling=True))
         sink = FeatureRowSink(analyzer.result, on_rows=csv_writer.writerows)
-        analyzer.analyzer.bus.register(sink)
+        analyzer.bus.register(sink)
 
     Rows accumulate in :attr:`rows` (and go to ``on_rows``, if given) in
     eviction order; rows within one stream are ordered by second.  The RTT

@@ -15,8 +15,9 @@ Pipeline stages (Figure 6), each a :class:`repro.core.stages.Stage`:
 6. :mod:`repro.core.pipeline` — the end-to-end analyzer, composed from
    :mod:`repro.core.stages` over the :mod:`repro.core.events` bus.
 
-Scaling wrappers: :mod:`repro.core.rolling` (bounded-memory continuous
-operation) and :mod:`repro.core.sharded` (flow-affine parallel analysis).
+Scaling: :mod:`repro.core.rolling` (the analyzer's idle-eviction policy for
+bounded-memory continuous operation, ``AnalyzerConfig(rolling=True)``) and
+:mod:`repro.core.sharded` (flow-affine parallel analysis).
 Options flow through one frozen :class:`~repro.core.config.AnalyzerConfig`,
 and :class:`~repro.core.session.AnalysisSession` is the one-call front door:
 ``AnalysisSession(config).run(source)`` over any
@@ -44,7 +45,7 @@ from repro.core.events import (
     StreamUpdated,
 )
 from repro.core.pipeline import AnalysisResult, ZoomAnalyzer
-from repro.core.rolling import FinalizedStream, RollingZoomAnalyzer
+from repro.core.rolling import FinalizedStream
 from repro.core.session import AnalysisSession
 from repro.core.sharded import ShardedAnalyzer
 from repro.core.streams import MediaStream, RTPPacketRecord, StreamTable
@@ -65,7 +66,6 @@ __all__ = [
     "ProtocolConfig",
     "RTCPObserved",
     "RTPPacketRecord",
-    "RollingZoomAnalyzer",
     "ServiceConfig",
     "ShardedAnalyzer",
     "StoreConfig",

@@ -1,13 +1,10 @@
 """The one way analyzer options flow: a frozen :class:`AnalyzerConfig`.
 
-Before this module existed, :class:`~repro.core.pipeline.ZoomAnalyzer`,
-:class:`~repro.core.rolling.RollingZoomAnalyzer`,
-:class:`~repro.core.sharded.ShardedAnalyzer`, and the CLI each re-declared
-the same option kwargs by hand, and the sets had drifted (the sharded driver
-could not share a telemetry registry; the rolling wrapper had no shard
-options at all).  Every driver now consumes one immutable config object —
-``ZoomAnalyzer(AnalyzerConfig(...))`` — and the old per-driver kwargs remain
-as deprecated shims routed through :func:`resolve_config`.
+:class:`~repro.core.pipeline.ZoomAnalyzer`,
+:class:`~repro.core.sharded.ShardedAnalyzer`,
+:class:`~repro.core.session.AnalysisSession` and the CLI all consume one
+immutable config object — ``ZoomAnalyzer(AnalyzerConfig(...))`` — and take
+no option keywords of their own.
 
 The config is *frozen* so a driver can hold it without defensive copies,
 ship it across process boundaries (the sharded process backend pickles it),
@@ -17,16 +14,11 @@ and derive variants with :meth:`AnalyzerConfig.replace`.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.telemetry.registry import Telemetry
 from repro.zoom.constants import ZOOM_SERVER_SUBNETS
-
-#: Sentinel distinguishing "kwarg not supplied" from every real value
-#: (``None`` is a meaningful value for several options).
-_UNSET = object()
 
 SHARD_BACKENDS = ("serial", "thread", "process")
 
@@ -92,8 +84,9 @@ class AnalyzerConfig:
             :class:`~repro.core.sharded.ShardedAnalyzer` and the
             :class:`~repro.core.session.AnalysisSession` driver selection.
         shard_backend: ``"serial"``, ``"thread"``, or ``"process"``.
-        rolling: Run with bounded-memory idle-stream eviction
-            (:class:`~repro.core.rolling.RollingZoomAnalyzer`).
+        rolling: Run with bounded-memory idle-stream eviction (the
+            analyzer owns a :class:`~repro.core.rolling.IdleEviction`
+            policy).
         rolling_idle_timeout: Seconds of inactivity before a stream is
             finalized and evicted.
         rolling_sweep_interval: How often (in capture time) to scan for
@@ -183,7 +176,8 @@ class AnalyzerConfig:
             telemetry = telemetry.enabled
         # Per-shard QoE machines would each see a flow-affine slice of a
         # meeting, never the whole meeting — drop the tracker in shards.
-        return self.replace(telemetry=telemetry, shards=1, qoe=None)
+        # Shards keep whole-capture state for the merge, so no eviction.
+        return self.replace(telemetry=telemetry, shards=1, qoe=None, rolling=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -543,55 +537,3 @@ class FleetConfig:
     def replace(self, **changes: object) -> "FleetConfig":
         """A copy of this config with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
-
-
-#: Legacy per-driver kwarg name → config field name.
-_LEGACY_FIELDS = {
-    "zoom_subnets": "zoom_subnets",
-    "campus_subnets": "campus_subnets",
-    "stun_timeout": "stun_timeout",
-    "keep_records": "keep_records",
-    "tolerant": "tolerant",
-    "telemetry": "telemetry",
-    "shards": "shards",
-    "backend": "shard_backend",
-    "idle_timeout": "rolling_idle_timeout",
-    "sweep_interval": "rolling_sweep_interval",
-}
-
-
-def resolve_config(
-    config: "AnalyzerConfig | Iterable[str] | None",
-    caller: str,
-    **legacy: object,
-) -> AnalyzerConfig:
-    """Normalize a driver's ``(config, **deprecated kwargs)`` inputs.
-
-    ``config`` may be an :class:`AnalyzerConfig` (the modern form), ``None``
-    (defaults, or legacy kwargs), or — for drivers whose first positional
-    argument used to be ``zoom_subnets`` — a bare iterable of prefixes.
-    Legacy kwargs are mapped onto config fields with a
-    :class:`DeprecationWarning`; mixing them with an explicit config is an
-    error rather than a silent precedence rule.
-    """
-    supplied = {name: value for name, value in legacy.items() if value is not _UNSET}
-    if isinstance(config, AnalyzerConfig):
-        if supplied:
-            raise TypeError(
-                f"{caller}: pass either config= or the deprecated option "
-                f"kwargs ({', '.join(sorted(supplied))}), not both"
-            )
-        return config
-    if config is not None:  # legacy positional zoom_subnets
-        supplied.setdefault("zoom_subnets", config)
-    if not supplied:
-        return AnalyzerConfig()
-    warnings.warn(
-        f"{caller}({', '.join(sorted(supplied))}) option arguments are "
-        f"deprecated; pass {caller}(config=AnalyzerConfig(...)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return AnalyzerConfig(
-        **{_LEGACY_FIELDS[name]: value for name, value in supplied.items()}
-    )

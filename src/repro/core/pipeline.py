@@ -11,9 +11,9 @@ stream.  Raw frame bytes are held only for the packet in flight — a
 :class:`~repro.net.packet.ParsedPacket` keeps its frame while it moves
 through the stages and is then released; nothing downstream retains it
 (stream tables keep normalized records, and only when ``keep_records`` is
-set).  On the batch fast path (:meth:`ZoomAnalyzer.feed_batch`) non-Zoom
-frames are dropped by the prefilter before any per-packet object exists
-at all.
+set).  Input arrives as :class:`~repro.net.batch.FrameBatch` groups
+(:meth:`ZoomAnalyzer.feed_batch`); in raw batches non-Zoom frames are
+dropped by the prefilter before any per-packet object exists at all.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.core.config import _UNSET, AnalyzerConfig, resolve_config
+from repro.core.config import AnalyzerConfig
 from repro.core.detector import ZoomTrafficDetector
 from repro.core.events import EventBus, StreamEvicted
 from repro.core.meetings import Meeting, MeetingGrouper, group_streams
@@ -38,6 +38,7 @@ from repro.core.metrics.latency import RTPLatencyMatcher, TCPRTTEstimator
 from repro.core.metrics.loss import StreamLossTracker
 from repro.core.metrics.stalls import StallEvent, detect_stalls
 from repro.core.metrics.sync import SenderReportCollector, SyncSink
+from repro.core.rolling import FinalizedStream, IdleEviction
 from repro.core.stages import (
     AssembleStage,
     BatchContext,
@@ -50,7 +51,7 @@ from repro.core.stages import (
 )
 from repro.core.streams import MediaStream, RTPPacketRecord, StreamKey, StreamTable
 from repro.net.batch import FrameBatch
-from repro.net.packet import CapturedPacket, ParsedPacket
+from repro.net.packet import ParsedPacket
 from repro.protocols import ZoomPlugin, build_registry, protocol_counter_seeds
 from repro.telemetry.registry import Telemetry, TelemetrySnapshot
 from repro.zoom.constants import (
@@ -61,7 +62,7 @@ from repro.zoom.constants import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.source import PacketSource
+    from repro.net.source import SourceLike
 
 #: Batch-path counters pre-seeded to zero on every telemetry-enabled run.
 _BATCH_COUNTER_SEEDS = (
@@ -280,50 +281,42 @@ class AnalysisResult:
 
 
 class ZoomAnalyzer:
-    """One-pass passive Zoom analyzer — a thin composition of pipeline stages.
+    """The passive Zoom analyzer — a thin composition of pipeline stages.
 
     Args:
         config: An :class:`~repro.core.config.AnalyzerConfig` carrying every
             option (subnets, STUN timeout, record retention, telemetry
-            wiring).  Defaults apply when omitted.
+            wiring, rolling eviction).  Defaults apply when omitted.
         bus: Optional pre-wired :class:`~repro.core.events.EventBus`; one is
             created (with the default bitrate-binning and RTCP-sync sinks)
             when omitted.
-        **deprecated: The historical per-option kwargs (``zoom_subnets``,
-            ``campus_subnets``, ``stun_timeout``, ``keep_records``,
-            ``telemetry``) still work — including ``zoom_subnets`` passed
-            positionally — but warn; they are shims over the config.
+        on_stream_finalized: Optional callback receiving each
+            :class:`~repro.core.rolling.FinalizedStream` the rolling-mode
+            eviction policy produces (ignored without ``config.rolling``).
 
     Usage::
 
         analyzer = ZoomAnalyzer(AnalyzerConfig(campus_subnets=("10.8.0.0/16",)))
-        result = analyzer.analyze(captured_packets)     # in-memory frames
-        result = analyzer.run(PcapFileSource("a.pcap")) # streaming source
+        result = analyzer.run("a.pcap")             # any source or path
+        result = analyzer.analyze(captured_packets)  # in-memory frames
 
-    Subscribers (see :mod:`repro.core.events`) attach via ``analyzer.bus``.
+    :class:`~repro.net.batch.FrameBatch` is the only currency between a
+    source and the analyzer: :meth:`run` drains a source's batches through
+    :meth:`feed_batch`, the one ingest implementation.  With
+    ``config.rolling`` the analyzer owns an idle-eviction policy
+    (:attr:`eviction`, see :mod:`repro.core.rolling`) consulted once per
+    batch.  Subscribers (see :mod:`repro.core.events`) attach via
+    ``analyzer.bus``.
     """
 
     def __init__(
         self,
-        config: AnalyzerConfig | Iterable[str] | None = None,
+        config: AnalyzerConfig | None = None,
         *,
         bus: EventBus | None = None,
-        zoom_subnets: Iterable[str] | object = _UNSET,
-        campus_subnets: Iterable[str] | None | object = _UNSET,
-        stun_timeout: float | object = _UNSET,
-        keep_records: bool | object = _UNSET,
-        telemetry: Telemetry | bool | object = _UNSET,
+        on_stream_finalized: Callable[[FinalizedStream], None] | None = None,
     ) -> None:
-        self.config = resolve_config(
-            config,
-            "ZoomAnalyzer",
-            zoom_subnets=zoom_subnets,
-            campus_subnets=campus_subnets,
-            stun_timeout=stun_timeout,
-            keep_records=keep_records,
-            telemetry=telemetry,
-        )
-        config = self.config
+        self.config = config = config if config is not None else AnalyzerConfig()
         self.bus = bus if bus is not None else EventBus()
         self.result = AnalysisResult()
         self.result.telemetry = config.make_telemetry()
@@ -364,6 +357,10 @@ class ZoomAnalyzer:
         self._packet_seq = 0
         self.bus.register(BitrateSink(self.result.bitrate))
         self.bus.register(SyncSink(self.result.sync))
+        #: The idle-eviction policy, present in rolling mode only.
+        self.eviction: IdleEviction | None = (
+            IdleEviction(self, on_stream_finalized) if config.rolling else None
+        )
         # Pre-seed the batch-path counters so `--stats` and the Prometheus
         # exporter always expose them, even on runs that never see a batch
         # (and so their absence can never be mistaken for "prefilter ran
@@ -379,72 +376,72 @@ class ZoomAnalyzer:
             ):
                 self._telemetry.count(name, 0)
 
-    def analyze(self, packets: Iterable[CapturedPacket]) -> AnalysisResult:
-        """Feed a whole in-memory capture and return the result."""
-        for packet in packets:
-            self.feed(packet)
-        return self.result
+    def run(self, source: "SourceLike") -> AnalysisResult:
+        """Drain ``source`` through :meth:`feed_batch` and return the result.
 
-    def run(self, source: "PacketSource") -> AnalysisResult:
-        """Drain a :class:`~repro.net.source.PacketSource` and return the result.
-
-        The streaming twin of :meth:`analyze`: memory stays bounded by one
-        batch regardless of capture size.  Also accepts a file path or a
-        plain packet iterable (coerced to a source).  Sources exposing
-        ``frame_batches()`` — every built-in one does — go through the
-        batch fast path (:meth:`feed_batch`); file-backed sources deliver
-        raw contiguous buffers there, so non-Zoom frames are prefiltered
-        before any per-packet object is allocated.
+        ``source`` may be a :class:`~repro.net.source.PacketSource`, a
+        capture-file path, or a plain packet iterable (coerced to a source
+        with the config's ``tolerant`` and ``batch_size``).  Memory stays
+        bounded by one batch regardless of capture size.  File-backed
+        sources deliver raw contiguous buffers, so non-Zoom frames are
+        prefiltered before any per-packet object is allocated; scalar
+        sources deliver ``prepared`` batches that bypass the prefilter.
         """
         from repro.net.source import coerce_source
 
-        coerced = coerce_source(source, telemetry=self._telemetry)
-        frame_batches = getattr(coerced, "frame_batches", None)
-        if frame_batches is not None:
-            for batch in frame_batches():
-                self.feed_batch(batch)
-            return self.result
-        for batch in coerced.batches():
-            for parsed in batch:
-                self.feed_parsed(parsed)
+        source = coerce_source(
+            source,
+            telemetry=self._telemetry,
+            tolerant=self.config.tolerant,
+            batch_size=self.config.batch_size,
+        )
+        for batch in source.frame_batches():
+            self.feed_batch(batch)
         return self.result
 
-    def feed(self, captured: CapturedPacket) -> None:
-        """Feed one captured frame."""
-        self._run(PacketContext(captured=captured))
-
-    def feed_parsed(self, parsed: ParsedPacket) -> None:
-        """Feed one already-parsed frame."""
-        self._run(PacketContext(parsed=parsed))
+    def analyze(self, packets: "SourceLike") -> AnalysisResult:
+        """The in-memory spelling of :meth:`run`."""
+        return self.run(packets)
 
     def feed_batch(self, batch: FrameBatch) -> None:
-        """Feed one :class:`~repro.net.batch.FrameBatch`.
+        """Feed one :class:`~repro.net.batch.FrameBatch` — the one ingest door.
 
         Raw batches take the vectorized path: columnar header decode, the
         compiled prefilter, then lazy materialization of survivors through
-        the unchanged scalar stages — every counter, stream, and metric is
-        bit-identical to feeding the same frames one by one.  Prepared
-        batches (the scalar-source shim) feed their packets through
-        unchanged.  Hint frames (sharding) reach :meth:`hint_stun` in
-        capture order, interleaved with the survivors around them.
+        the per-packet stages.  Prepared batches (scalar sources) carry
+        already-parsed packets, which bypass the prefilter and feed through
+        unchanged — every counter, stream, and metric is bit-identical
+        between the two forms of the same frames.  Hint frames (sharding)
+        reach :meth:`hint_stun` in capture order, interleaved with the
+        survivors around them.  In rolling mode the eviction policy is
+        consulted once, after the batch, against its last timestamp.
         """
+        if batch.prepared is not None:
+            self._feed_prepared(batch)
+        else:
+            self._feed_raw(batch)
+        if self.eviction is not None and len(batch):
+            self.eviction.after_batch(batch.last_timestamp)
+
+    def _feed_prepared(self, batch: FrameBatch) -> None:
         tel = self._telemetry
         prepared = batch.prepared
-        if prepared is not None:
-            if tel.enabled:
-                tel.count("pipeline.batch.batches")
-                tel.count("pipeline.batch.frames", len(prepared))
-            hints = batch.hints
-            if hints is not None:
-                for i, parsed in enumerate(prepared):
-                    if hints[i]:
-                        self.hint_stun(parsed)
-                    else:
-                        self._run(PacketContext(parsed=parsed))
-            else:
-                for parsed in prepared:
+        if tel.enabled:
+            tel.count("pipeline.batch.batches")
+            tel.count("pipeline.batch.frames", len(prepared))
+        hints = batch.hints
+        if hints is not None:
+            for i, parsed in enumerate(prepared):
+                if hints[i]:
+                    self.hint_stun(parsed)
+                else:
                     self._run(PacketContext(parsed=parsed))
-            return
+        else:
+            for parsed in prepared:
+                self._run(PacketContext(parsed=parsed))
+
+    def _feed_raw(self, batch: FrameBatch) -> None:
+        tel = self._telemetry
         bctx = BatchContext(batch)
         self._decode_stage.process_batch(bctx)
         verdict = self._classify_stage.process_batch(bctx)

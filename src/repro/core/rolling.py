@@ -1,14 +1,16 @@
 """Bounded-memory continuous analysis for 24/7 operation.
 
-The one-pass :class:`~repro.core.pipeline.ZoomAnalyzer` retains every stream
+A one-pass :class:`~repro.core.pipeline.ZoomAnalyzer` retains every stream
 and meeting it ever saw — fine for a trace file, unbounded for a permanent
-border tap.  :class:`RollingZoomAnalyzer` wraps it with time-based eviction:
-streams idle longer than the rolling window are finalized through the public
+border tap.  With ``AnalyzerConfig(rolling=True)`` the analyzer owns an
+:class:`IdleEviction` policy (``analyzer.eviction``) and consults it once
+per :meth:`~repro.core.pipeline.ZoomAnalyzer.feed_batch`: streams idle
+longer than the rolling window are finalized through the public
 :meth:`~repro.core.pipeline.ZoomAnalyzer.evict_stream` API, which publishes
-a :class:`~repro.core.events.StreamEvicted` event this wrapper (and any
-other sink — report cards, ML export) subscribes to.  Meetings whose last
-stream is gone follow, and long-lived shared state (the latency matcher's
-pending table, the STUN tracker) is already bounded by design.
+a :class:`~repro.core.events.StreamEvicted` event the policy (and any other
+sink — report cards, ML export) subscribes to.  Meetings whose last stream
+is gone follow, and long-lived shared state (the latency matcher's pending
+table, the STUN tracker) is already bounded by design.
 
 This addresses the operational gap between the paper's 12-hour offline study
 and a deployment that never stops.
@@ -17,18 +19,13 @@ and a deployment that never stops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.config import _UNSET, AnalyzerConfig, resolve_config
 from repro.core.events import StreamEvicted
-from repro.core.pipeline import AnalysisResult, ZoomAnalyzer
 from repro.core.streams import MediaStream, StreamKey
-from repro.net.packet import CapturedPacket, ParsedPacket
-from repro.telemetry.registry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.batch import FrameBatch
-    from repro.net.source import PacketSource
+    from repro.core.pipeline import AnalysisResult, StreamMetrics, ZoomAnalyzer
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,126 +48,98 @@ class FinalizedStream:
     protocol: str = "zoom"
 
 
-class RollingZoomAnalyzer:
-    """A :class:`ZoomAnalyzer` with idle-stream eviction.
+def summarize_stream(
+    stream: MediaStream,
+    metrics: "StreamMetrics | None",
+    *,
+    finalize: bool = False,
+) -> FinalizedStream:
+    """One :class:`FinalizedStream` record from a stream + its estimators.
 
-    Args:
-        config: An :class:`~repro.core.config.AnalyzerConfig`; the rolling
-            window comes from ``rolling_idle_timeout`` (seconds of
-            inactivity before a stream is finalized) and
-            ``rolling_sweep_interval`` (how often, in capture time, to scan
-            for idle streams).  The wrapper adds its own ``rolling.*``
-            counters (sweeps, retained-state size) and eviction reasons land
-            under ``pipeline.evicted.*`` via the shared eviction path.
+    ``finalize=True`` closes out the loss trackers (eviction path);
+    ``finalize=False`` reads them non-destructively (live snapshots).
+    """
+    frames = metrics.assembler.completed_count if metrics else 0
+    fps_samples = metrics.framerate_delivered.samples if metrics else []
+    loss = metrics.loss.report(finalize=finalize) if metrics else None
+    return FinalizedStream(
+        key=stream.key,
+        ssrc=stream.ssrc,
+        media_type=stream.media_type,
+        first_time=stream.first_time,
+        last_time=stream.last_time,
+        packets=stream.packets,
+        bytes=stream.bytes,
+        frames_completed=frames,
+        mean_fps=(
+            sum(s.fps for s in fps_samples) / len(fps_samples)
+            if fps_samples
+            else float("nan")
+        ),
+        jitter_ms=(metrics.jitter.jitter * 1000 if metrics else float("nan")),
+        duplicates=loss.duplicates if loss else 0,
+        lost=loss.lost if loss else 0,
+        stall_count=len(metrics.stall_events()) if metrics else 0,
+        protocol=stream.protocol,
+    )
+
+
+def live_stream_snapshots(result: "AnalysisResult") -> list[FinalizedStream]:
+    """Point-in-time summaries of every still-open stream.
+
+    The same shape eviction produces, but without finalizing anything —
+    the windowed aggregator uses these to report on streams that span an
+    open window, and a dashboard can poll them for a live table.
+    """
+    return [
+        summarize_stream(stream, result.stream_metrics.get(stream.key))
+        for stream in result.streams.streams()
+    ]
+
+
+class IdleEviction:
+    """The idle-stream eviction policy of a rolling-mode analyzer.
+
+    Built by :class:`~repro.core.pipeline.ZoomAnalyzer` when
+    ``config.rolling`` is set.  The window comes from
+    ``rolling_idle_timeout`` (seconds of inactivity before a stream is
+    finalized) and ``rolling_sweep_interval`` (how often, in capture time,
+    to scan for idle streams).  The policy adds its own ``rolling.*``
+    counters (sweeps, retained-state size); eviction reasons land under
+    ``pipeline.evicted.*`` via the shared eviction path.
+
+    Attributes:
+        finalized: Every :class:`FinalizedStream` produced so far.
+        streams_evicted: Their count.
         on_stream_finalized: Optional callback receiving each
             :class:`FinalizedStream` (e.g. to write a database row).
-        **deprecated: The historical kwargs (``idle_timeout``,
-            ``sweep_interval``, ``zoom_subnets``, ``campus_subnets``,
-            ``stun_timeout``, ``keep_records``, ``telemetry``) still work
-            but warn; they are shims over the config.
     """
 
     def __init__(
         self,
-        config: AnalyzerConfig | None = None,
-        *,
+        analyzer: "ZoomAnalyzer",
         on_stream_finalized: Optional[Callable[[FinalizedStream], None]] = None,
-        idle_timeout: float | object = _UNSET,
-        sweep_interval: float | object = _UNSET,
-        zoom_subnets: Iterable[str] | object = _UNSET,
-        campus_subnets: Iterable[str] | None | object = _UNSET,
-        stun_timeout: float | object = _UNSET,
-        keep_records: bool | object = _UNSET,
-        telemetry: Telemetry | bool | object = _UNSET,
     ) -> None:
-        self.config = resolve_config(
-            config,
-            "RollingZoomAnalyzer",
-            idle_timeout=idle_timeout,
-            sweep_interval=sweep_interval,
-            zoom_subnets=zoom_subnets,
-            campus_subnets=campus_subnets,
-            stun_timeout=stun_timeout,
-            keep_records=keep_records,
-            telemetry=telemetry,
-        )
-        self.idle_timeout = self.config.rolling_idle_timeout
-        self.sweep_interval = self.config.rolling_sweep_interval
+        self.idle_timeout = analyzer.config.rolling_idle_timeout
+        self.sweep_interval = analyzer.config.rolling_sweep_interval
         self.on_stream_finalized = on_stream_finalized
         self.finalized: list[FinalizedStream] = []
         self.streams_evicted = 0
         self._last_sweep = float("-inf")
-        self._analyzer = ZoomAnalyzer(self.config)
-        self._analyzer.bus.subscribe(StreamEvicted, self._on_stream_evicted)
+        self._analyzer = analyzer
+        analyzer.bus.subscribe(StreamEvicted, self._on_stream_evicted)
 
-    @property
-    def result(self) -> AnalysisResult:
-        """The live (post-eviction) analysis state."""
-        return self._analyzer.result
+    def after_batch(self, now: float) -> None:
+        """Sweep if a sweep interval of capture time has passed.
 
-    @property
-    def analyzer(self) -> ZoomAnalyzer:
-        """The wrapped analyzer (e.g. to register further event sinks)."""
-        return self._analyzer
-
-    def feed(self, packet: CapturedPacket) -> None:
-        """Feed one captured frame; may trigger an eviction sweep."""
-        self._analyzer.feed(packet)
-        if packet.timestamp - self._last_sweep >= self.sweep_interval:
-            self.sweep(packet.timestamp)
-
-    def feed_parsed(self, parsed: ParsedPacket) -> None:
-        """Feed one already-parsed frame; may trigger an eviction sweep."""
-        self._analyzer.feed_parsed(parsed)
-        if parsed.timestamp - self._last_sweep >= self.sweep_interval:
-            self.sweep(parsed.timestamp)
-
-    def feed_batch(self, batch: "FrameBatch") -> None:
-        """Feed one :class:`~repro.net.batch.FrameBatch`; may trigger a sweep.
-
-        Sweep timing is checked once per batch (against the batch's last
-        timestamp) instead of per packet.  Capture timestamps are
-        monotone-enough in practice that this only ever *delays* a sweep by
-        at most one batch of capture time — eviction idle timeouts dwarf
-        that — and it keeps the sweep check off the per-frame fast path.
+        Checked once per batch (against the batch's last timestamp), not
+        per packet.  Capture timestamps are monotone-enough in practice
+        that this only ever *delays* a sweep by at most one batch of
+        capture time — eviction idle timeouts dwarf that — and it keeps the
+        sweep check off the per-frame fast path.
         """
-        if not len(batch):
-            return
-        self._analyzer.feed_batch(batch)
-        now = batch.last_timestamp
         if now - self._last_sweep >= self.sweep_interval:
             self.sweep(now)
-
-    def analyze(self, packets: Iterable[CapturedPacket]) -> AnalysisResult:
-        for packet in packets:
-            self.feed(packet)
-        return self.result
-
-    def run(self, source: "PacketSource") -> AnalysisResult:
-        """Drain a :class:`~repro.net.source.PacketSource` with eviction.
-
-        The streaming twin of :meth:`analyze`; combined with a streaming
-        source this is the shape of a live deployment — bounded reader
-        memory in, bounded analyzer state throughout.  Batch-capable
-        sources stream :class:`~repro.net.batch.FrameBatch` buffers through
-        the vectorized fast path.
-        """
-        from repro.net.source import coerce_source
-
-        source = coerce_source(
-            source,
-            telemetry=self._analyzer.result.telemetry,
-            tolerant=self.config.tolerant,
-        )
-        frame_batches = getattr(source, "frame_batches", None)
-        if frame_batches is not None:
-            for frame_batch in frame_batches():
-                self.feed_batch(frame_batch)
-            return self.result
-        for batch in source.batches():
-            for parsed in batch:
-                self.feed_parsed(parsed)
-        return self.result
 
     def sweep(self, now: float) -> int:
         """Finalize and evict streams idle since ``now - idle_timeout``.
@@ -184,15 +153,16 @@ class RollingZoomAnalyzer:
         deployment.  Returns the number of streams evicted.
         """
         self._last_sweep = now
-        live = self._analyzer.result.streams.streams()
+        analyzer = self._analyzer
+        live = analyzer.result.streams.streams()
         stale = [
             stream for stream in live if now - stream.last_time > self.idle_timeout
         ]
         # Every plugin's endpoint state ages out here (the Zoom plugin's
         # purge is the detector's STUN tracker; the generic RTP plugin has
         # its own tracker).
-        purged = sum(plugin.purge(now) for plugin in self._analyzer.plugins)
-        tel = self._analyzer.result.telemetry
+        purged = sum(plugin.purge(now) for plugin in analyzer.plugins)
+        tel = analyzer.result.telemetry
         if tel.enabled:
             tel.count("rolling.sweeps")
             tel.record_max("rolling.live_streams_peak", len(live))
@@ -200,66 +170,12 @@ class RollingZoomAnalyzer:
             if purged:
                 tel.count("rolling.stun_purged", purged)
         for stream in stale:
-            self._analyzer.evict_stream(stream.key, reason="idle")
+            analyzer.evict_stream(stream.key, reason="idle")
         return len(stale)
-
-    def live_stream_count(self) -> int:
-        return len(self._analyzer.result.streams)
-
-    def live_stream_snapshots(self) -> list[FinalizedStream]:
-        """Point-in-time summaries of every still-open stream.
-
-        The same shape eviction produces, but without finalizing anything —
-        the windowed aggregator uses these to report on streams that span an
-        open window, and a dashboard can poll them for a live table.
-        """
-        result = self._analyzer.result
-        return [
-            self._summarize(stream, result.stream_metrics.get(stream.key))
-            for stream in result.streams.streams()
-        ]
-
-    # ------------------------------------------------------------- internals
-
-    def _summarize(
-        self,
-        stream: "MediaStream",
-        metrics: object,
-        *,
-        finalize: bool = False,
-    ) -> FinalizedStream:
-        """One :class:`FinalizedStream` record from a stream + its estimators.
-
-        ``finalize=True`` closes out the loss trackers (eviction path);
-        ``finalize=False`` reads them non-destructively (live snapshots).
-        """
-        frames = metrics.assembler.completed_count if metrics else 0
-        fps_samples = metrics.framerate_delivered.samples if metrics else []
-        loss = metrics.loss.report(finalize=finalize) if metrics else None
-        return FinalizedStream(
-            key=stream.key,
-            ssrc=stream.ssrc,
-            media_type=stream.media_type,
-            first_time=stream.first_time,
-            last_time=stream.last_time,
-            packets=stream.packets,
-            bytes=stream.bytes,
-            frames_completed=frames,
-            mean_fps=(
-                sum(s.fps for s in fps_samples) / len(fps_samples)
-                if fps_samples
-                else float("nan")
-            ),
-            jitter_ms=(metrics.jitter.jitter * 1000 if metrics else float("nan")),
-            duplicates=loss.duplicates if loss else 0,
-            lost=loss.lost if loss else 0,
-            stall_count=len(metrics.stall_events()) if metrics else 0,
-            protocol=stream.protocol,
-        )
 
     def _on_stream_evicted(self, event: StreamEvicted) -> None:
         """Summarize an evicted stream from the event payload alone."""
-        record = self._summarize(event.stream, event.metrics, finalize=True)
+        record = summarize_stream(event.stream, event.metrics, finalize=True)
         self.finalized.append(record)
         self.streams_evicted += 1
         if self.on_stream_finalized is not None:

@@ -1,44 +1,35 @@
 """The one-call front door: ``AnalysisSession(config).run(source)``.
 
 Every ingestion kind (pcap file, pcapng file, capture directory, simulated
-meeting, in-memory packets) and every execution strategy (single pass,
-flow-sharded, rolling eviction) used to require knowing which driver class
-to construct and how to thread telemetry between the reader and the
-analyzer.  The session owns both decisions: the
-:class:`~repro.core.config.AnalyzerConfig` selects the driver, and one
-telemetry registry is wired through the source and the analysis so
-``--stats`` style reports cover the whole path.
+meeting, in-memory packets) goes through one analyzer; the
+:class:`~repro.core.config.AnalyzerConfig` alone says how it executes
+(single pass, rolling eviction, flow-sharded, with or without QoE
+tracking).  The session validates that combination, attaches the QoE
+tracker, and runs it; one telemetry registry covers the reader and the
+analysis so ``--stats`` style reports cover the whole path.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING
 
 from repro.core.config import AnalyzerConfig
 from repro.core.pipeline import AnalysisResult, ZoomAnalyzer
-from repro.core.rolling import RollingZoomAnalyzer
 from repro.core.sharded import ShardedAnalyzer
-from repro.net.packet import CapturedPacket, ParsedPacket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.source import PacketSource
+    from repro.net.source import SourceLike
     from repro.qoe.tracker import MeetingQoeTracker
-
-SourceLike = Union[
-    "PacketSource", str, Path, Iterable["CapturedPacket | ParsedPacket"]
-]
 
 
 class AnalysisSession:
     """Run one analysis pass described entirely by an :class:`AnalyzerConfig`.
 
-    Driver selection: ``config.shards > 1`` partitions across a
-    :class:`~repro.core.sharded.ShardedAnalyzer`; ``config.rolling`` wraps
-    the pass in idle-stream eviction
-    (:class:`~repro.core.rolling.RollingZoomAnalyzer`); otherwise a plain
-    one-pass :class:`~repro.core.pipeline.ZoomAnalyzer` runs.  The two are
-    mutually exclusive — a sharded run keeps whole-capture state by design.
+    ``config.shards > 1`` partitions across a
+    :class:`~repro.core.sharded.ShardedAnalyzer`; otherwise one
+    :class:`~repro.core.pipeline.ZoomAnalyzer` runs, with idle-stream
+    eviction when ``config.rolling`` is set.  The two are mutually
+    exclusive — a sharded run keeps whole-capture state by design.
 
     Usage::
 
@@ -63,42 +54,24 @@ class AnalysisSession:
         #: The meeting QoE tracker of the last :meth:`run`, when configured.
         self.qoe: "MeetingQoeTracker | None" = None
 
-    def run(self, source: SourceLike) -> AnalysisResult:
-        """Ingest ``source`` through the configured driver; returns the result.
+    def run(self, source: "SourceLike") -> AnalysisResult:
+        """Ingest ``source`` as the config describes; returns the result.
 
         ``source`` may be a :class:`~repro.net.source.PacketSource`, a
         capture-file path (format sniffed from magic bytes), or an iterable
-        of captured/parsed packets.  When the session opens the source
-        itself, the run's telemetry registry is threaded into it so capture
-        counters and pipeline counters land in one report.
+        of captured/parsed packets.  The run's telemetry registry is
+        threaded into the source so capture counters and pipeline counters
+        land in one report.
         """
-        from repro.net.source import coerce_source
-
         config = self.config
-        registry = config.make_telemetry()
-        source = coerce_source(
-            source,
-            telemetry=registry,
-            tolerant=config.tolerant,
-            batch_size=config.batch_size,
-        )
         if config.shards > 1:
-            result = ShardedAnalyzer(config).run(source)
-            # Shards record into private registries; fold the ingest-side
-            # counters in so the merged report covers the whole path.
-            result.telemetry.merge_from(registry)
-            return result
-        run_config = config.replace(telemetry=registry)
-        driver: RollingZoomAnalyzer | ZoomAnalyzer
-        if config.rolling:
-            driver = RollingZoomAnalyzer(run_config)
-        else:
-            driver = ZoomAnalyzer(run_config)
+            return ShardedAnalyzer(config).run(source)
+        analyzer = ZoomAnalyzer(config)
         if config.qoe is not None and config.qoe.enabled:
             from repro.qoe.tracker import MeetingQoeTracker
 
-            self.qoe = MeetingQoeTracker(driver, config.qoe)
-        result = driver.run(source)
+            self.qoe = MeetingQoeTracker(analyzer, config.qoe)
+        result = analyzer.run(source)
         if self.qoe is not None:
             # Score the tail windows no later packet will ever watermark out.
             self.qoe.flush(final=True)

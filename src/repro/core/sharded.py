@@ -25,10 +25,9 @@ Backends: ``"serial"`` (debugging/baseline), ``"thread"`` (shared-memory;
 bounded by the GIL for pure-Python decode), ``"process"``
 (``multiprocessing``; true parallelism).  Work crosses the process
 boundary as :class:`~repro.net.batch.FrameBatch` buffers — one contiguous
-``bytes`` plus three flat arrays per ~2048 frames — so pickling cost is a
-handful of buffer copies per batch instead of one ``CapturedPacket``
-object per packet, and each shard runs the batch fast path
-(:meth:`ZoomAnalyzer.feed_batch`) end to end.
+``bytes`` plus three flat arrays per batch — so pickling cost is a handful
+of buffer copies per batch instead of one ``CapturedPacket`` object per
+packet, and each shard feeds them to :meth:`ZoomAnalyzer.feed_batch`.
 """
 
 from __future__ import annotations
@@ -37,23 +36,19 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core.config import _UNSET, AnalyzerConfig, resolve_config
+from repro.core.config import AnalyzerConfig
 from repro.core.pipeline import AnalysisResult, ZoomAnalyzer
 from repro.net.batch import FrameBatch, FrameBatchBuilder
-from repro.net.packet import CapturedPacket, parse_frame
 from repro.rtp.stun import STUN_PORT
 from repro.telemetry.registry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.source import PacketSource
+    from repro.net.source import SourceLike
 
 _ETHERTYPE_VLAN = 0x8100
 _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_IPV6 = 0x86DD
 _STUN_MAGIC = b"\x21\x12\xa4\x42"
-
-#: Frames per shard-bound :class:`FrameBatch` built by the partitioner.
-_SHARD_BATCH_FRAMES = 2048
 
 
 def flow_shard_info(data) -> tuple[int, bool] | None:
@@ -113,34 +108,16 @@ def flow_shard_info(data) -> tuple[int, bool] | None:
 
 @dataclass
 class PartitionStats:
-    """Accounting from one :meth:`ShardedAnalyzer.partition` call."""
+    """Accounting from one :meth:`ShardedAnalyzer.partition_frames` call."""
 
     shard_packets: list[int] = field(default_factory=list)
     hints_replicated: int = 0
     unhashable_frames: int = 0
 
 
-def _analyze_shard(args: tuple) -> AnalysisResult:
-    """Worker: run one shard's packet sequence through a fresh analyzer.
-
-    ``work`` is a capture-time-ordered list of (packet, is_hint) pairs;
-    hints are replicated STUN packets that teach the detector without being
-    counted.  Module-level so the process backend can pickle it; the config
-    is the picklable per-shard variant (:meth:`AnalyzerConfig.shard_config`).
-    """
-    config, work = args
-    analyzer = ZoomAnalyzer(config)
-    for packet, is_hint in work:
-        if is_hint:
-            analyzer.hint_stun(parse_frame(packet.data, packet.timestamp))
-        else:
-            analyzer.feed(packet)
-    return analyzer.result
-
-
 def _analyze_shard_batches(args: tuple) -> AnalysisResult:
     """Worker: run one shard's :class:`FrameBatch` list through a fresh
-    analyzer's batch fast path.
+    analyzer.
 
     Hint frames (replicated STUN) travel inside the batches via the
     ``hints`` column; :meth:`ZoomAnalyzer.feed_batch` routes them to
@@ -169,177 +146,86 @@ class ShardedAnalyzer:
             :class:`~repro.telemetry.Telemetry` *instance* in the config
             cannot be written from concurrent shards, so it degrades to its
             enabled flag; pass a factory for custom per-shard registries.
-        **deprecated: The historical kwargs (``shards``, ``zoom_subnets``,
-            ``campus_subnets``, ``stun_timeout``, ``keep_records``,
-            ``backend``, ``telemetry``) still work but warn; they are shims
-            over the config.
 
     Usage::
 
         result = ShardedAnalyzer(AnalyzerConfig(shards=4)).analyze(packets)
     """
 
-    def __init__(
-        self,
-        config: AnalyzerConfig | None = None,
-        *,
-        shards: int | object = _UNSET,
-        zoom_subnets: Iterable[str] | object = _UNSET,
-        campus_subnets: Iterable[str] | None | object = _UNSET,
-        stun_timeout: float | object = _UNSET,
-        keep_records: bool | object = _UNSET,
-        backend: str | object = _UNSET,
-        telemetry: Telemetry | bool | object = _UNSET,
-    ) -> None:
-        self.config = resolve_config(
-            config,
-            "ShardedAnalyzer",
-            shards=shards,
-            zoom_subnets=zoom_subnets,
-            campus_subnets=campus_subnets,
-            stun_timeout=stun_timeout,
-            keep_records=keep_records,
-            backend=backend,
-            telemetry=telemetry,
-        )
-        # Legacy default: ShardedAnalyzer() historically meant 4 shards,
-        # while AnalyzerConfig defaults to a single pass.
-        if self.config.shards == 1 and config is None and shards is _UNSET:
-            self.config = self.config.replace(shards=4)
+    def __init__(self, config: AnalyzerConfig | None = None) -> None:
+        self.config = config if config is not None else AnalyzerConfig()
         self.shards = self.config.shards
         self.backend = self.config.shard_backend
         self.partition_stats = PartitionStats()
 
-    def partition(
-        self, packets: Iterable[CapturedPacket]
-    ) -> list[list[tuple[CapturedPacket, bool]]]:
-        """Split a capture into per-shard work lists, preserving order.
-
-        Each packet lands on exactly one home shard (flow-affine, both
-        directions together); STUN packets are additionally replicated to
-        every other shard as detector hints.  Partition accounting for the
-        most recent call is kept on :attr:`partition_stats`.
-        """
-        buckets: list[list[tuple[CapturedPacket, bool]]] = [
-            [] for _ in range(self.shards)
-        ]
-        stats = PartitionStats(shard_packets=[0] * self.shards)
-        for packet in packets:
-            info = flow_shard_info(packet.data)
-            if info is None:
-                home = zlib.crc32(packet.data) % self.shards
-                buckets[home].append((packet, False))
-                stats.shard_packets[home] += 1
-                stats.unhashable_frames += 1
-                continue
-            flow_hash, is_stun = info
-            home = flow_hash % self.shards
-            buckets[home].append((packet, False))
-            stats.shard_packets[home] += 1
-            if is_stun:
-                for index in range(self.shards):
-                    if index != home:
-                        buckets[index].append((packet, True))
-                        stats.hints_replicated += 1
-        self.partition_stats = stats
-        return buckets
-
     def partition_frames(
-        self, frames: Iterable[tuple]
+        self, batches: Iterable[FrameBatch]
     ) -> list[list[FrameBatch]]:
-        """Split a raw-frame stream into per-shard :class:`FrameBatch` lists.
+        """Split a batch stream into per-shard :class:`FrameBatch` lists.
 
-        ``frames`` yields ``(data, timestamp)`` pairs (``data`` may be a
-        ``memoryview`` into a reader batch; the builder copies it into the
-        shard's own contiguous buffer).  Same flow-affine placement and
-        STUN-hint replication as :meth:`partition`, but the output is what
-        the process backend actually wants to pickle: one buffer + three
-        flat arrays per ~:data:`_SHARD_BATCH_FRAMES` frames, not one object
-        per packet.  Partition accounting lands on :attr:`partition_stats`.
+        Each frame lands on exactly one home shard (flow-affine, both
+        directions together, capture order preserved); STUN frames are
+        additionally replicated to every other shard as detector hints.
+        Frames are copied into the shard's own contiguous buffer, so the
+        output is what the process backend wants to pickle: one buffer +
+        three flat arrays per batch, not one object per packet.  Shard
+        batches follow the input's batch boundaries, so the source's
+        ``batch_size`` bounds them too.  Partition accounting for the most
+        recent call lands on :attr:`partition_stats`.
         """
         shards = self.shards
         builders = [FrameBatchBuilder() for _ in range(shards)]
         work: list[list[FrameBatch]] = [[] for _ in range(shards)]
         stats = PartitionStats(shard_packets=[0] * shards)
         crc32 = zlib.crc32
-        for data, timestamp in frames:
-            info = flow_shard_info(data)
-            if info is None:
-                home = crc32(data) % shards
-                stats.unhashable_frames += 1
-                is_stun = False
-            else:
-                flow_hash, is_stun = info
-                home = flow_hash % shards
-            builder = builders[home]
-            builder.append(data, timestamp)
-            stats.shard_packets[home] += 1
-            if len(builder) >= _SHARD_BATCH_FRAMES:
-                work[home].append(builder.build())
-            if is_stun:
-                for index in range(shards):
-                    if index == home:
-                        continue
-                    other = builders[index]
-                    other.append(data, timestamp, hint=True)
-                    stats.hints_replicated += 1
-                    if len(other) >= _SHARD_BATCH_FRAMES:
-                        work[index].append(other.build())
-        for index, builder in enumerate(builders):
-            if len(builder):
-                work[index].append(builder.build())
+        for batch in batches:
+            for data, timestamp in batch.iter_frames():
+                info = flow_shard_info(data)
+                if info is None:
+                    home = crc32(data) % shards
+                    stats.unhashable_frames += 1
+                    is_stun = False
+                else:
+                    flow_hash, is_stun = info
+                    home = flow_hash % shards
+                builders[home].append(data, timestamp)
+                stats.shard_packets[home] += 1
+                if is_stun:
+                    for index in range(shards):
+                        if index != home:
+                            builders[index].append(data, timestamp, hint=True)
+                            stats.hints_replicated += 1
+            for index, builder in enumerate(builders):
+                if len(builder):
+                    work[index].append(builder.build())
         self.partition_stats = stats
         return work
 
-    def analyze(self, packets: Iterable[CapturedPacket]) -> AnalysisResult:
-        """Partition, run every shard, and return the merged result.
+    def run(self, source: "SourceLike") -> AnalysisResult:
+        """Partition ``source`` across the shards; return the merged result.
 
-        The merged result's telemetry holds the per-shard registries summed
-        (so additive counters match a single-pass run) plus the driver's own
-        ``sharded.*`` partition accounting.
-        """
-        return self._analyze_frames(
-            (packet.data, packet.timestamp) for packet in packets
-        )
-
-    def run(self, source: "PacketSource") -> AnalysisResult:
-        """Drain a :class:`~repro.net.source.PacketSource` across the shards.
-
-        Batch-capable sources stream :class:`FrameBatch` buffers straight
-        into the partitioner (no per-packet objects on the ingest side
-        either); scalar-only sources fall back to rewrapping parsed packets
-        as raw frames.  Also accepts a file path or plain packet iterable.
+        ``source`` may be a :class:`~repro.net.source.PacketSource`, a
+        capture-file path, or a plain packet iterable.  Its
+        :class:`FrameBatch` buffers stream straight into the partitioner
+        (no per-packet objects on the ingest side either).  The merged
+        result's telemetry holds the per-shard registries summed (so
+        additive counters match a single-pass run) plus the reader's ingest
+        counters and the driver's own ``sharded.*`` partition accounting.
         """
         from repro.net.source import coerce_source
 
         # Shard registries can't be shared with the reader, so ingest-side
         # counters accumulate separately and fold into the merged result.
         ingest = Telemetry(enabled=self.config.telemetry_enabled)
-        source = coerce_source(source, telemetry=ingest, tolerant=self.config.tolerant)
-        frame_batches = getattr(source, "frame_batches", None)
-        if frame_batches is not None:
-            frames = (
-                frame
-                for batch in frame_batches()
-                for frame in batch.iter_frames()
-            )
-        else:
-            frames = (
-                (parsed.raw, parsed.timestamp)
-                for batch in source.batches()
-                for parsed in batch
-            )
-        result = self._analyze_frames(frames)
-        result.telemetry.merge_from(ingest)
-        return result
-
-    # ------------------------------------------------------------- internals
-
-    def _analyze_frames(self, frames: Iterable[tuple]) -> AnalysisResult:
-        work = self.partition_frames(frames)
+        source = coerce_source(
+            source,
+            telemetry=ingest,
+            tolerant=self.config.tolerant,
+            batch_size=self.config.batch_size,
+        )
+        work = self.partition_frames(source.frame_batches())
         shard_config = self.config.shard_config()
-        shard_args = [(shard_config, batches) for batches in work]
-        results = self._run_shards(shard_args, worker=_analyze_shard_batches)
+        results = self._run_shards([(shard_config, batches) for batches in work])
         merged = AnalysisResult.merge_all(results)
         tel = merged.telemetry
         if tel.enabled:
@@ -349,19 +235,24 @@ class ShardedAnalyzer:
             tel.count("sharded.hints_replicated", stats.hints_replicated)
             tel.count("sharded.unhashable_frames", stats.unhashable_frames)
             tel.record_max("sharded.shards", self.shards)
+        tel.merge_from(ingest)
         return merged
 
-    def _run_shards(
-        self, shard_args: Sequence[tuple], worker=_analyze_shard
-    ) -> list[AnalysisResult]:
+    def analyze(self, packets: "SourceLike") -> AnalysisResult:
+        """The in-memory spelling of :meth:`run`."""
+        return self.run(packets)
+
+    # ------------------------------------------------------------- internals
+
+    def _run_shards(self, shard_args: Sequence[tuple]) -> list[AnalysisResult]:
         if self.backend == "serial" or self.shards == 1:
-            return [worker(args) for args in shard_args]
+            return [_analyze_shard_batches(args) for args in shard_args]
         if self.backend == "thread":
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=self.shards) as pool:
-                return list(pool.map(worker, shard_args))
+                return list(pool.map(_analyze_shard_batches, shard_args))
         import multiprocessing
 
         with multiprocessing.Pool(processes=self.shards) as pool:
-            return pool.map(worker, shard_args)
+            return pool.map(_analyze_shard_batches, shard_args)

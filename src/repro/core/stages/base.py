@@ -1,10 +1,10 @@
 """The stage protocol and the per-packet context that flows through it.
 
-One :class:`PacketContext` is created per captured frame and handed to each
+One :class:`PacketContext` is created per parsed frame and handed to each
 stage in order.  A stage reads the fields earlier stages filled in, adds its
 own, and returns ``True`` to pass the packet on or ``False`` to stop the
 pipeline for this packet (not-Zoom traffic, control packets, undecodable
-payloads — every early exit of the old monolithic ``feed_parsed``).
+payloads).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.net.packet import CapturedPacket, FiveTuple, ParsedPacket
+from repro.net.packet import FiveTuple, ParsedPacket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.streams import MediaStream, RTPPacketRecord
@@ -26,8 +26,7 @@ class PacketContext:
     """Mutable per-packet state shared by the stages.
 
     Attributes (filled in as the packet advances):
-        captured: The raw frame, when the packet entered via ``feed``.
-        parsed: L2–L4 decode (decode stage).
+        parsed: L2–L4 decode of the frame (set at construction).
         klass: Protocol classification — a member of the claiming plugin's
             class enum, e.g. ``ZoomClass`` or ``RtpClass`` (classify stage).
         plugin: The plugin that claimed the packet (classify stage).
@@ -39,8 +38,7 @@ class PacketContext:
         stream_is_new: Whether assembly created the stream for this packet.
     """
 
-    captured: CapturedPacket | None = None
-    parsed: ParsedPacket | None = None
+    parsed: ParsedPacket
     klass: "ProtocolClass | None" = None
     plugin: "ProtocolPlugin | None" = None
     protocol: str | None = None

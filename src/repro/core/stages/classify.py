@@ -120,10 +120,10 @@ class ClassifyStage:
 
         The prefilter compiles the **union** of the enabled plugins'
         match-action rules, so dropped frames are provably unclaimed by
-        every plugin on the scalar decision tree and provably touch no
+        every plugin on the per-packet decision tree and provably touch no
         plugin state (see ``repro.net.batch``); their per-plugin and
         classify accounting is applied in bulk here with exactly the
-        values the scalar path would have produced.  Survivors and hint
+        values :meth:`process` would have produced.  Survivors and hint
         frames come back as index lists for lazy materialization.
         """
         result = self._result
@@ -132,7 +132,7 @@ class ClassifyStage:
         if prefilter is None:
             prefilter = self._prefilter = BatchPrefilter.from_plugins(self._plugins)
         # Fold in endpoints learned outside the prefilter's own sniffing
-        # (scalar-path feeds interleaved between batches, shard merges).
+        # (prepared batches and STUN hints interleaved between raw batches).
         for plugin in self._plugins:
             for tracker in plugin.stun_trackers:
                 prefilter.sync_stun(tracker)

@@ -1,4 +1,4 @@
-"""Decode stage: raw frame bytes → :class:`ParsedPacket`, plus input totals."""
+"""Decode stage: columnar batch decode, plus input totals."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.stages.base import BatchContext, PacketContext
 from repro.net.batch import decode_columns
-from repro.net.packet import parse_frame
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.events import EventBus
@@ -15,11 +14,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class DecodeStage:
-    """Parse the Ethernet/IP/transport layers and count every input packet.
+    """Slice a raw batch's header columns and count every input packet.
 
-    Packets that entered the pipeline already parsed (``feed_parsed``) skip
-    the frame decode but are still counted here, so ``packets_total`` and
-    ``bytes_total`` mean the same thing on either entry point.
+    Per-packet contexts arrive already parsed (materialized survivors of a
+    raw batch, or a prepared batch's packets); they are counted here, and
+    prefilter-dropped frames are counted in bulk, so ``packets_total`` and
+    ``bytes_total`` mean the same thing for either batch form.
     """
 
     name = "decode"
@@ -29,9 +29,6 @@ class DecodeStage:
         self._telemetry = result.telemetry
 
     def process(self, ctx: PacketContext) -> bool:
-        if ctx.parsed is None:
-            assert ctx.captured is not None, "decode needs a raw or parsed frame"
-            ctx.parsed = parse_frame(ctx.captured.data, ctx.captured.timestamp)
         self._result.packets_total += 1
         self._result.bytes_total += len(ctx.parsed.raw)
         tel = self._telemetry
@@ -51,7 +48,7 @@ class DecodeStage:
         Surviving frames are materialized and run through :meth:`process`
         individually, so only the dropped ones need their ``packets_total``
         / ``bytes_total`` / parse-failure contributions added here — with
-        exactly the values the scalar path would have recorded.  (Every
+        exactly the values :meth:`process` would have recorded.  (Every
         frame the columnar decoder marks Ethernet-less is dropped by the
         prefilter, so the parse-failure count needs no survivor half.)
         """

@@ -475,7 +475,8 @@ class LiveInterfaceSource(PacketSourceBase):
 
     def _packets(self):
         for batch in self.frame_batches():
-            yield from batch
+            for index in range(len(batch)):
+                yield batch.materialize(index)
 
     def close(self) -> None:
         self.socket.close()

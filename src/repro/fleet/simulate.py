@@ -3,8 +3,8 @@
 Spins up N simulated vantage points: each node generates its own campus
 trace (same diurnal structure, different seed — N taps watching different
 slices of one campus day) and runs it through the *real* monitor pipeline
-— :class:`~repro.core.rolling.RollingZoomAnalyzer` →
-:class:`~repro.service.windows.WindowAggregator` →
+— :class:`~repro.service.windows.WindowAggregator` → rolling-mode
+:class:`~repro.core.pipeline.ZoomAnalyzer` →
 :class:`~repro.store.sink.StoreSink` — into a per-node
 :class:`~repro.store.store.MetricsStore`.  The result is a directory an
 operator can immediately point the rest of the fleet tooling at::
@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core import AnalyzerConfig, FleetConfig, FleetNodeConfig, RollingZoomAnalyzer
+from repro.core import AnalyzerConfig, FleetConfig, FleetNodeConfig, ZoomAnalyzer
 from repro.fleet.manifest import save_fleet_manifest
 from repro.net.packet import CapturedPacket
+from repro.net.source import IterableSource
 from repro.service.windows import WindowAggregator
 from repro.simulation.campus import CampusTraceConfig, generate_campus_trace
 from repro.store.sink import StoreSink
@@ -152,21 +153,20 @@ def _run_node(
     list instead of an interface, writing the same store layout."""
     store = MetricsStore(store_dir)
     sink = StoreSink(store)
-    rolling = RollingZoomAnalyzer(
-        AnalyzerConfig(), on_stream_finalized=sink.write_stream
+    analyzer = ZoomAnalyzer(
+        AnalyzerConfig(rolling=True), on_stream_finalized=sink.write_stream
     )
     aggregator = WindowAggregator(
-        rolling,
+        analyzer,
         window_seconds=window_seconds,
         on_window=(sink.write_window,),
     )
     packets.sort(key=lambda packet: packet.timestamp)
-    for packet in packets:
-        rolling.feed(packet)
-        aggregator.observe_packet(packet.timestamp, len(packet.data))
-    rolling.sweep(float("inf"))
+    for batch in IterableSource(packets).frame_batches():
+        aggregator.ingest(batch)
+    analyzer.eviction.sweep(float("inf"))
     aggregator.flush(final=True)
-    sink.write_meetings(rolling.result.meetings)
+    sink.write_meetings(analyzer.result.meetings)
     store.close()
     return SimulatedNode(
         name=name,

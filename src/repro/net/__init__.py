@@ -23,7 +23,7 @@ from repro.net.checksum import internet_checksum
 from repro.net.ethernet import EtherType, EthernetHeader
 from repro.net.ip import IPProtocol, IPv4Header, IPv6Header
 from repro.net.packet import CapturedPacket, ParsedPacket, parse_frame
-from repro.net.pcap import PcapReader, PcapWriter, read_pcap, write_pcap
+from repro.net.pcap import PcapReader, PcapWriter, write_pcap
 from repro.net.source import (
     CaptureDirectorySource,
     InterleavedSource,
@@ -68,7 +68,6 @@ __all__ = [
     "open_capture_source",
     "parse_frame",
     "prepared_frame_batch",
-    "read_pcap",
     "sniff_capture_format",
     "write_pcap",
 ]

@@ -1,12 +1,13 @@
 """Batch-vectorized frame ingestion: contiguous buffers, columnar headers.
 
-The scalar ingest path turns *every* captured frame into a
+Parsing frame by frame turns *every* captured frame into a
 :class:`~repro.net.packet.CapturedPacket` and then a fully dissected
 :class:`~repro.net.packet.ParsedPacket` before the detector gets a vote —
 two dataclass allocations and five header parses per frame, even for the
 overwhelmingly non-Zoom background traffic a border tap carries (§6.1 of
 the paper puts a Tofino prefilter in front of the software exactly because
-of this).  This module is the software analogue of that prefilter:
+of this).  This module is the software analogue of that prefilter, and
+:class:`FrameBatch` is the one form in which frames reach the analyzer:
 
 * :class:`FrameBatch` — one contiguous buffer holding many frames, with
   parallel ``array`` columns (offsets, caplens, timestamps).  Readers fill
@@ -19,12 +20,13 @@ of this).  This module is the software analogue of that prefilter:
 * :class:`BatchPrefilter` — compiled from the same match-action rules the
   capture model uses (Zoom server ranges + STUN-learned endpoints); drops
   frames that are *provably* NOT_ZOOM before any ``ParsedPacket`` exists.
-  Surviving indices are lazily materialized through the unchanged scalar
+  Surviving indices are lazily materialized through the unchanged
   :func:`~repro.net.packet.parse_frame`, so every downstream stage, golden
-  snapshot, and metric is bit-identical to the scalar path.
+  snapshot, and metric is bit-identical to a prepared batch of the same
+  frames.
 
 Correctness contract of the prefilter (see DESIGN.md §12): a frame may be
-dropped only if feeding it through the scalar pipeline would (a) classify
+dropped only if feeding it through the per-packet stages would (a) classify
 as NOT_ZOOM and (b) leave detector state untouched.  The prefilter
 guarantees (b) by learning STUN endpoints *more* liberally than the
 detector — its endpoint pass-set is a superset of every endpoint the
@@ -101,21 +103,6 @@ class FrameBatch:
             return len(self.prepared)
         return len(self.caplens)
 
-    def __iter__(self) -> Iterator[ParsedPacket]:
-        """Materialize every frame, in order.
-
-        Compatibility shim: a :class:`FrameBatch` can stand in wherever a
-        scalar ``list[ParsedPacket]`` batch was iterated.  Consumers that
-        want the fast path should hand the whole batch to
-        :meth:`~repro.core.pipeline.ZoomAnalyzer.feed_batch` instead of
-        iterating.
-        """
-        if self.prepared is not None:
-            yield from self.prepared
-            return
-        for index in range(len(self.caplens)):
-            yield self.materialize(index)
-
     def frame(self, index: int) -> bytes:
         """The raw bytes of frame ``index`` (a copy, safe to retain)."""
         if self.prepared is not None:
@@ -154,10 +141,10 @@ class FrameBatch:
 def prepared_frame_batch(packets: Sequence[ParsedPacket]) -> FrameBatch:
     """Wrap already-parsed packets as a :class:`FrameBatch`.
 
-    The default ``frame_batches()`` shim on scalar-only sources uses this:
-    consumers must treat ``prepared`` as authoritative (no re-parse, no
-    prefilter), which keeps hand-built packets byte-identical through the
-    batch entry points.
+    The default ``frame_batches()`` of scalar sources uses this: consumers
+    must treat ``prepared`` as authoritative (no re-parse, no prefilter),
+    which keeps hand-built packets byte-identical through
+    :meth:`~repro.core.pipeline.ZoomAnalyzer.feed_batch`.
     """
     packets = list(packets)
     return FrameBatch(
@@ -373,7 +360,7 @@ class BatchPrefilter:
     STUN magic cookie on Zoom-range UDP/:data:`STUN_SERVER_PORT` frames
     (both endpoints, more liberal than the detector's campus-gated learn),
     and :meth:`sync_stun` folds in anything the detector learned through
-    a scalar-path feed or a merged shard.
+    a prepared batch or a shard's STUN hint.
 
     With the protocol registry (:meth:`from_plugins`) the compiled rules
     are the **union** of every enabled plugin's match-action hints: all

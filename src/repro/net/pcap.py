@@ -297,27 +297,3 @@ def write_pcap(
     """Write all ``packets`` to ``path``; returns the count written."""
     with PcapWriter(path, nanosecond=nanosecond) as writer:
         return writer.write_all(packets)
-
-
-def read_pcap(
-    path: str | Path,
-    *,
-    telemetry: Telemetry | None = None,
-    tolerant: bool = False,
-) -> list[CapturedPacket]:
-    """Deprecated: read every packet in the file at ``path`` into a list.
-
-    Kept as a thin compatibility wrapper; it materializes the whole capture.
-    Stream with :class:`PcapReader` or, for the analyzers,
-    :class:`repro.net.source.PcapFileSource`.
-    """
-    import warnings
-
-    warnings.warn(
-        "read_pcap() materializes the whole capture; iterate PcapReader or "
-        "use repro.net.source.PcapFileSource for streaming ingestion",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    with PcapReader(path, telemetry=telemetry, tolerant=tolerant) as reader:
-        return list(reader)

@@ -383,41 +383,3 @@ def write_pcapng(path: str | Path, packets: Iterable[CapturedPacket]) -> int:
     """Write all packets to a pcapng file; returns the count."""
     with PcapngWriter(path) as writer:
         return writer.write_all(packets)
-
-
-def read_pcapng(
-    path: str | Path,
-    *,
-    telemetry: Telemetry | None = None,
-    tolerant: bool = False,
-) -> list[CapturedPacket]:
-    """Deprecated: read every packet from a pcapng file into a list.
-
-    Kept as a thin compatibility wrapper; it materializes the whole capture.
-    Stream with :class:`PcapngReader` or, for the analyzers,
-    :class:`repro.net.source.PcapNgFileSource`.
-    """
-    import warnings
-
-    warnings.warn(
-        "read_pcapng() materializes the whole capture; iterate PcapngReader "
-        "or use repro.net.source.PcapNgFileSource for streaming ingestion",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    with PcapngReader(path, telemetry=telemetry, tolerant=tolerant) as reader:
-        return list(reader)
-
-
-def read_capture(
-    path: str | Path,
-    *,
-    telemetry: Telemetry | None = None,
-    tolerant: bool = False,
-) -> list[CapturedPacket]:
-    """Deprecated compatibility re-export of
-    :func:`repro.net.source.read_capture` (its historical home was this
-    module).  Format dispatch sniffs magic bytes, never the file name."""
-    from repro.net.source import read_capture as _read_capture
-
-    return _read_capture(path, telemetry=telemetry, tolerant=tolerant)

@@ -4,9 +4,11 @@ The analyzers used to be file-shaped — every driver took a fully
 materialized ``list[CapturedPacket]``, the simulator had to serialize to
 pcap bytes before its output could be analyzed, and adding a new input kind
 meant touching every driver.  A :class:`PacketSource` is the one contract
-they all consume now: an iterator of :class:`~repro.net.packet.ParsedPacket`
-*batches* plus ingest metadata (link type, packet/byte counters, telemetry
-hookup).  Concrete sources:
+they all consume now: an iterator of :class:`~repro.net.batch.FrameBatch`
+groups plus ingest metadata (link type, packet/byte counters, telemetry
+hookup).  File-backed sources yield raw contiguous buffers (the columnar
+prefilter path); scalar sources yield ``prepared`` batches carrying their
+already-parsed packets.  Concrete sources:
 
 * :class:`PcapFileSource` / :class:`PcapNgFileSource` — true streaming
   readers over one capture file (never hold the capture in memory).
@@ -18,21 +20,19 @@ hookup).  Concrete sources:
 * :class:`IterableSource` — adapts an in-memory packet sequence.
 
 :func:`open_capture_source` dispatches a file to the right reader by
-sniffing magic bytes (never by filename), and the legacy list-returning
-:func:`read_capture` lives on here as a deprecated compatibility wrapper.
-A future live-socket source is one subclass away — nothing downstream of
-this module knows about files.
+sniffing magic bytes (never by filename).  The live-socket source
+(:class:`repro.dataplane.LiveInterfaceSource`) is one more subclass —
+nothing downstream of this module knows about files.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-import warnings
 from dataclasses import dataclass
 from glob import glob as _glob
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Union, runtime_checkable
 
 from repro.net.batch import (
     DEFAULT_FRAMES_PER_BATCH,
@@ -73,7 +73,7 @@ class CaptureResume:
 class PacketSource(Protocol):
     """What every ingestion backend provides to the analyzers.
 
-    A source is a *single-use* iterator of :class:`ParsedPacket` batches —
+    A source is a *single-use* iterator of :class:`FrameBatch` groups —
     time-ordered within the source — plus the metadata the drivers and
     telemetry need: the link type, running packet/byte counters, and an
     optional :class:`~repro.telemetry.Telemetry` registry the source
@@ -84,12 +84,12 @@ class PacketSource(Protocol):
     packets_emitted: int
     bytes_emitted: int
 
-    def batches(self) -> Iterator[Sequence[ParsedPacket]]:
-        """Yield time-ordered batches of parsed packets."""
+    def frame_batches(self) -> Iterator[FrameBatch]:
+        """Yield time-ordered frame batches (what the analyzers consume)."""
         ...
 
     def __iter__(self) -> Iterator[ParsedPacket]:
-        """Yield individual parsed packets (a flattened :meth:`batches`)."""
+        """Yield individual parsed packets (inspection, merging, peeking)."""
         ...
 
     def close(self) -> None:
@@ -100,9 +100,11 @@ class PacketSource(Protocol):
 class PacketSourceBase:
     """Shared machinery: batching, counters, context management.
 
-    Subclasses implement :meth:`_packets`, an iterator of parsed packets;
-    the base class handles batching and the emitted-packet accounting the
-    :class:`PacketSource` protocol promises.
+    Scalar subclasses implement :meth:`_packets`, an iterator of parsed
+    packets; the base class packs them into ``prepared`` frame batches and
+    keeps the emitted-packet accounting the :class:`PacketSource` protocol
+    promises.  File-backed subclasses override :meth:`frame_batches` with
+    raw-buffer batches.
     """
 
     linktype: int = LINKTYPE_ETHERNET
@@ -166,13 +168,12 @@ class PacketSourceBase:
     def frame_batches(self) -> Iterator[FrameBatch]:
         """Yield :class:`~repro.net.batch.FrameBatch` groups.
 
-        The default shim packs scalar reads, carrying the parsed packets in
-        ``FrameBatch.prepared`` so batch consumers feed *exactly* the
-        objects the scalar path would have produced — hand-built packets
-        (simulation adapters, in-memory lists) that would not round-trip
-        through a wire-format re-parse stay byte-identical.  File sources
-        override this with true raw-buffer batches that enable the columnar
-        decode fast path.
+        The default packs scalar reads, carrying the parsed packets in
+        ``FrameBatch.prepared`` so the analyzer feeds *exactly* those
+        objects, prefilter-free — hand-built packets (simulation adapters,
+        in-memory lists) that would not round-trip through a wire-format
+        re-parse stay byte-identical.  File sources override this with true
+        raw-buffer batches that enable the columnar decode fast path.
         """
         for batch in self.batches():
             yield prepared_frame_batch(batch)
@@ -546,32 +547,6 @@ def open_capture_source(
     )
 
 
-def read_capture(
-    path: str | Path,
-    *,
-    telemetry: Telemetry | None = None,
-    tolerant: bool = False,
-) -> list[CapturedPacket]:
-    """Deprecated: read a whole capture (either format) into a list.
-
-    Kept for compatibility (historically exported from
-    :mod:`repro.net.pcapng`); it materializes the entire file.  Stream with
-    :func:`open_capture_source` instead.
-    """
-    warnings.warn(
-        "read_capture() materializes the whole capture; "
-        "use repro.net.source.open_capture_source() for streaming ingestion",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    with open_capture_source(path, telemetry=telemetry, tolerant=tolerant) as source:
-        return [
-            CapturedPacket(parsed.timestamp, parsed.raw)
-            for batch in source.batches()
-            for parsed in batch
-        ]
-
-
 # --------------------------------------------------------------- internals
 
 
@@ -590,8 +565,14 @@ def _first_capture_timestamp(path: Path) -> float:
         peek.close()
 
 
+#: What the drivers' ``run`` accepts (see :func:`coerce_source`).
+SourceLike = Union[
+    PacketSource, str, Path, Iterable["CapturedPacket | ParsedPacket"]
+]
+
+
 def coerce_source(
-    source: "PacketSource | str | Path | Iterable[CapturedPacket | ParsedPacket]",
+    source: SourceLike,
     *,
     telemetry: Telemetry | None = None,
     tolerant: bool = False,
@@ -607,7 +588,7 @@ def coerce_source(
         return open_capture_source(
             source, telemetry=telemetry, tolerant=tolerant, batch_size=batch_size
         )
-    if hasattr(source, "batches"):  # already a PacketSource
+    if hasattr(source, "frame_batches"):  # already a PacketSource
         if telemetry is not None and hasattr(source, "attach_telemetry"):
             source.attach_telemetry(telemetry)
         return source

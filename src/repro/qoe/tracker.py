@@ -34,10 +34,10 @@ Windowing follows the service-layer watermark discipline
 (:class:`~repro.service.windows.WindowAggregator`): windows close once the
 maximum capture timestamp passes ``window end + lateness``, strictly in
 index order, and packets for already-closed windows are counted
-(``qoe.late_packets``) and dropped.  Because every path — batch
-``feed_batch``, scalar feed, rolling eviction, the live service — publishes
-the identical record stream on the bus, all of them produce the identical
-transition sequence.
+(``qoe.late_packets``) and dropped.  Because every path — one pass,
+rolling eviction, the live service — feeds the same ``feed_batch`` and so
+publishes the identical record stream on the bus, all of them produce the
+identical transition sequence.
 """
 
 from __future__ import annotations
@@ -136,10 +136,9 @@ class MeetingQoeTracker(AnalysisSink):
     """Per-meeting QoE scoring over the analyzer's event stream.
 
     Args:
-        analyzer: A :class:`~repro.core.pipeline.ZoomAnalyzer` or a
-            :class:`~repro.core.rolling.RollingZoomAnalyzer` (unwrapped via
-            its ``analyzer`` property).  The tracker registers itself on the
-            analyzer's event bus.
+        analyzer: The :class:`~repro.core.pipeline.ZoomAnalyzer` (one-pass
+            or rolling mode); the tracker registers itself on its event
+            bus.
         config: The :class:`~repro.core.config.QoeConfig`; defaults apply.
         telemetry: Registry for ``qoe.*`` counters; defaults to the
             analyzer result's registry.
@@ -155,7 +154,6 @@ class MeetingQoeTracker(AnalysisSink):
         telemetry: "Telemetry | None" = None,
         on_transition: Iterable[TransitionCallback] = (),
     ) -> None:
-        analyzer = getattr(analyzer, "analyzer", analyzer)
         self.config = config if config is not None else QoeConfig()
         self._bus = analyzer.bus
         self._result = analyzer.result

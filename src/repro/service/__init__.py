@@ -4,8 +4,8 @@ Every driver in :mod:`repro.core` is batch-shaped — hand it a finished
 capture, get one :class:`~repro.core.pipeline.AnalysisResult`.  This package
 is the long-running counterpart the paper's deployment section (§6.2) calls
 for: it follows a capture directory a monitor daemon is still writing
-(:mod:`repro.service.tail`), feeds a bounded-memory
-:class:`~repro.core.rolling.RollingZoomAnalyzer`, folds the event stream
+(:mod:`repro.service.tail`), feeds a bounded-memory rolling-mode
+:class:`~repro.core.pipeline.ZoomAnalyzer`, folds the event stream
 into tumbling per-media/per-meeting windows (:mod:`repro.service.windows`),
 and exports them as Prometheus metrics, health probes, and a JSONL window
 log (:mod:`repro.service.exporters`).  :mod:`repro.service.runner` is the

@@ -5,7 +5,7 @@ Topology (one arrow = one bounded hand-off)::
     capture dir ──poll── CaptureDirectoryTailer      (ingest thread)
                                │  bounded queue (drop + count when full)
                                ▼
-    RollingZoomAnalyzer ── WindowAggregator          (analysis thread)
+    WindowAggregator ── ZoomAnalyzer (rolling mode)  (analysis thread)
                                │  closed WindowRecords
                                ▼
     JsonlWindowLog · MetricsHTTPServer · StoreSink   (exporter sinks)
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.config import ServiceConfig
-from repro.core.rolling import RollingZoomAnalyzer
+from repro.core.pipeline import ZoomAnalyzer
 from repro.net.batch import FrameBatch
 from repro.protocols import protocol_counter_seeds
 from repro.fleet.health import FLEET_COUNTER_SEEDS
@@ -89,7 +89,7 @@ class ServiceReport:
 
 
 class ZoomMonitorService:
-    """Wire tailer → rolling analyzer → aggregator → exporters and run.
+    """Wire tailer → aggregator → rolling analyzer → exporters and run.
 
     Args:
         directory: The capture directory to follow; may be ``None`` when
@@ -124,7 +124,8 @@ class ZoomMonitorService:
         packet_socket=None,
     ) -> None:
         self.config = config
-        self.rolling = RollingZoomAnalyzer(config.analyzer)
+        #: The rolling-mode analyzer (``config.analyzer.rolling`` is forced).
+        self.rolling = ZoomAnalyzer(config.analyzer)
         self.telemetry = self.rolling.result.telemetry
         self.interface_mode = config.interface is not None or packet_socket is not None
         if self.interface_mode:
@@ -138,7 +139,7 @@ class ZoomMonitorService:
 
             if packet_socket is None:
                 packet_socket = open_packet_socket(config.interface)
-            dataplane = DataplaneFilter.from_plugins(self.rolling.analyzer.plugins)
+            dataplane = DataplaneFilter.from_plugins(self.rolling.plugins)
             self.tailer = LiveInterfaceSource(
                 packet_socket,
                 dataplane=dataplane,
@@ -183,7 +184,7 @@ class ZoomMonitorService:
             )
             self.store_sink = StoreSink(store)
             self.aggregator.add_callback(self.store_sink.write_window)
-            self.rolling.on_stream_finalized = self.store_sink.write_stream
+            self.rolling.eviction.on_stream_finalized = self.store_sink.write_stream
         self.http: MetricsHTTPServer | None = None
         if config.listen is not None:
             self.http = MetricsHTTPServer(
@@ -213,16 +214,14 @@ class ZoomMonitorService:
                 "service.dropped_batches",
                 "service.ingest_restarts",
             )
-            + protocol_counter_seeds(
-                plugin.name for plugin in self.rolling.analyzer.plugins
-            )
+            + protocol_counter_seeds(plugin.name for plugin in self.rolling.plugins)
             + (QOE_COUNTER_SEEDS if self.qoe is not None else ())
             + (FLEET_COUNTER_SEEDS if self.store_sink is not None else ())
             + (_dataplane_counter_seeds() if self.interface_mode else ())
         )
         for name in seeds:
             self.telemetry.count(name, 0)
-        self._queue: queue.Queue[list] = queue.Queue(maxsize=config.queue_max_batches)
+        self._queue: queue.Queue[FrameBatch] = queue.Queue(maxsize=config.queue_max_batches)
         self._stop = threading.Event()
         self._ready = False
         self._flushed = False
@@ -284,7 +283,7 @@ class ZoomMonitorService:
             batches_dropped=self.batches_dropped,
             ingest_restarts=self.ingest_restarts,
             windows_emitted=self.aggregator.windows_emitted,
-            streams_finalized=self.rolling.streams_evicted,
+            streams_finalized=self.rolling.eviction.streams_evicted,
             meetings_formed=len(self.rolling.result.meetings),
             qoe_transitions=len(qoe.transitions) if qoe is not None else 0,
             qoe_alerts=(
@@ -326,7 +325,7 @@ class ZoomMonitorService:
                 return
             self._stop.wait(self.config.poll_interval)
 
-    def _enqueue(self, batch: list) -> None:
+    def _enqueue(self, batch: FrameBatch) -> None:
         try:
             self._queue.put_nowait(batch)
         except queue.Full:
@@ -349,36 +348,10 @@ class ZoomMonitorService:
                 continue
             self._process(batch)
 
-    def _process(self, batch) -> None:
-        rolling = self.rolling
-        aggregator = self.aggregator
-        if isinstance(batch, FrameBatch) and len(batch):
-            # Vectorized path: volume accounting reads the batch's
-            # timestamp/caplen columns, then the analyzer takes the whole
-            # batch (columnar decode + prefilter) — no ParsedPacket is
-            # built for frames the prefilter drops.  Ordering matters:
-            # volume first *without* moving the watermark, then the feed
-            # (whose stream events must land in still-open windows), then
-            # one explicit watermark advance to the batch's end.  Both
-            # window totals and per-window stream stats stay exact; windows
-            # just close at batch rather than packet granularity.
-            prepared = batch.prepared
-            if prepared is not None:
-                for parsed in prepared:
-                    aggregator.observe_volume(parsed.timestamp, len(parsed.raw))
-            else:
-                timestamps = batch.timestamps
-                caplens = batch.caplens
-                for i in range(len(caplens)):
-                    aggregator.observe_volume(timestamps[i], caplens[i])
-            rolling.feed_batch(batch)
-            aggregator.advance_watermark(batch.last_timestamp)
+    def _process(self, batch: FrameBatch) -> None:
+        if len(batch):
+            self.aggregator.ingest(batch)  # volume → feed → watermark
             self.packets_processed += len(batch)
-            return
-        for parsed in batch:
-            rolling.feed_parsed(parsed)
-            aggregator.observe_packet(parsed.timestamp, len(parsed.raw))
-            self.packets_processed += 1
 
     def _shutdown(self) -> None:
         """Drain, final sweep, close windows exactly once, stop exporters."""
@@ -393,7 +366,7 @@ class ZoomMonitorService:
                 break
         if not self._flushed:
             self._flushed = True
-            self.rolling.sweep(float("inf"))  # finalize every live stream
+            self.rolling.eviction.sweep(float("inf"))  # finalize every live stream
             if self.qoe is not None:
                 self.qoe.flush(final=True)  # score tail QoE windows
             self.aggregator.flush(final=True)
@@ -421,17 +394,15 @@ class ZoomMonitorService:
                     raise
                 time.sleep(0.001)
         gauges = {
-            "service.live_streams": float(self.rolling.live_stream_count()),
+            "service.live_streams": float(len(self.rolling.result.streams)),
             "service.open_windows": float(self.aggregator.open_window_count()),
             "service.queue_depth": float(self._queue.qsize()),
-            "service.streams_finalized": float(self.rolling.streams_evicted),
+            "service.streams_finalized": float(self.rolling.eviction.streams_evicted),
         }
         # Per-protocol live-stream dimensions: every enabled plugin exports
         # a zero gauge from startup, not an absent series until its first
         # claimed stream.
-        per_protocol = {
-            plugin.name: 0 for plugin in self.rolling.analyzer.plugins
-        }
+        per_protocol = {plugin.name: 0 for plugin in self.rolling.plugins}
         for stream in self.rolling.result.streams.streams():
             per_protocol[stream.protocol] = per_protocol.get(stream.protocol, 0) + 1
         for name, count in per_protocol.items():

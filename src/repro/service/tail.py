@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.net.batch import FrameBatch
-from repro.net.packet import ParsedPacket
 from repro.net.source import DEFAULT_BATCH_SIZE, CaptureResume, open_capture_source
 from repro.telemetry.registry import Telemetry
 
@@ -65,17 +64,14 @@ class CaptureDirectoryTailer:
         self.bytes_emitted = 0
         self.polls = 0
 
-    def poll(self) -> Iterator["FrameBatch | list[ParsedPacket]"]:
-        """One pass over the directory; yields batches of *new* packets.
+    def poll(self) -> Iterator[FrameBatch]:
+        """One pass over the directory; yields batches of *new* frames.
 
-        Batches are raw :class:`~repro.net.batch.FrameBatch` buffers when
-        the underlying source supports them (file-backed captures do);
-        iterating a batch still yields :class:`ParsedPacket` objects, so
-        scalar consumers keep working, while the service runner hands whole
-        batches to the analyzer's vectorized path.  Files are visited in
-        name order — rotation schemes number their files monotonically, and
-        per-file resume makes the order a presentation detail rather than a
-        correctness one.
+        Batches are raw :class:`~repro.net.batch.FrameBatch` buffers, which
+        the service runner hands whole to the analyzer.  Files are visited
+        in name order — rotation schemes number their files monotonically,
+        and per-file resume makes the order a presentation detail rather
+        than a correctness one.
         """
         tel = self._telemetry
         self.polls += 1
@@ -91,7 +87,7 @@ class CaptureDirectoryTailer:
 
     # ------------------------------------------------------------- internals
 
-    def _drain_file(self, path: Path) -> Iterator["FrameBatch | list[ParsedPacket]"]:
+    def _drain_file(self, path: Path) -> Iterator[FrameBatch]:
         tel = self._telemetry
         token = self._positions.get(path)
         if token is not None:
@@ -132,19 +128,11 @@ class CaptureDirectoryTailer:
         else:
             tel.count("ingest.tail.resumed")
         try:
-            # Raw FrameBatch buffers when the source can produce them
-            # (file-backed captures always can): the consumer gets the
-            # columnar fast path, and batch boundaries are still record
-            # boundaries, so the resume contract below is unchanged.
-            frame_batches = getattr(source, "frame_batches", None)
-            batches = frame_batches() if frame_batches is not None else source.batches()
-            for batch in batches:
+            # Batch boundaries are record boundaries, which is what the
+            # resume contract below relies on.
+            for batch in source.frame_batches():
                 self.packets_emitted += len(batch)
-                self.bytes_emitted += (
-                    batch.total_caplen
-                    if isinstance(batch, FrameBatch)
-                    else sum(len(p.raw) for p in batch)
-                )
+                self.bytes_emitted += batch.total_caplen
                 tel.count("ingest.tail.packets", len(batch))
                 # Position saved before the hand-off: when a batch yields,
                 # the reader sits exactly at its end, so even a consumer

@@ -3,9 +3,11 @@
 The rolling analyzer answers "what happened since the process started"; an
 operator dashboard needs "what happened in the last N seconds".
 :class:`WindowAggregator` is an :class:`~repro.core.events.AnalysisSink`
-that folds stream/meeting events — plus a per-packet feed from the
-supervisor for whole-traffic totals — into tumbling windows of
-*capture time*, each summarizing per-media-type traffic and quality.
+that folds stream/meeting events — plus each batch's frame sizes for
+whole-traffic totals — into tumbling windows of *capture time*, each
+summarizing per-media-type traffic and quality.  Batches enter the
+analyzer *through* the aggregator (:meth:`WindowAggregator.ingest`), which
+owns the volume → feed → watermark ordering.
 
 Window lifecycle is watermark-based, the standard trick for out-of-order
 tolerance with bounded state: the watermark trails the newest event
@@ -18,17 +20,17 @@ a wildly wrong clock cannot grow aggregator memory without bound.
 
 Quality metrics (frame rate, jitter, loss) are *stream-cumulative* values
 sampled at window close — from streams evicted inside the window and, via
-:meth:`~repro.core.rolling.RollingZoomAnalyzer.live_stream_snapshots`, from
-streams still open.  Counting metrics (packets, bytes, bitrate, stream and
-meeting counts) are exact per window; summed over all emitted windows they
-reproduce the batch analyzer's totals.
+:func:`~repro.core.rolling.live_stream_snapshots`, from streams still
+open.  Counting metrics (packets, bytes, bitrate, stream and meeting
+counts) are exact per window; summed over all emitted windows they
+reproduce the one-pass analyzer's totals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.events import (
     AnalysisSink,
@@ -37,10 +39,14 @@ from repro.core.events import (
     StreamOpened,
     StreamUpdated,
 )
-from repro.core.rolling import FinalizedStream, RollingZoomAnalyzer
+from repro.core.rolling import FinalizedStream, live_stream_snapshots, summarize_stream
 from repro.core.streams import StreamKey
 from repro.telemetry.registry import Telemetry
 from repro.zoom.constants import ZoomMediaType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.pipeline import ZoomAnalyzer
+    from repro.net.batch import FrameBatch
 
 _MEDIA_NAMES = {
     int(ZoomMediaType.AUDIO): "audio",
@@ -142,8 +148,9 @@ class WindowAggregator(AnalysisSink):
     """Fold analysis events into tumbling capture-time windows.
 
     Args:
-        rolling: The analyzer whose event bus this sink registers on; also
-            queried for live-stream summaries when a window closes.
+        analyzer: The (rolling-mode) analyzer :meth:`ingest` feeds and
+            whose event bus this sink registers on; also queried for
+            live-stream summaries when a window closes.
         window_seconds: Tumbling window width.
         lateness: Watermark lag — how long a window stays open after
             capture time passes its end (absorbs file-rotation reordering).
@@ -156,7 +163,7 @@ class WindowAggregator(AnalysisSink):
 
     def __init__(
         self,
-        rolling: RollingZoomAnalyzer,
+        analyzer: "ZoomAnalyzer",
         *,
         window_seconds: float = 10.0,
         lateness: float = 5.0,
@@ -166,7 +173,7 @@ class WindowAggregator(AnalysisSink):
     ) -> None:
         if window_seconds <= 0:
             raise ValueError("window_seconds must be > 0")
-        self._rolling = rolling
+        self._analyzer = analyzer
         self.window_seconds = window_seconds
         self.lateness = lateness
         self.max_open_windows = max_open_windows
@@ -178,48 +185,34 @@ class WindowAggregator(AnalysisSink):
         self._evicted_summaries: list[FinalizedStream] = []
         self.windows_emitted = 0
         self.late_events = 0
-        rolling.analyzer.bus.register(self)
+        analyzer.bus.register(self)
 
     # ----------------------------------------------------------- ingestion
 
-    def observe_packet(self, timestamp: float, raw_len: int) -> None:
-        """Per-packet feed from the supervisor (all traffic, not just Zoom).
+    def ingest(self, batch: "FrameBatch") -> None:
+        """Account one batch's volume, feed it to the analyzer, move time on.
 
-        This is what makes a window's ``packets_total``/``bytes_total``
-        exact — the event bus only ever sees Zoom-classified packets.
+        Ordering matters: volume first *without* moving the watermark (the
+        event bus only ever sees Zoom-classified packets, so this is what
+        makes a window's ``packets_total``/``bytes_total`` exact), then the
+        feed (whose stream events must land in still-open windows), then one
+        watermark advance to the batch's end.  Both window totals and
+        per-window stream stats stay exact; windows just close at batch
+        rather than packet granularity.  Volume reads the batch's
+        timestamp/caplen columns — no ``ParsedPacket`` is built for frames
+        the prefilter drops.
         """
-        window = self._window_for(timestamp)
-        if window is None:
-            return
-        window.packets_total += 1
-        window.bytes_total += raw_len
-        self._advance_watermark(timestamp)
-
-    def observe_volume(self, timestamp: float, raw_len: int) -> None:
-        """Like :meth:`observe_packet`, but without advancing the watermark.
-
-        The batch-feeding supervisor accounts a whole batch's volume before
-        the analyzer has produced the batch's stream events; advancing the
-        watermark here would close windows those events still need.  The
-        caller pairs this with :meth:`advance_watermark` after the feed.
-        """
-        window = self._window_for(timestamp)
-        if window is None:
-            return
-        window.packets_total += 1
-        window.bytes_total += raw_len
-
-    def advance_watermark(self, timestamp: float) -> None:
-        """Move capture time forward, closing every window now past lateness.
-
-        Event handlers advance the watermark themselves; this explicit hook
-        exists for the batch path, where it runs once per batch *after* the
-        analyzer feed so window closure trails the batch instead of racing
-        its events.  Windows therefore close at batch granularity — totals
-        and per-window stream stats both stay exact, closure just happens
-        up to one batch later than the scalar path.
-        """
-        self._advance_watermark(timestamp)
+        prepared = batch.prepared
+        if prepared is not None:
+            for parsed in prepared:
+                self._observe_volume(parsed.timestamp, len(parsed.raw))
+        else:
+            timestamps = batch.timestamps
+            caplens = batch.caplens
+            for i in range(len(caplens)):
+                self._observe_volume(timestamps[i], caplens[i])
+        self._analyzer.feed_batch(batch)
+        self._advance_watermark(batch.last_timestamp)
 
     def on_stream_opened(self, event: StreamOpened) -> None:
         window = self._window_for(event.timestamp)
@@ -250,7 +243,7 @@ class WindowAggregator(AnalysisSink):
         # therefore attributed to the window being processed now, and the
         # closing summary joins a bounded buffer that quality fill-in
         # consults for every window the stream's lifetime overlaps.
-        summary = self._rolling._summarize(event.stream, event.metrics)
+        summary = summarize_stream(event.stream, event.metrics)
         self._evicted_summaries.append(summary)
         if self._max_event_time > float("-inf"):
             window = self._window_for(self._max_event_time)
@@ -280,6 +273,13 @@ class WindowAggregator(AnalysisSink):
         self._on_window.append(callback)
 
     # ----------------------------------------------------------- internals
+
+    def _observe_volume(self, timestamp: float, raw_len: int) -> None:
+        window = self._window_for(timestamp)
+        if window is None:
+            return
+        window.packets_total += 1
+        window.bytes_total += raw_len
 
     def _count_record(
         self, window: WindowRecord, stats: MediaWindowStats, event: StreamOpened
@@ -351,7 +351,9 @@ class WindowAggregator(AnalysisSink):
         dashboard gauge wants.
         """
         overlapping: dict[int, list[FinalizedStream]] = {}
-        candidates = self._evicted_summaries + self._rolling.live_stream_snapshots()
+        candidates = self._evicted_summaries + live_stream_snapshots(
+            self._analyzer.result
+        )
         for summary in candidates:
             if summary.first_time < window.end and summary.last_time >= window.start:
                 overlapping.setdefault(summary.media_type, []).append(summary)
@@ -367,6 +369,6 @@ class WindowAggregator(AnalysisSink):
             stats.duplicates = sum(s.duplicates for s in summaries)
         window.meetings_active = sum(
             1
-            for meeting in self._rolling.result.meetings
+            for meeting in self._analyzer.result.meetings
             if meeting.first_time < window.end and meeting.last_time >= window.start
         )

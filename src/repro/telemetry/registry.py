@@ -3,7 +3,7 @@
 A :class:`Telemetry` instance rides on every
 :class:`~repro.core.pipeline.AnalysisResult` and is threaded through the
 packet path — capture readers, pipeline stages, the sharded driver, and the
-rolling analyzer all record into it.  Three design rules keep it deployable
+rolling eviction policy all record into it.  Three design rules keep it deployable
 on a hot path:
 
 * **Monotonic** — every instrument only accumulates (counts, seconds,
@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 #: Counter namespaces that are *not* additive across flow-affine shards and
 #: therefore excluded when comparing a sharded run against a single pass:
 #: ``sharded.*`` exists only on the merged result (partition accounting),
-#: ``rolling.*`` exists only under the rolling wrapper, and meeting formation
+#: ``rolling.*`` exists only in rolling mode, and meeting formation
 #: is grouper-instance-local (a meeting whose streams land on two shards is
 #: "formed" once per shard, then re-grouped at merge time).
 SHARD_VARIANT_PREFIXES: tuple[str, ...] = (
@@ -39,7 +39,7 @@ SHARD_VARIANT_PREFIXES: tuple[str, ...] = (
     "assemble.meetings_formed",
     # Batch-execution bookkeeping: how many batches the input was chopped
     # into, and how many frames the prefilter short-circuited, depend on
-    # the execution strategy (scalar vs batch, batch size, shard
+    # the execution strategy (prepared vs raw batches, batch size, shard
     # partitioning) — never on what the traffic *was*.  The semantic
     # counters (classify.class.*, decode.*, pipeline.stop.*) stay
     # invariant and stay compared.

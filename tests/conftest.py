@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.net.batch import prepared_frame_batch
+from repro.net.packet import parse_frame
 from repro.simulation import (
     CongestionEvent,
     MeetingConfig,
@@ -16,6 +18,19 @@ from repro.simulation import (
 )
 from repro.simulation.meeting import SimulationResult
 from repro.zoom.constants import ZoomMediaType
+
+
+def feed_prepared(analyzer, packets):
+    """Feed captured ``packets`` as one *prepared* batch; returns the result.
+
+    Each frame is parsed on its own and carried verbatim, bypassing the
+    columnar decode and the prefilter — the reference every raw-batch
+    equivalence test compares :meth:`ZoomAnalyzer.feed_batch` against.
+    """
+    analyzer.feed_batch(
+        prepared_frame_batch([parse_frame(p.data, p.timestamp) for p in packets])
+    )
+    return analyzer.result
 
 
 @pytest.fixture(scope="session")

@@ -198,11 +198,13 @@ class TestAnonymizer:
     def test_analysis_works_on_anonymized_trace(self, sfu_meeting_result):
         """The full §6 flow: filter + anonymize in the 'switch', then run
         the analyzer over the anonymized capture with the pseudo prefixes."""
-        from repro.core import ZoomAnalyzer
+        from repro.core import AnalyzerConfig, ZoomAnalyzer
 
         model = P4CaptureModel(anonymizer=Anonymizer(key=b"k"))
         anonymized = list(model.process(sfu_meeting_result.captures))
-        result = ZoomAnalyzer(zoom_subnets=("170.0.0.0/8",)).analyze(anonymized)
+        result = ZoomAnalyzer(
+            AnalyzerConfig(zoom_subnets=("170.0.0.0/8",))
+        ).analyze(anonymized)
         assert result.packets_zoom == result.packets_total
         truth = {t.ssrc for t in sfu_meeting_result.stream_truths}
         assert result.grouper.unique_stream_count() == len(truth)

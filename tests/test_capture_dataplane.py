@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.capture.dataplane import (
+from repro.capture.register_metrics import (
     DataplaneBitrateCounter,
     DataplaneFrameRateCounter,
     DataplaneJitterEstimator,
@@ -154,9 +154,11 @@ class TestCombined:
             if s.ssrc == 0x110 and s.to_server is True
         )
         # Re-derive the records by re-analyzing with record retention.
-        from repro.core import ZoomAnalyzer
+        from repro.core import AnalyzerConfig, ZoomAnalyzer
 
-        result = ZoomAnalyzer(keep_records=True).analyze(sfu_meeting_result.captures)
+        result = ZoomAnalyzer(AnalyzerConfig(keep_records=True)).analyze(
+            sfu_meeting_result.captures
+        )
         retained = result.streams.get(stream.key)
         reference = None
         for record in retained.records:

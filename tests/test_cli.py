@@ -186,9 +186,9 @@ class TestFilter:
             "filter", str(meeting_pcap), str(out_path), "--anonymize", "secret-key",
         ]) == 0
         from repro.net.packet import parse_frame
-        from repro.net.pcap import read_pcap
+        from repro.net.pcap import PcapReader
 
-        for packet in read_pcap(out_path)[:20]:
+        for packet in list(PcapReader(out_path))[:20]:
             parsed = parse_frame(packet.data)
             if parsed.src_ip:
                 assert not parsed.src_ip.startswith("198.18.")

@@ -76,8 +76,7 @@ def test_offset_discovery_never_raises(payloads):
 @settings(max_examples=30)
 def test_analyzer_swallows_arbitrary_frames(items):
     analyzer = ZoomAnalyzer()
-    for timestamp, data in items:
-        analyzer.feed(CapturedPacket(timestamp, data))
+    analyzer.analyze(CapturedPacket(timestamp, data) for timestamp, data in items)
     assert analyzer.result.packets_total == len(items)
 
 
@@ -86,7 +85,7 @@ def test_analyzer_swallows_arbitrary_frames(items):
 def test_analyzer_swallows_garbage_on_media_port(payload, port):
     analyzer = ZoomAnalyzer()
     frame = build_udp_frame("10.8.1.2", port, "170.114.1.1", 8801, payload)
-    analyzer.feed(CapturedPacket(1.0, frame))
+    analyzer.analyze([CapturedPacket(1.0, frame)])
     assert analyzer.result.packets_zoom == 1
 
 
@@ -95,7 +94,7 @@ class TestBitFlipInjection:
         """Flip random bits in 10% of a real capture's packets; the analyzer
         must complete and still find the meeting."""
         rng = random.Random(42)
-        analyzer = ZoomAnalyzer()
+        corrupted = []
         for captured in sfu_meeting_result.captures:
             data = captured.data
             if rng.random() < 0.10:
@@ -103,16 +102,18 @@ class TestBitFlipInjection:
                 position = rng.randrange(len(buffer))
                 buffer[position] ^= 1 << rng.randrange(8)
                 data = bytes(buffer)
-            analyzer.feed(CapturedPacket(captured.timestamp, data))
-        result = analyzer.result
+            corrupted.append(CapturedPacket(captured.timestamp, data))
+        result = ZoomAnalyzer().analyze(corrupted)
         assert result.packets_total == len(sfu_meeting_result.captures)
         assert result.meetings  # still groups the meeting
 
     def test_truncated_snaplen_capture_survives(self, sfu_meeting_result):
         """A 60-byte snaplen (headers only) capture parses without error."""
         analyzer = ZoomAnalyzer()
-        for captured in sfu_meeting_result.captures[:2000]:
-            analyzer.feed(CapturedPacket(captured.timestamp, captured.data[:60]))
+        analyzer.analyze(
+            CapturedPacket(captured.timestamp, captured.data[:60])
+            for captured in sfu_meeting_result.captures[:2000]
+        )
         assert analyzer.result.packets_total == 2000
 
     def test_reordered_capture_survives(self, sfu_meeting_result):

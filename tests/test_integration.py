@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import ZoomAnalyzer
 from repro.capture.p4_model import P4CaptureModel
-from repro.net.pcap import read_pcap, write_pcap
+from repro.net.pcap import PcapReader, write_pcap
 from repro.simulation import (
     CongestionEvent,
     MeetingConfig,
@@ -39,7 +39,7 @@ def pcap_roundtrip(tmp_path_factory):
 
 def test_pcap_preserves_everything(pcap_roundtrip):
     result, path = pcap_roundtrip
-    restored = read_pcap(path)
+    restored = list(PcapReader(path))
     assert len(restored) == len(result.captures)
     assert all(a.data == b.data for a, b in zip(restored, result.captures))
 
@@ -47,7 +47,7 @@ def test_pcap_preserves_everything(pcap_roundtrip):
 def test_analysis_from_disk_matches_in_memory(pcap_roundtrip):
     result, path = pcap_roundtrip
     from_memory = ZoomAnalyzer().analyze(result.captures)
-    from_disk = ZoomAnalyzer().analyze(read_pcap(path))
+    from_disk = ZoomAnalyzer().run(path)
     assert from_disk.packets_zoom == from_memory.packets_zoom
     assert from_disk.grouper.unique_stream_count() == from_memory.grouper.unique_stream_count()
     assert len(from_disk.meetings) == len(from_memory.meetings)

@@ -1,10 +1,10 @@
 """Ingestion-path equivalence on the mixed zoom+rtp protocol trace.
 
 The registry refactor must hold the same invariants the Zoom-only pipeline
-already proves for itself: the batch-vectorized fast path (whose prefilter
-now compiles the **union** of the enabled plugins' match-action rules) and
-the flow-sharded driver must produce metric-identical results to the
-scalar one-packet-at-a-time path, on a trace where both plugins claim
+already proves for itself: raw batches (whose prefilter now compiles the
+**union** of the enabled plugins' match-action rules) and the flow-sharded
+driver must produce metric-identical results to the prefilter-free
+prepared batch of the same frames, on a trace where both plugins claim
 traffic concurrently.
 """
 
@@ -17,6 +17,7 @@ from repro.core.sharded import ShardedAnalyzer
 from repro.net.batch import FrameBatchBuilder
 from repro.telemetry import shard_invariant_counters
 
+from tests.conftest import feed_prepared
 from tests.golden_utils import (
     mixed_protocol_config,
     mixed_trace_captures,
@@ -33,10 +34,7 @@ def mixed_captures():
 
 @pytest.fixture(scope="module")
 def scalar_result(mixed_captures):
-    analyzer = ZoomAnalyzer(mixed_protocol_config())
-    for packet in mixed_captures:
-        analyzer.feed(packet)
-    return analyzer.result
+    return feed_prepared(ZoomAnalyzer(mixed_protocol_config()), mixed_captures)
 
 
 def _batches(captures):
@@ -66,8 +64,8 @@ class TestMixedBatchEquivalence:
         ) == shard_invariant_counters(scalar_result.telemetry_snapshot())
 
     def test_prefilter_drops_nothing_claimable(self, mixed_captures, scalar_result):
-        """Every packet either plugin claims on the scalar path survives
-        the compiled union prefilter: claimed counts match exactly."""
+        """Every packet either plugin claims prefilter-free survives the
+        compiled union prefilter: claimed counts match exactly."""
         batched = ZoomAnalyzer(mixed_protocol_config())
         for batch in _batches(mixed_captures):
             batched.feed_batch(batch)

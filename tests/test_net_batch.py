@@ -1,8 +1,9 @@
 """Batch ingestion tests: FrameBatch readers, prefilter safety, equivalence.
 
-The batch fast path's correctness contract is *bit-identical* results: the
-same frame sequence out of the readers, and the same analysis out of
-``feed_batch``, as the scalar path produces packet by packet.  These tests
+The raw-batch path's correctness contract is *bit-identical* results: the
+same frame sequence out of the batch readers as out of the scalar readers,
+and the same analysis out of ``feed_batch`` for a raw buffer as for a
+prepared batch of the same frames parsed one by one.  These tests
 pin that contract directly (golden scenarios are covered separately in
 ``test_golden_e2e.py`` / ``test_source_equivalence.py``), including the
 awkward inputs — truncated records, malformed frames, pcapng interface
@@ -28,6 +29,7 @@ from repro.net.pcap import PcapReader, PcapWriter
 from repro.net.pcapng import PcapngReader, PcapngWriter
 from repro.rtp.stun import StunMessage
 from repro.telemetry.registry import Telemetry, shard_invariant_counters
+from tests.conftest import feed_prepared
 
 ZOOM_NET = "170.114.0.0/16"
 TXN = bytes(range(12))
@@ -258,10 +260,10 @@ class TestBatchPrefilter:
         data = build_udp_frame("10.0.0.1", 5000, "8.8.8.8", 53, b"x" * 20)
         verdict, _ = _single_frame_verdict(prefilter, data)
         assert verdict.dropped == 1 and verdict.survivors == []
-        # Drop-safety: the scalar pipeline classifies the same frame
-        # NOT_ZOOM and leaves no stream/meeting state behind.
+        # Drop-safety: fed prefilter-free, the per-packet stages classify
+        # the same frame NOT_ZOOM and leave no stream/meeting state behind.
         analyzer = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
-        analyzer.feed(CapturedPacket(1.0, data))
+        feed_prepared(analyzer, [CapturedPacket(1.0, data)])
         snapshot = analyzer.result.telemetry_snapshot()
         assert snapshot.counter("classify.class.not_zoom") == 1
         assert not analyzer.result.media_streams()
@@ -345,8 +347,7 @@ class TestBatchPrefilter:
 class TestFeedBatchEquivalence:
     def _summaries(self, packets):
         scalar = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
-        for packet in packets:
-            scalar.feed(packet)
+        feed_prepared(scalar, packets)
         batched = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
         buffer = io.BytesIO()
         PcapWriter(buffer).write_all(packets)
@@ -375,7 +376,7 @@ class TestFeedBatchEquivalence:
             parse_frame(p.data, p.timestamp) for p in _mixed_frames(10)
         ]
         batch = prepared_frame_batch(packets)
-        assert list(batch) == packets
+        assert batch.prepared == packets
         assert batch.materialize(3) is packets[3]
         assert len(batch) == 10
 
@@ -387,8 +388,8 @@ class TestFeedBatchEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_arbitrary_garbage_is_equivalent(self, blobs):
-        """Random byte blobs through feed vs feed_batch: identical semantic
-        counters (prefilter drops must account exactly like scalar stops)."""
+        """Random byte blobs as prepared vs raw batches: identical semantic
+        counters (prefilter drops must account exactly like stage stops)."""
         packets = [CapturedPacket(float(i), blob) for i, blob in enumerate(blobs)]
         scalar, batched = self._summaries(packets)
         assert batched.packets_total == scalar.packets_total

@@ -13,7 +13,6 @@ from repro.net.pcap import (
     MAGIC_NANOS,
     PcapReader,
     PcapWriter,
-    read_pcap,
     write_pcap,
 )
 
@@ -51,7 +50,7 @@ def test_file_roundtrip(tmp_path):
     packets = _sample_packets(5)
     count = write_pcap(path, packets)
     assert count == 5
-    restored = read_pcap(path)
+    restored = list(PcapReader(path))
     assert len(restored) == 5
     assert restored[2].data == packets[2].data
     assert abs(restored[4].timestamp - packets[4].timestamp) < 1e-8

@@ -12,8 +12,6 @@ from repro.net.pcapng import (
     BLOCK_SHB,
     PcapngReader,
     PcapngWriter,
-    read_capture,
-    read_pcapng,
     write_pcapng,
 )
 
@@ -42,7 +40,7 @@ def test_roundtrip_memory():
 def test_roundtrip_file(tmp_path):
     path = tmp_path / "trace.pcapng"
     assert write_pcapng(path, _packets(5)) == 5
-    restored = read_pcapng(path)
+    restored = list(PcapngReader(path))
     assert len(restored) == 5
 
 
@@ -102,14 +100,16 @@ def test_simple_packet_block():
 
 def test_read_capture_autodetect(tmp_path):
     from repro.net.pcap import write_pcap
+    from repro.net.source import open_capture_source
 
     packets = _packets(2)
     pcap_path = tmp_path / "a.pcap"
     pcapng_path = tmp_path / "a.pcapng"
     write_pcap(pcap_path, packets)
     write_pcapng(pcapng_path, packets)
-    assert [p.data for p in read_capture(pcap_path)] == [p.data for p in packets]
-    assert [p.data for p in read_capture(pcapng_path)] == [p.data for p in packets]
+    for path in (pcap_path, pcapng_path):
+        with open_capture_source(path) as source:
+            assert [p.raw for p in source] == [p.data for p in packets]
 
 
 def test_analyzer_accepts_pcapng(tmp_path, sfu_meeting_result):
@@ -117,7 +117,7 @@ def test_analyzer_accepts_pcapng(tmp_path, sfu_meeting_result):
 
     path = tmp_path / "meeting.pcapng"
     write_pcapng(path, sfu_meeting_result.captures[:3000])
-    result = ZoomAnalyzer().analyze(read_capture(path))
+    result = ZoomAnalyzer().run(path)
     assert result.packets_total == 3000
     assert result.packets_zoom == 3000
 

@@ -24,7 +24,6 @@ from repro.net.source import (
     SimulationSource,
     coerce_source,
     open_capture_source,
-    read_capture,
     sniff_capture_format,
 )
 from repro.net.pcapng import PcapngWriter
@@ -300,14 +299,3 @@ class TestCoerceSource:
     def test_rejects_non_source(self):
         with pytest.raises(TypeError):
             coerce_source(42)
-
-
-class TestReadCaptureCompat:
-    def test_returns_captured_packets_with_warning(self, pcap_path, captures):
-        with pytest.deprecated_call():
-            packets = read_capture(pcap_path)
-        assert len(packets) == len(captures)
-        assert all(isinstance(p, CapturedPacket) for p in packets)
-        assert [p.timestamp for p in packets] == [
-            p.timestamp for p in PcapFileSource(pcap_path)
-        ]

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import ZoomAnalyzer
+from repro.core import AnalysisSession, AnalyzerConfig, ShardedAnalyzer, ZoomAnalyzer
 from repro.core.detector import ZoomClass
 from repro.net.packet import CapturedPacket, build_udp_frame
+from repro.net.pcap import write_pcap
 from repro.zoom.constants import ZoomMediaType
 
 
@@ -168,8 +169,10 @@ class TestRobustness:
 
     def test_truncated_frames_survive(self, sfu_meeting_result):
         analyzer = ZoomAnalyzer()
-        for captured in sfu_meeting_result.captures[:200]:
-            analyzer.feed(CapturedPacket(captured.timestamp, captured.data[:30]))
+        analyzer.analyze(
+            CapturedPacket(captured.timestamp, captured.data[:30])
+            for captured in sfu_meeting_result.captures[:200]
+        )
         assert analyzer.result.packets_total == 200
 
     def test_empty_capture(self):
@@ -178,3 +181,42 @@ class TestRobustness:
         assert result.meetings == []
         assert result.encap_share_table() == []
         assert result.payload_type_table() == []
+
+
+class TestRunHonoursConfig:
+    """Every driver's ``run(path)`` opens the file with the config's
+    ``tolerant`` and ``batch_size`` — there is one drain loop, so there is
+    nowhere for the drivers to disagree."""
+
+    DRIVERS = {
+        "one-pass": lambda config: ZoomAnalyzer(config),
+        "rolling": lambda config: ZoomAnalyzer(config.replace(rolling=True)),
+        "sharded": lambda config: ShardedAnalyzer(
+            config.replace(shards=2, shard_backend="serial")
+        ),
+        "session": lambda config: AnalysisSession(config),
+    }
+
+    @pytest.fixture()
+    def truncated_pcap(self, tmp_path):
+        """Ten frames of one flow, the file cut inside the last record."""
+        path = tmp_path / "cut.pcap"
+        frame = build_udp_frame("10.8.1.1", 40000, "170.114.1.1", 8801, b"\xff" * 40)
+        write_pcap(path, [CapturedPacket(1.0 + i, frame) for i in range(10)])
+        path.write_bytes(path.read_bytes()[:-7])
+        return path
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_tolerant_tail_and_batch_size_reach_the_reader(self, driver, truncated_pcap):
+        config = AnalyzerConfig(tolerant=True, batch_size=3)
+        result = self.DRIVERS[driver](config).run(truncated_pcap)
+        assert result.packets_total == 9
+        snapshot = result.telemetry_snapshot()
+        assert snapshot.counter("capture.truncated") == 1
+        assert snapshot.counter("pipeline.batch.batches") == 3  # summed over shards
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_intolerant_run_raises_on_truncated_tail(self, driver, truncated_pcap):
+        config = AnalyzerConfig(tolerant=False, batch_size=3)
+        with pytest.raises(ValueError, match="truncated pcap"):
+            self.DRIVERS[driver](config).run(truncated_pcap)

@@ -1,11 +1,12 @@
-"""Tests for the rolling analyzer and the meeting report generator."""
+"""Tests for rolling-mode eviction and the meeting report generator."""
 
 import math
 
 import pytest
 
 from repro.analysis.reportgen import full_report, meeting_report
-from repro.core.rolling import RollingZoomAnalyzer
+from repro.core import AnalyzerConfig, ZoomAnalyzer
+from repro.net.source import IterableSource
 from repro.simulation import (
     CongestionEvent,
     MeetingConfig,
@@ -36,27 +37,37 @@ def two_sequential_meetings():
     return captures
 
 
+def _rolling(idle_timeout, **kwargs) -> ZoomAnalyzer:
+    config = AnalyzerConfig(
+        rolling=True, rolling_idle_timeout=idle_timeout, rolling_sweep_interval=5.0
+    )
+    return ZoomAnalyzer(config, **kwargs)
+
+
 class TestRollingAnalyzer:
     def test_eviction_bounds_memory(self, two_sequential_meetings):
-        rolling = RollingZoomAnalyzer(idle_timeout=30.0, sweep_interval=5.0)
+        rolling = _rolling(30.0)
         peak_live = 0
-        for packet in two_sequential_meetings:
-            rolling.feed(packet)
-            peak_live = max(peak_live, rolling.live_stream_count())
+        # One-packet batches: the sweep check runs per packet.
+        source = IterableSource(two_sequential_meetings, batch_size=1)
+        for batch in source.frame_batches():
+            rolling.feed_batch(batch)
+            peak_live = max(peak_live, len(rolling.result.streams))
         # After the second meeting, the first meeting's streams are gone.
-        rolling.sweep(200.0)
-        assert rolling.live_stream_count() == 0
-        assert rolling.streams_evicted == len(rolling.finalized)
+        rolling.eviction.sweep(200.0)
+        assert len(rolling.result.streams) == 0
+        assert rolling.eviction.streams_evicted == len(rolling.eviction.finalized)
         # Each meeting holds 8 streams (4 egress + 4 ingress copies); at no
         # point did we hold both meetings' streams simultaneously.
         assert peak_live <= 8
 
     def test_finalized_records_complete(self, two_sequential_meetings):
-        rolling = RollingZoomAnalyzer(idle_timeout=30.0, sweep_interval=5.0)
+        rolling = _rolling(30.0)
         rolling.analyze(two_sequential_meetings)
-        rolling.sweep(500.0)
-        assert len(rolling.finalized) == 16  # 2 meetings x (4 egress + 4 ingress)
-        for record in rolling.finalized:
+        rolling.eviction.sweep(500.0)
+        finalized = rolling.eviction.finalized
+        assert len(finalized) == 16  # 2 meetings x (4 egress + 4 ingress)
+        for record in finalized:
             assert record.packets > 0
             assert record.last_time >= record.first_time
             if record.media_type == 16 and record.frames_completed > 10:
@@ -64,34 +75,32 @@ class TestRollingAnalyzer:
 
     def test_callback_invoked(self, two_sequential_meetings):
         seen = []
-        rolling = RollingZoomAnalyzer(
-            idle_timeout=30.0, sweep_interval=5.0, on_stream_finalized=seen.append
-        )
+        rolling = _rolling(30.0, on_stream_finalized=seen.append)
         rolling.analyze(two_sequential_meetings)
-        rolling.sweep(500.0)
-        assert seen == rolling.finalized
+        rolling.eviction.sweep(500.0)
+        assert seen == rolling.eviction.finalized
 
     def test_results_match_offline_analyzer(self, two_sequential_meetings):
         """Eviction must not change what was measured, only when state is
         released."""
-        from repro.core import ZoomAnalyzer
-
         offline = ZoomAnalyzer().analyze(two_sequential_meetings)
-        rolling = RollingZoomAnalyzer(idle_timeout=30.0, sweep_interval=5.0)
+        rolling = _rolling(30.0)
         rolling.analyze(two_sequential_meetings)
-        rolling.sweep(500.0)
+        rolling.eviction.sweep(500.0)
         offline_packets = {
             stream.key: stream.packets for stream in offline.media_streams()
         }
-        rolling_packets = {record.key: record.packets for record in rolling.finalized}
+        rolling_packets = {
+            record.key: record.packets for record in rolling.eviction.finalized
+        }
         assert rolling_packets == offline_packets
 
     def test_no_eviction_for_active_streams(self, sfu_meeting_result):
-        rolling = RollingZoomAnalyzer(idle_timeout=60.0, sweep_interval=5.0)
+        rolling = _rolling(60.0)
         rolling.analyze(sfu_meeting_result.captures)
         # Meeting lasted 25 s; nothing idle for 60 s.
-        assert rolling.streams_evicted == 0
-        assert rolling.live_stream_count() > 0
+        assert rolling.eviction.streams_evicted == 0
+        assert len(rolling.result.streams) > 0
 
 
 class TestMeetingReports:

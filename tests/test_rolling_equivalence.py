@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.core import RollingZoomAnalyzer, ZoomAnalyzer
+from repro.core import AnalyzerConfig, ZoomAnalyzer
 
 
 def _one_pass_totals(result):
@@ -22,11 +22,16 @@ def _one_pass_totals(result):
     return totals
 
 
+def _rolling(**options) -> ZoomAnalyzer:
+    """A rolling-mode analyzer; ``options`` are further config fields."""
+    return ZoomAnalyzer(AnalyzerConfig(rolling=True, **options))
+
+
 def _rolling_totals(rolling):
     """Finalized + still-live streams, summed per key (a stream that went
     idle and resumed appears as several finalized segments)."""
     totals: dict = defaultdict(lambda: [0, 0, 0, 0, 0])
-    for done in rolling.finalized:
+    for done in rolling.eviction.finalized:
         entry = totals[done.key]
         entry[0] += done.packets
         entry[1] += done.bytes
@@ -47,33 +52,36 @@ def _rolling_totals(rolling):
 
 class TestRollingEquivalence:
     def test_eviction_disabled_is_identical(self, sfu_meeting_result, analyzed_sfu):
-        rolling = RollingZoomAnalyzer(idle_timeout=1e9, sweep_interval=1.0)
+        rolling = _rolling(rolling_idle_timeout=1e9, rolling_sweep_interval=1.0)
         rolling.analyze(sfu_meeting_result.captures)
-        assert not rolling.finalized
-        assert rolling.streams_evicted == 0
+        assert not rolling.eviction.finalized
+        assert rolling.eviction.streams_evicted == 0
         assert _rolling_totals(rolling) == _one_pass_totals(analyzed_sfu)
         assert rolling.result.packets_zoom == analyzed_sfu.packets_zoom
 
     def test_eviction_enabled_preserves_totals(self, sfu_meeting_result, analyzed_sfu):
-        rolling = RollingZoomAnalyzer(idle_timeout=3.0, sweep_interval=0.5)
+        rolling = _rolling(rolling_idle_timeout=3.0, rolling_sweep_interval=0.5)
         rolling.analyze(sfu_meeting_result.captures)
         # flush everything still live so only finalized streams remain
         last = sfu_meeting_result.captures[-1].timestamp
-        rolling.sweep(last + 10.0)
-        assert rolling.live_stream_count() == 0
-        assert rolling.streams_evicted == len(rolling.finalized) > 0
+        rolling.eviction.sweep(last + 10.0)
+        assert len(rolling.result.streams) == 0
+        assert rolling.eviction.streams_evicted == len(rolling.eviction.finalized) > 0
         assert _rolling_totals(rolling) == _one_pass_totals(analyzed_sfu)
 
     def test_eviction_enabled_p2p(self, p2p_meeting_result, analyzed_p2p):
-        rolling = RollingZoomAnalyzer(idle_timeout=3.0, sweep_interval=0.5)
+        rolling = _rolling(rolling_idle_timeout=3.0, rolling_sweep_interval=0.5)
         rolling.analyze(p2p_meeting_result.captures)
-        rolling.sweep(p2p_meeting_result.captures[-1].timestamp + 10.0)
+        rolling.eviction.sweep(p2p_meeting_result.captures[-1].timestamp + 10.0)
         assert _rolling_totals(rolling) == _one_pass_totals(analyzed_p2p)
 
 
 class TestRollingOptions:
+    """Rolling mode changes eviction only; every other option applies as in
+    a one-pass run."""
+
     def test_constructor_options_reach_wrapped_analyzer(self):
-        rolling = RollingZoomAnalyzer(
+        rolling = _rolling(
             zoom_subnets=("203.0.113.0/24",),
             campus_subnets=("10.8.0.0/16",),
             stun_timeout=7.5,
@@ -85,11 +93,11 @@ class TestRollingOptions:
         assert rolling.result.streams.keep_records is True
 
     def test_defaults_leave_options_off(self):
-        rolling = RollingZoomAnalyzer()
+        rolling = _rolling()
         assert rolling.result.detector.campus_matcher is None
         assert rolling.result.streams.keep_records is False
 
     def test_keep_records_retains_records(self, sfu_meeting_result):
-        rolling = RollingZoomAnalyzer(idle_timeout=1e9, keep_records=True)
+        rolling = _rolling(rolling_idle_timeout=1e9, keep_records=True)
         rolling.analyze(sfu_meeting_result.captures)
         assert all(s.records for s in rolling.result.streams)

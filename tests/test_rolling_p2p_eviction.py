@@ -15,7 +15,6 @@ server-relayed streams:
 """
 
 from repro.core import AnalyzerConfig, ZoomAnalyzer
-from repro.core.rolling import RollingZoomAnalyzer
 from repro.net.packet import CapturedPacket, build_udp_frame
 from repro.rtp.rtp import RTPHeader
 from repro.rtp.stun import StunMessage
@@ -79,52 +78,59 @@ class TestActiveP2PFlowOutlivesStunTimeout:
     def test_rolling_finalizes_full_stream_once_idle(self):
         captures = _long_p2p_capture()
         config = AnalyzerConfig(
-            stun_timeout=120.0, rolling_idle_timeout=60.0, rolling_sweep_interval=10.0
+            stun_timeout=120.0,
+            rolling=True,
+            rolling_idle_timeout=60.0,
+            rolling_sweep_interval=10.0,
+            batch_size=1,  # sweep check per packet: ~40 sweeps mid-flow
         )
-        rolling = RollingZoomAnalyzer(config)
-        for packet in captures:
-            rolling.feed(packet)
+        rolling = ZoomAnalyzer(config)
+        rolling.analyze(captures)
         # Active throughout the capture: nothing may be evicted mid-flow.
-        assert rolling.streams_evicted == 0
-        assert rolling.live_stream_count() == 1
+        assert rolling.eviction.streams_evicted == 0
+        assert len(rolling.result.streams) == 1
         # Idle for longer than the idle timeout: the sweep finalizes it with
         # the complete packet count, same as a server stream would be.
-        rolling.sweep(captures[-1].timestamp + 61.0)
-        assert rolling.live_stream_count() == 0
-        assert len(rolling.finalized) == 1
-        assert rolling.finalized[0].packets == 400
+        rolling.eviction.sweep(captures[-1].timestamp + 61.0)
+        assert len(rolling.result.streams) == 0
+        assert len(rolling.eviction.finalized) == 1
+        assert rolling.eviction.finalized[0].packets == 400
 
 
 class TestSweepPurgesStunState:
     def test_expired_bindings_dropped_by_sweep(self):
         captures = [_stun_frame(0.0, IDLE_CLIENT, 60001), *_long_p2p_capture(30.0)]
-        config = AnalyzerConfig(stun_timeout=120.0, rolling_idle_timeout=60.0)
-        rolling = RollingZoomAnalyzer(config)
+        config = AnalyzerConfig(
+            stun_timeout=120.0, rolling=True, rolling_idle_timeout=60.0
+        )
+        rolling = ZoomAnalyzer(config)
         rolling.analyze(captures)
-        tracker = rolling.analyzer.result.detector.stun
+        tracker = rolling.result.detector.stun
         # Both the media-carrying endpoint and the idle one are remembered.
         assert len(tracker) == 2
-        rolling.sweep(1000.0)
+        rolling.eviction.sweep(1000.0)
         # Well past the STUN timeout: the sweep purges both (the idle
         # endpoint would otherwise linger forever — it is never looked up).
         assert len(tracker) == 0
 
     def test_purge_keeps_fresh_bindings(self):
         captures = _long_p2p_capture(30.0)
-        config = AnalyzerConfig(stun_timeout=120.0, rolling_idle_timeout=200.0)
-        rolling = RollingZoomAnalyzer(config)
+        config = AnalyzerConfig(
+            stun_timeout=120.0, rolling=True, rolling_idle_timeout=200.0
+        )
+        rolling = ZoomAnalyzer(config)
         rolling.analyze(captures)
-        tracker = rolling.analyzer.result.detector.stun
+        tracker = rolling.result.detector.stun
         assert len(tracker) == 1
         # Media refreshed the binding until ~t=30, so at t=100 it is alive.
-        rolling.sweep(100.0)
+        rolling.eviction.sweep(100.0)
         assert len(tracker) == 1
 
     def test_purge_counted_in_telemetry(self):
         captures = [_stun_frame(0.0, IDLE_CLIENT, 60001)]
-        config = AnalyzerConfig(stun_timeout=10.0, telemetry=True)
-        rolling = RollingZoomAnalyzer(config)
+        config = AnalyzerConfig(stun_timeout=10.0, rolling=True, telemetry=True)
+        rolling = ZoomAnalyzer(config)
         rolling.analyze(captures)
-        rolling.sweep(100.0)
+        rolling.eviction.sweep(100.0)
         snapshot = rolling.result.telemetry_snapshot()
         assert snapshot.counter("rolling.stun_purged") == 1

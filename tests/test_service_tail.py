@@ -17,9 +17,13 @@ from repro.service.tail import CaptureDirectoryTailer
 from repro.telemetry.registry import Telemetry
 
 
+def _packets(batch):
+    return [batch.materialize(index) for index in range(len(batch))]
+
+
 def _drain(tailer):
     """All packets from one poll, flattened."""
-    return [parsed for batch in tailer.poll() for parsed in batch]
+    return [parsed for batch in tailer.poll() for parsed in _packets(batch)]
 
 
 def _pcap_bytes(packets) -> bytes:
@@ -201,7 +205,7 @@ class TestTailerRotation:
         received = []
         poll = tailer.poll()
         for batch in poll:
-            received.extend(batch)
+            received.extend(_packets(batch))
             if len(received) >= 128:
                 poll.close()
                 break

@@ -6,7 +6,9 @@ import math
 import pytest
 
 from repro.core import AnalyzerConfig, ZoomAnalyzer
-from repro.core.rolling import RollingZoomAnalyzer
+from repro.net.batch import prepared_frame_batch
+from repro.net.packet import parse_frame
+from repro.net.source import IterableSource
 from repro.service.windows import WindowAggregator, media_name
 from repro.telemetry.registry import Telemetry
 from repro.zoom.constants import ZoomMediaType
@@ -14,17 +16,22 @@ from repro.zoom.constants import ZoomMediaType
 
 def _aggregator(**kwargs):
     """Aggregator over a fresh rolling analyzer, plus its closed-window list."""
-    rolling = RollingZoomAnalyzer(AnalyzerConfig(rolling=True))
+    rolling = ZoomAnalyzer(AnalyzerConfig(rolling=True))
     closed = []
     aggregator = WindowAggregator(rolling, on_window=(closed.append,), **kwargs)
     return aggregator, closed
+
+
+def _ingest_one(aggregator, timestamp, size=100):
+    """One non-Zoom frame of ``size`` bytes at ``timestamp``, as a batch."""
+    aggregator.ingest(prepared_frame_batch([parse_frame(bytes(size), timestamp)]))
 
 
 class TestWindowLifecycle:
     def test_tumbling_boundaries_close_in_order(self):
         aggregator, closed = _aggregator(window_seconds=10.0, lateness=0.0)
         for timestamp in (1.0, 11.0, 21.0):
-            aggregator.observe_packet(timestamp, 100)
+            _ingest_one(aggregator, timestamp)
         assert [w.index for w in closed] == [0, 1]
         assert all(w.packets_total == 1 for w in closed)
         assert closed[0].start == 0.0 and closed[0].end == 10.0
@@ -32,17 +39,17 @@ class TestWindowLifecycle:
 
     def test_lateness_holds_window_open(self):
         aggregator, closed = _aggregator(window_seconds=10.0, lateness=5.0)
-        aggregator.observe_packet(2.0, 100)
-        aggregator.observe_packet(12.0, 100)  # watermark 7 < 10: hold
+        _ingest_one(aggregator, 2.0)
+        _ingest_one(aggregator, 12.0)  # watermark 7 < 10: hold
         assert closed == []
         assert aggregator.open_window_count() == 2
-        aggregator.observe_packet(16.0, 100)  # watermark 11 >= 10: close
+        _ingest_one(aggregator, 16.0)  # watermark 11 >= 10: close
         assert [w.index for w in closed] == [0]
         assert closed[0].packets_total == 1
 
     def test_late_event_dropped_and_counted(self):
         telemetry = Telemetry()
-        rolling = RollingZoomAnalyzer(AnalyzerConfig(rolling=True))
+        rolling = ZoomAnalyzer(AnalyzerConfig(rolling=True))
         closed = []
         aggregator = WindowAggregator(
             rolling,
@@ -51,18 +58,18 @@ class TestWindowLifecycle:
             on_window=(closed.append,),
             telemetry=telemetry,
         )
-        aggregator.observe_packet(1.0, 100)
-        aggregator.observe_packet(16.0, 100)  # closes window 0
+        _ingest_one(aggregator, 1.0)
+        _ingest_one(aggregator, 16.0)  # closes window 0
         assert [w.index for w in closed] == [0]
-        aggregator.observe_packet(2.0, 100)  # belongs to the closed window
+        _ingest_one(aggregator, 2.0)  # belongs to the closed window
         assert aggregator.late_events == 1
         assert telemetry.counter("service.late_events") == 1
         assert closed[0].packets_total == 1  # the record did not mutate
 
     def test_exact_boundary_event_is_not_late(self):
         aggregator, closed = _aggregator(window_seconds=10.0, lateness=0.0)
-        aggregator.observe_packet(5.0, 100)
-        aggregator.observe_packet(10.0, 100)  # watermark hits 10 exactly
+        _ingest_one(aggregator, 5.0)
+        _ingest_one(aggregator, 10.0)  # watermark hits 10 exactly
         assert aggregator.late_events == 0
         assert [w.index for w in closed] == [0]
         final = aggregator.flush(final=True)
@@ -71,7 +78,7 @@ class TestWindowLifecycle:
 
     def test_open_window_cap_forces_oldest_closed(self):
         telemetry = Telemetry()
-        rolling = RollingZoomAnalyzer(AnalyzerConfig(rolling=True))
+        rolling = ZoomAnalyzer(AnalyzerConfig(rolling=True))
         closed = []
         aggregator = WindowAggregator(
             rolling,
@@ -82,7 +89,7 @@ class TestWindowLifecycle:
             telemetry=telemetry,
         )
         for timestamp in (5.0, 15.0, 25.0):
-            aggregator.observe_packet(timestamp, 100)
+            _ingest_one(aggregator, timestamp)
         assert [w.index for w in closed] == [0]
         assert closed[0].forced is True
         assert telemetry.counter("service.windows_forced") == 1
@@ -90,8 +97,8 @@ class TestWindowLifecycle:
 
     def test_final_flush_is_idempotent(self):
         aggregator, closed = _aggregator(window_seconds=10.0, lateness=5.0)
-        aggregator.observe_packet(3.0, 100)
-        aggregator.observe_packet(14.0, 100)
+        _ingest_one(aggregator, 3.0)
+        _ingest_one(aggregator, 14.0)
         first = aggregator.flush(final=True)
         assert [w.index for w in first] == [0, 1]
         assert aggregator.flush(final=True) == []
@@ -99,7 +106,7 @@ class TestWindowLifecycle:
         assert len(closed) == 2
 
     def test_rejects_nonpositive_window(self):
-        rolling = RollingZoomAnalyzer(AnalyzerConfig(rolling=True))
+        rolling = ZoomAnalyzer(AnalyzerConfig(rolling=True))
         with pytest.raises(ValueError, match="window_seconds"):
             WindowAggregator(rolling, window_seconds=0.0)
 
@@ -110,7 +117,7 @@ class TestBatchEquivalence:
     @pytest.fixture(scope="class")
     def windows_and_batch(self, sfu_meeting_result):
         captures = sfu_meeting_result.captures
-        rolling = RollingZoomAnalyzer(
+        rolling = ZoomAnalyzer(
             AnalyzerConfig(rolling=True, rolling_idle_timeout=60.0, telemetry=True)
         )
         closed = []
@@ -121,10 +128,9 @@ class TestBatchEquivalence:
             on_window=(closed.append,),
             telemetry=rolling.result.telemetry,
         )
-        for capture in captures:
-            rolling.feed(capture)
-            aggregator.observe_packet(capture.timestamp, len(capture.data))
-        rolling.sweep(float("inf"))
+        for batch in IterableSource(captures).frame_batches():
+            aggregator.ingest(batch)
+        rolling.eviction.sweep(float("inf"))
         aggregator.flush(final=True)
         batch = ZoomAnalyzer(AnalyzerConfig(telemetry=True)).analyze(captures)
         return closed, batch, rolling
@@ -144,8 +150,8 @@ class TestBatchEquivalence:
             stats.streams_opened for w in windows for stats in w.media.values()
         )
         assert opened == len(batch.media_streams())
-        assert sum(w.streams_evicted for w in windows) == rolling.streams_evicted
-        assert rolling.streams_evicted == len(batch.media_streams())
+        assert sum(w.streams_evicted for w in windows) == rolling.eviction.streams_evicted
+        assert rolling.eviction.streams_evicted == len(batch.media_streams())
 
     def test_per_media_bytes_match_exactly(self, windows_and_batch):
         windows, batch, _ = windows_and_batch

@@ -6,8 +6,9 @@ import struct
 
 import pytest
 
-from repro.core import ShardedAnalyzer, ZoomAnalyzer
+from repro.core import AnalyzerConfig, ShardedAnalyzer, ZoomAnalyzer
 from repro.core.sharded import flow_shard_info
+from repro.net.source import IterableSource
 
 
 def _ipv4_frame(
@@ -71,28 +72,33 @@ class TestFlowShardInfo:
 
 class TestPartition:
     def test_flow_affinity_and_order(self, sfu_meeting_result):
-        driver = ShardedAnalyzer(shards=4)
-        buckets = driver.partition(sfu_meeting_result.captures)
-        assert len(buckets) == 4
+        driver = ShardedAnalyzer(AnalyzerConfig(shards=4))
+        work = driver.partition_frames(
+            IterableSource(sfu_meeting_result.captures).frame_batches()
+        )
+        assert len(work) == 4
         seen_flows: dict[int, int] = {}
-        for index, bucket in enumerate(buckets):
-            times = [p.timestamp for p, _ in bucket]
+        home_total = 0
+        for index, batches in enumerate(work):
+            times = [ts for batch in batches for ts in batch.timestamps]
             assert times == sorted(times)
-            for packet, is_hint in bucket:
-                if is_hint:
-                    continue
-                info = flow_shard_info(packet.data)
-                if info is None:
-                    continue
-                assert seen_flows.setdefault(info[0], index) == index
-        home_total = sum(1 for bucket in buckets for _, hint in bucket if not hint)
+            for batch in batches:
+                for position in range(len(batch)):
+                    if batch.hints is not None and batch.hints[position]:
+                        continue
+                    home_total += 1
+                    info = flow_shard_info(batch.frame(position))
+                    if info is None:
+                        continue
+                    assert seen_flows.setdefault(info[0], index) == index
         assert home_total == len(sfu_meeting_result.captures)
+        assert sum(driver.partition_stats.shard_packets) == home_total
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            ShardedAnalyzer(shards=0)
+            ShardedAnalyzer(AnalyzerConfig(shards=0))
         with pytest.raises(ValueError):
-            ShardedAnalyzer(backend="gpu")
+            ShardedAnalyzer(AnalyzerConfig(shard_backend="gpu"))
 
 
 def _assert_equivalent(single, sharded):
@@ -113,7 +119,7 @@ def _assert_equivalent(single, sharded):
 
 class TestEquivalence:
     def test_sfu_meeting_four_shards(self, sfu_meeting_result, analyzed_sfu):
-        sharded = ShardedAnalyzer(shards=4, backend="serial").analyze(
+        sharded = ShardedAnalyzer(AnalyzerConfig(shards=4, shard_backend="serial")).analyze(
             sfu_meeting_result.captures
         )
         _assert_equivalent(analyzed_sfu, sharded)
@@ -121,7 +127,7 @@ class TestEquivalence:
     def test_p2p_meeting_four_shards(self, p2p_meeting_result, analyzed_p2p):
         # P2P media runs on a different 5-tuple than the STUN exchange that
         # announces it — only STUN replication keeps detection sharding-safe
-        sharded = ShardedAnalyzer(shards=4, backend="serial").analyze(
+        sharded = ShardedAnalyzer(AnalyzerConfig(shards=4, shard_backend="serial")).analyze(
             p2p_meeting_result.captures
         )
         _assert_equivalent(analyzed_p2p, sharded)
@@ -130,22 +136,24 @@ class TestEquivalence:
         )
 
     def test_single_shard_matches(self, sfu_meeting_result, analyzed_sfu):
-        sharded = ShardedAnalyzer(shards=1).analyze(sfu_meeting_result.captures)
+        sharded = ShardedAnalyzer(AnalyzerConfig(shards=1)).analyze(
+            sfu_meeting_result.captures
+        )
         _assert_equivalent(analyzed_sfu, sharded)
 
     def test_thread_backend(self, sfu_meeting_result, analyzed_sfu):
-        sharded = ShardedAnalyzer(shards=3, backend="thread").analyze(
-            sfu_meeting_result.captures
-        )
+        sharded = ShardedAnalyzer(
+            AnalyzerConfig(shards=3, shard_backend="thread")
+        ).analyze(sfu_meeting_result.captures)
         _assert_equivalent(analyzed_sfu, sharded)
 
     @pytest.mark.slow
     def test_process_backend(self, sfu_meeting_result, analyzed_sfu):
         # Spawning workers and pickling packets across process boundaries
         # dominates the runtime here, hence the slow marker.
-        sharded = ShardedAnalyzer(shards=2, backend="process").analyze(
-            sfu_meeting_result.captures
-        )
+        sharded = ShardedAnalyzer(
+            AnalyzerConfig(shards=2, shard_backend="process")
+        ).analyze(sfu_meeting_result.captures)
         _assert_equivalent(analyzed_sfu, sharded)
 
     @pytest.mark.slow
@@ -154,7 +162,9 @@ class TestEquivalence:
 
         captures = sfu_meeting_result.captures
         single = ZoomAnalyzer().analyze(captures)
-        sharded = ShardedAnalyzer(shards=2, backend="process").analyze(captures)
+        sharded = ShardedAnalyzer(
+            AnalyzerConfig(shards=2, shard_backend="process")
+        ).analyze(captures)
         assert shard_invariant_counters(
             sharded.telemetry_snapshot()
         ) == shard_invariant_counters(single.telemetry_snapshot())
@@ -163,18 +173,20 @@ class TestEquivalence:
         from repro.analysis.export import feature_rows
         from repro.analysis.reportgen import full_report
 
-        sharded = ShardedAnalyzer(shards=4, backend="serial").analyze(
-            sfu_meeting_result.captures
-        )
+        sharded = ShardedAnalyzer(
+            AnalyzerConfig(shards=4, shard_backend="serial")
+        ).analyze(sfu_meeting_result.captures)
         assert "Meeting" in full_report(sharded)
         assert feature_rows(sharded)
 
     def test_options_forwarded_to_shards(self, sfu_meeting_result):
         sharded = ShardedAnalyzer(
-            shards=2,
-            backend="serial",
-            campus_subnets=("10.8.0.0/16",),
-            keep_records=True,
+            AnalyzerConfig(
+                shards=2,
+                shard_backend="serial",
+                campus_subnets=("10.8.0.0/16",),
+                keep_records=True,
+            )
         ).analyze(sfu_meeting_result.captures)
         assert sharded.streams.keep_records is True
         assert all(s.records for s in sharded.streams)

@@ -12,9 +12,10 @@ telemetry counters must all agree exactly.
 
 import pytest
 
+from tests.conftest import feed_prepared
 from tests.golden_utils import golden_config, summarize_result
 from repro.core import AnalysisSession, AnalyzerConfig, ZoomAnalyzer
-from repro.net.pcap import write_pcap
+from repro.net.pcap import PcapReader, write_pcap
 from repro.net.source import IterableSource, PcapFileSource, SimulationSource
 from repro.simulation import MeetingConfig, MeetingSimulator, ParticipantConfig
 
@@ -66,20 +67,16 @@ class TestIngestionEquivalence:
         assert _summary(str(pcap_path)) == _summary(PcapFileSource(pcap_path))
 
     def test_session_matches_legacy_analyze(self, pcap_path):
-        """The new front door reproduces the old read_pcap + feed() recipe,
-        telemetry counters included."""
-        import warnings
-
-        from repro.net.pcap import read_pcap
+        """The front door over the file's raw batches reproduces the
+        prefilter-free reference — the same frames read one by one and fed
+        as a prepared batch — telemetry counters included."""
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry(enabled=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            packets = read_pcap(pcap_path, telemetry=telemetry)
-        legacy = ZoomAnalyzer(AnalyzerConfig(telemetry=telemetry))
-        legacy_summary = summarize_result(legacy.analyze(packets))
-        assert _summary(PcapFileSource(pcap_path)) == legacy_summary
+        packets = list(PcapReader(pcap_path, telemetry=telemetry))
+        reference = ZoomAnalyzer(AnalyzerConfig(telemetry=telemetry))
+        reference_summary = summarize_result(feed_prepared(reference, packets))
+        assert _summary(PcapFileSource(pcap_path)) == reference_summary
 
     def test_unquantized_iterable_differs_only_in_timestamps(self, sim_result):
         """Sanity check on the quantization argument: raw simulator

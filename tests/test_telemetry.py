@@ -10,7 +10,7 @@ import struct
 import pytest
 
 from repro.net.packet import CapturedPacket
-from repro.net.pcap import PcapReader, PcapWriter, read_pcap
+from repro.net.pcap import PcapReader, PcapWriter
 from repro.net.pcapng import PcapngReader, PcapngWriter
 from repro.telemetry import (
     Anomaly,
@@ -294,7 +294,7 @@ class TestCaptureReaderTelemetry:
         with PcapWriter(path) as writer:
             writer.write_all(_frames(5))
         tel = Telemetry()
-        packets = read_pcap(path, telemetry=tel)
+        packets = list(PcapReader(path, telemetry=tel))
         assert len(packets) == 5
         assert tel.counter("capture.frames") == 5
         assert tel.counter("capture.bytes") == 300

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RollingZoomAnalyzer, ShardedAnalyzer, ZoomAnalyzer
+from repro.core import AnalyzerConfig, ShardedAnalyzer, ZoomAnalyzer
 from repro.telemetry import shard_invariant_counters
 
 
@@ -26,7 +26,9 @@ class TestShardedTelemetryEquivalence:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_serial_backend_matches_single_pass(self, sfu_meeting_result, shards):
         captures = sfu_meeting_result.captures
-        sharded = ShardedAnalyzer(shards=shards, backend="serial").analyze(captures)
+        sharded = ShardedAnalyzer(
+            AnalyzerConfig(shards=shards, shard_backend="serial")
+        ).analyze(captures)
         assert (
             shard_invariant_counters(sharded.telemetry_snapshot())
             == _single_pass_counters(captures)
@@ -34,7 +36,9 @@ class TestShardedTelemetryEquivalence:
 
     def test_thread_backend_matches_single_pass(self, sfu_meeting_result):
         captures = sfu_meeting_result.captures
-        sharded = ShardedAnalyzer(shards=3, backend="thread").analyze(captures)
+        sharded = ShardedAnalyzer(
+            AnalyzerConfig(shards=3, shard_backend="thread")
+        ).analyze(captures)
         assert (
             shard_invariant_counters(sharded.telemetry_snapshot())
             == _single_pass_counters(captures)
@@ -44,7 +48,9 @@ class TestShardedTelemetryEquivalence:
         """STUN hints are replicated to every shard; only the home shard may
         count them, or sharded totals would inflate with the shard count."""
         captures = p2p_meeting_result.captures
-        sharded = ShardedAnalyzer(shards=4, backend="serial").analyze(captures)
+        sharded = ShardedAnalyzer(
+            AnalyzerConfig(shards=4, shard_backend="serial")
+        ).analyze(captures)
         assert (
             shard_invariant_counters(sharded.telemetry_snapshot())
             == _single_pass_counters(captures)
@@ -52,25 +58,33 @@ class TestShardedTelemetryEquivalence:
 
     def test_shard_local_counters_cover_every_packet(self, sfu_meeting_result):
         captures = sfu_meeting_result.captures
-        sharded = ShardedAnalyzer(shards=4, backend="serial").analyze(captures)
+        sharded = ShardedAnalyzer(
+            AnalyzerConfig(shards=4, shard_backend="serial")
+        ).analyze(captures)
         snapshot = sharded.telemetry_snapshot()
         per_shard = snapshot.counters_under("sharded.shard_packets.")
         assert len(per_shard) == 4
         assert sum(per_shard.values()) == len(captures)
 
     def test_disabled_telemetry_stays_empty(self, sfu_meeting_result):
-        sharded = ShardedAnalyzer(shards=2, backend="serial", telemetry=False)
+        sharded = ShardedAnalyzer(
+            AnalyzerConfig(shards=2, shard_backend="serial", telemetry=False)
+        )
         result = sharded.analyze(sfu_meeting_result.captures)
         assert result.telemetry_snapshot().counters == {}
 
 
 class TestRollingTelemetryEquivalence:
     def test_eviction_disabled_matches_single_pass_exactly(self, sfu_meeting_result):
-        """With eviction effectively off, the rolling wrapper is the same
-        pipeline — every counter except its own ``rolling.*`` bookkeeping
-        must be identical, including ``assemble.meetings_formed``."""
+        """With eviction effectively off, rolling mode is the same pipeline
+        — every counter except the policy's ``rolling.*`` bookkeeping must
+        be identical, including ``assemble.meetings_formed``."""
         captures = sfu_meeting_result.captures
-        rolling = RollingZoomAnalyzer(idle_timeout=1e9, sweep_interval=1.0)
+        rolling = ZoomAnalyzer(
+            AnalyzerConfig(
+                rolling=True, rolling_idle_timeout=1e9, rolling_sweep_interval=1.0
+            )
+        )
         rolling.analyze(captures)
         single = ZoomAnalyzer().analyze(captures).telemetry_snapshot()
         rolling_counters = {
@@ -86,11 +100,15 @@ class TestRollingTelemetryEquivalence:
         ``assemble.stream_opened`` may only grow (evicted streams that
         resume are opened again)."""
         captures = sfu_meeting_result.captures
-        rolling = RollingZoomAnalyzer(idle_timeout=3.0, sweep_interval=0.5)
+        rolling = ZoomAnalyzer(
+            AnalyzerConfig(
+                rolling=True, rolling_idle_timeout=3.0, rolling_sweep_interval=0.5
+            )
+        )
         rolling.analyze(captures)
         # Flush everything still live so every stream goes through eviction.
-        rolling.sweep(captures[-1].timestamp + 10.0)
-        assert rolling.streams_evicted > 0, "scenario must actually evict"
+        rolling.eviction.sweep(captures[-1].timestamp + 10.0)
+        assert rolling.eviction.streams_evicted > 0, "scenario must actually evict"
         single = ZoomAnalyzer().analyze(captures).telemetry_snapshot()
         snapshot = rolling.result.telemetry_snapshot()
 
@@ -102,4 +120,4 @@ class TestRollingTelemetryEquivalence:
             "assemble.stream_opened"
         )
         evicted = snapshot.counters_under("pipeline.evicted.")
-        assert sum(evicted.values()) == rolling.streams_evicted
+        assert sum(evicted.values()) == rolling.eviction.streams_evicted
