@@ -5,14 +5,6 @@ in a QoE ML inference model" and notes the system "can help automatically
 generate large, feature-rich data sets from real-world traffic".  This
 module is that generator: one feature row per (stream, second) with every §5
 metric, written as CSV or returned as dictionaries for direct consumption.
-
-Two entry points share the row builder:
-
-* :func:`feature_rows` — batch: walk every stream of a finished analysis.
-* :class:`FeatureRowSink` — streaming: subscribe to
-  :class:`~repro.core.events.StreamEvicted` and emit each stream's rows the
-  moment continuous operation finalizes it, so a 24/7 deployment exports
-  incrementally instead of holding the whole feature matrix until shutdown.
 """
 
 from __future__ import annotations
@@ -22,9 +14,8 @@ import io
 import math
 from collections import defaultdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from repro.core.events import AnalysisSink, StreamEvicted
 from repro.core.pipeline import AnalysisResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -159,47 +150,6 @@ def feature_rows(result: AnalysisResult) -> list[dict[str, object]]:
         )
     rows.sort(key=lambda row: (row["stream_id"], row["second"]))
     return rows
-
-
-class FeatureRowSink(AnalysisSink):
-    """Emit a stream's feature rows the moment it is evicted.
-
-    Register on a continuously-operating analyzer's bus::
-
-        analyzer = ZoomAnalyzer(AnalyzerConfig(rolling=True))
-        sink = FeatureRowSink(analyzer.result, on_rows=csv_writer.writerows)
-        analyzer.bus.register(sink)
-
-    Rows accumulate in :attr:`rows` (and go to ``on_rows``, if given) in
-    eviction order; rows within one stream are ordered by second.  The RTT
-    index is rebuilt per eviction from the matcher's samples so late
-    matches are included — matches arriving *after* a stream's eviction are
-    the streaming/batch divergence, inherent to incremental export.
-    """
-
-    def __init__(
-        self,
-        result: AnalysisResult,
-        on_rows: Callable[[list[dict[str, object]]], None] | None = None,
-    ) -> None:
-        self._result = result
-        self._on_rows = on_rows
-        self.rows: list[dict[str, object]] = []
-
-    def on_stream_evicted(self, event: StreamEvicted) -> None:
-        stream = event.stream
-        if event.metrics is None:
-            return
-        rows = stream_feature_rows(
-            stream,
-            event.metrics,
-            self._result.bitrate.stream_bins.get((stream.five_tuple, stream.ssrc)),
-            self._result.bitrate.flow_bins.get(stream.five_tuple),
-            latency_index(self._result),
-        )
-        self.rows.extend(rows)
-        if self._on_rows is not None and rows:
-            self._on_rows(rows)
 
 
 def write_feature_csv(result: AnalysisResult, destination: str | Path | TextIO) -> int:

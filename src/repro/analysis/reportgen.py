@@ -12,19 +12,17 @@ This is exactly the judgement the paper argues single metrics cannot make.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.analysis.tables import format_table
-from repro.core.events import AnalysisSink, StreamEvicted
 from repro.core.meetings import Meeting
 from repro.core.pipeline import AnalysisResult
 from repro.zoom.constants import ZoomMediaType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import StreamMetrics
-    from repro.core.streams import MediaStream, StreamKey
+    from repro.core.streams import MediaStream
 
 JITTER_NETWORK_THRESHOLD = 0.020
 """Jitter above Zoom's recommended 40 ms is clearly bad; 20 ms is where the
@@ -251,76 +249,6 @@ def meeting_report(result: AnalysisResult, meeting: Meeting) -> MeetingReport:
         report.diagnoses.extend(_diagnose(stream))
     report.streams.sort(key=lambda s: (s.media_type, s.ssrc))
     return report
-
-
-class MeetingReportSink(AnalysisSink):
-    """Emit a meeting's report card once its last stream is evicted.
-
-    Streaming counterpart of :func:`meeting_report` for continuous
-    operation: collects (stream, metrics) pairs from
-    :class:`~repro.core.events.StreamEvicted` events and, whenever *every*
-    stream of the evicted stream's meeting has been seen, builds the report
-    from the retained pairs — the live tables no longer hold them.
-
-    Completion is checked against the grouper's *current* view of the
-    meeting, so meetings that merge mid-flight (§4.3.2 step 3) are handled:
-    the report waits for the union of their streams.
-    """
-
-    def __init__(
-        self,
-        result: AnalysisResult,
-        on_report: Callable[[MeetingReport], None] | None = None,
-    ) -> None:
-        self._result = result
-        self._on_report = on_report
-        self._pairs: dict["StreamKey", tuple["MediaStream", "StreamMetrics | None"]] = {}
-        self._reported: set[int] = set()
-        self.reports: list[MeetingReport] = []
-
-    def on_stream_evicted(self, event: StreamEvicted) -> None:
-        key = event.stream.key
-        self._pairs[key] = (event.stream, event.metrics)
-        meeting = self._result.grouper.meeting_of(key)
-        if meeting is None or meeting.meeting_id in self._reported:
-            return
-        if not all(k in self._pairs for k in meeting.stream_keys):
-            return
-        self._reported.add(meeting.meeting_id)
-        self._emit(meeting)
-
-    # ------------------------------------------------------------- internals
-
-    def _emit(self, meeting: Meeting) -> None:
-        by_uid: dict[int, list[tuple["MediaStream", "StreamMetrics | None"]]] = (
-            defaultdict(list)
-        )
-        for key in meeting.stream_keys:
-            uid = self._result.grouper.uid_of(key)
-            if uid is not None:
-                by_uid[uid].append(self._pairs[key])
-        report = MeetingReport(
-            meeting_id=meeting.meeting_id,
-            duration=meeting.duration,
-            participant_estimate=meeting.participant_estimate(),
-            client_ips=tuple(sorted(meeting.client_ips)),
-        )
-        for uid in sorted(by_uid):
-            pairs = by_uid[uid]
-            ssrc = pairs[0][0].ssrc
-            rtts = [
-                sample.rtt * 1000
-                for sample in self._result.rtp_latency.samples_for(ssrc)
-            ]
-            stream = build_stream_report(pairs, rtts)
-            report.streams.append(stream)
-            report.diagnoses.extend(_diagnose(stream))
-        report.streams.sort(key=lambda s: (s.media_type, s.ssrc))
-        for key in meeting.stream_keys:
-            self._pairs.pop(key, None)
-        self.reports.append(report)
-        if self._on_report is not None:
-            self._on_report(report)
 
 
 def full_report(result: AnalysisResult) -> str:

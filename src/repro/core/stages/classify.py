@@ -38,18 +38,11 @@ class ClassifyStage:
         self,
         result: "AnalysisResult",
         bus: "EventBus",
-        plugins: Sequence["ProtocolPlugin"] | None = None,
+        plugins: Sequence["ProtocolPlugin"],
     ) -> None:
         self._result = result
         self._telemetry = result.telemetry
         self._prefilter: BatchPrefilter | None = None
-        if plugins is None:
-            # Back-compat: a stage built without a registry wraps the
-            # result's detector in the Zoom plugin (original behaviour).
-            from repro.protocols.zoom import ZoomPlugin
-
-            assert result.detector is not None
-            plugins = (ZoomPlugin(result.detector),)
         self._plugins: tuple["ProtocolPlugin", ...] = tuple(
             sorted(plugins, key=lambda plugin: (plugin.priority, plugin.name))
         )

@@ -45,7 +45,6 @@ the way it does):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ipaddress import ip_network
 from typing import Iterable, Sequence
 
 from repro.dataplane.cbpf import (
@@ -75,6 +74,7 @@ from repro.dataplane.cbpf import (
     Assembler,
     CBPFProgram,
 )
+from repro.net.ip import ipv4_nets_to_u32, ipv4_str_to_u32
 
 __all__ = [
     "CaptureRules",
@@ -100,26 +100,6 @@ _ETHERTYPE_VLAN = 0x8100
 _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_IPV6 = 0x86DD
 _PROTO_UDP = 17
-
-
-def _nets_to_u32(networks: Iterable) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for net in networks:
-        net = ip_network(net) if isinstance(net, str) else net
-        if net.version == 4:
-            pairs.append((int(net.network_address), int(net.netmask)))
-    return tuple(pairs)
-
-
-def _ipv4_str_to_u32(ip: str) -> int | None:
-    parts = ip.split(".")
-    if len(parts) != 4:
-        return None
-    try:
-        a, b, c, d = (int(part) for part in parts)
-    except ValueError:
-        return None
-    return (a << 24) | (b << 16) | (c << 8) | d
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,14 +128,14 @@ class CaptureRules:
         """Build rules from prefix strings and ``(ip, port)`` endpoints."""
         packed = []
         for ip, port in endpoints:
-            u32 = _ipv4_str_to_u32(ip)
+            u32 = ipv4_str_to_u32(ip)
             if u32 is not None:
                 packed.append((u32 << 16) | port)
         return cls(
-            networks_v4=_nets_to_u32(networks),
+            networks_v4=ipv4_nets_to_u32(networks),
             endpoints=tuple(sorted(set(packed))),
             sniff_all_stun=sniff_all_stun,
-            campus_v4=_nets_to_u32(campus) if campus is not None else None,
+            campus_v4=ipv4_nets_to_u32(campus) if campus is not None else None,
         )
 
     @classmethod

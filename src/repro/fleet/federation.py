@@ -144,21 +144,8 @@ class FederatedQuery:
     def run(self, query: StoreQuery) -> FederatedResult:
         """Execute ``query`` across the fleet (see module docstring)."""
         result = FederatedResult()
-        spans_query: StoreQuery | None = None
-        if (
-            query.meeting_id is not None
-            and query.meeting_spans is None
-            and query.kinds != ("meeting",)
-        ):
-            spans_query = StoreQuery(
-                kinds=("meeting",),
-                meeting_id=query.meeting_id,
-                start=query.start,
-                end=query.end,
-                use_index=query.use_index,
-            )
-        if spans_query is not None:
-            span_rows = self._fan_out(spans_query, result)
+        if query.needs_span_pass():
+            span_rows = self._fan_out(query.span_query(), result)
             meetings, _ = _dedupe_meetings(span_rows)
             spans = tuple(
                 (float(r["start"]), float(r["end"])) for _, r in meetings

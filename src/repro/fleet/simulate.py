@@ -164,8 +164,7 @@ def _run_node(
     packets.sort(key=lambda packet: packet.timestamp)
     for batch in IterableSource(packets).frame_batches():
         aggregator.ingest(batch)
-    analyzer.eviction.sweep(float("inf"))
-    aggregator.flush(final=True)
+    aggregator.finish()
     sink.write_meetings(analyzer.result.meetings)
     store.close()
     return SimulatedNode(

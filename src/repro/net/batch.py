@@ -40,9 +40,9 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from ipaddress import ip_network
 from typing import Iterable, Iterator, Sequence
 
+from repro.net.ip import ipv4_nets_to_u32, ipv4_str_to_u32
 from repro.net.packet import ParsedPacket, parse_frame
 from repro.zoom.constants import STUN_SERVER_PORT
 
@@ -328,17 +328,6 @@ class PrefilterVerdict:
         return len(self.survivors)
 
 
-def _ipv4_str_to_u32(ip: str) -> int | None:
-    parts = ip.split(".")
-    if len(parts) != 4:
-        return None
-    try:
-        a, b, c, d = (int(part) for part in parts)
-    except ValueError:
-        return None
-    return (a << 24) | (b << 16) | (c << 8) | d
-
-
 class BatchPrefilter:
     """Match-action prefilter compiled from the capture model's rules.
 
@@ -378,12 +367,7 @@ class BatchPrefilter:
     __slots__ = ("_nets_v4", "_endpoints", "_synced_learns", "_sniff_all")
 
     def __init__(self, networks: Iterable, *, sniff_all_stun: bool = False) -> None:
-        nets_v4 = []
-        for net in networks:
-            net = ip_network(net) if isinstance(net, str) else net
-            if net.version == 4:
-                nets_v4.append((int(net.network_address), int(net.netmask)))
-        self._nets_v4: Sequence[tuple[int, int]] = tuple(nets_v4)
+        self._nets_v4: Sequence[tuple[int, int]] = ipv4_nets_to_u32(networks)
         self._endpoints: set[int] = set()
         self._synced_learns: dict[int, int] = {}
         self._sniff_all = sniff_all_stun
@@ -454,7 +438,7 @@ class BatchPrefilter:
             return
         self._synced_learns[key] = learned
         for ip, port in tracker.endpoints():
-            ip_u32 = _ipv4_str_to_u32(ip)
+            ip_u32 = ipv4_str_to_u32(ip)
             if ip_u32 is not None:
                 self.note_endpoint(ip_u32, port)
 

@@ -6,6 +6,7 @@ import enum
 import ipaddress
 import struct
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.net.checksum import internet_checksum
 
@@ -27,6 +28,29 @@ def ip_to_str(packed: bytes) -> str:
 def ip_from_str(text: str) -> bytes:
     """Parse a dotted-quad or IPv6 string into packed bytes."""
     return ipaddress.ip_address(text).packed
+
+
+def ipv4_str_to_u32(ip: str) -> int | None:
+    """A dotted quad as a host-order u32; ``None`` for anything else."""
+    parts = ip.split(".")
+    if len(parts) != 4:
+        return None
+    try:
+        a, b, c, d = (int(part) for part in parts)
+    except ValueError:
+        return None
+    return (a << 24) | (b << 16) | (c << 8) | d
+
+
+def ipv4_nets_to_u32(networks: Iterable) -> tuple[tuple[int, int], ...]:
+    """``(network address, netmask)`` u32 pairs of the IPv4 members of
+    ``networks`` (``ipaddress`` network objects or CIDR strings)."""
+    pairs = []
+    for net in networks:
+        net = ipaddress.ip_network(net) if isinstance(net, str) else net
+        if net.version == 4:
+            pairs.append((int(net.network_address), int(net.netmask)))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True, slots=True)

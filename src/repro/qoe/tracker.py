@@ -30,11 +30,11 @@ Signal definitions (all monitor-visible, §5 of the paper):
   at least ``fps_min_baseline`` fps, so degraded windows, join/leave partial
   windows, and inherently slow screen-share streams never contaminate it.
 
-Windowing follows the service-layer watermark discipline
-(:class:`~repro.service.windows.WindowAggregator`): windows close once the
+Windowing is the same watermark clock the service layer uses
+(:class:`~repro.core.windows.TumblingWindows`): windows close once the
 maximum capture timestamp passes ``window end + lateness``, strictly in
-index order, and packets for already-closed windows are counted
-(``qoe.late_packets``) and dropped.  Because every path — one pass,
+index order, and packets whose window is already behind the watermark are
+counted (``qoe.late_packets``) and dropped.  Because every path — one pass,
 rolling eviction, the live service — feeds the same ``feed_batch`` and so
 publishes the identical record stream on the bus, all of them produce the
 identical transition sequence.
@@ -53,6 +53,7 @@ from repro.core.events import (
     StreamUpdated,
 )
 from repro.core.streams import RTPPacketRecord, StreamKey
+from repro.core.windows import TumblingWindows
 from repro.qoe.machine import QoeSample, QoeState, QoeStateMachine, QoeTransition
 from repro.zoom.constants import (
     AUDIO_SAMPLING_RATE,
@@ -161,11 +162,15 @@ class MeetingQoeTracker(AnalysisSink):
         self._callbacks = tuple(on_transition)
         self.machines: dict[int, QoeStateMachine] = {}
         self.transitions: list[tuple[int, QoeTransition]] = []
-        self._pending: dict[int, dict[StreamKey, _WindowAcc]] = {}
+        # One window = every stream's accumulator for that scoring interval.
+        self._windows: TumblingWindows[dict[StreamKey, _WindowAcc]] = TumblingWindows(
+            self.config.window_seconds,
+            self.config.lateness,
+            self._new_window,
+            self._close_window,
+        )
         self._seq: dict[tuple[StreamKey, int], _SubStreamSeqState] = {}
         self._fps_baseline: dict[StreamKey, float] = {}
-        self._max_ts = float("-inf")
-        self._closed_index: int | None = None
         self._bus.register(self)
 
     # ----------------------------------------------------------- event hooks
@@ -191,14 +196,10 @@ class MeetingQoeTracker(AnalysisSink):
     # -------------------------------------------------------------- ingestion
 
     def _ingest(self, record: RTPPacketRecord) -> None:
-        width = self.config.window_seconds
-        index = int(record.timestamp // width)
-        if self._closed_index is not None and index <= self._closed_index:
+        accs = self._windows.slot(record.timestamp)
+        if accs is None:
             self._telemetry.count("qoe.late_packets")
             return
-        accs = self._pending.get(index)
-        if accs is None:
-            accs = self._pending[index] = {}
         key = record.stream_key
         acc = accs.get(key)
         if acc is None:
@@ -243,22 +244,9 @@ class MeetingQoeTracker(AnalysisSink):
         if record.media_type != ZoomMediaType.AUDIO and record.packets_in_frame > 0:
             acc.frames.add(record.frame_sequence)
 
-        if record.timestamp > self._max_ts:
-            self._max_ts = record.timestamp
-            self._close_ready()
+        self._windows.advance(record.timestamp)
 
     # -------------------------------------------------------------- windowing
-
-    def _close_ready(self) -> None:
-        """Close every window whose end has passed the watermark, in order."""
-        if not self._pending:
-            return
-        width = self.config.window_seconds
-        watermark = self._max_ts - self.config.lateness
-        for index in sorted(self._pending):
-            if (index + 1) * width > watermark:
-                break
-            self._close_window(index, self._pending.pop(index))
 
     def flush(self, final: bool = False) -> None:
         """Close ready windows; with ``final=True`` close everything pending.
@@ -267,16 +255,15 @@ class MeetingQoeTracker(AnalysisSink):
         tail windows of a capture are scored even though no later packet
         will ever advance the watermark.
         """
-        if final:
-            for index in sorted(self._pending):
-                self._close_window(index, self._pending.pop(index))
-        else:
-            self._close_ready()
+        self._windows.flush(final=final)
 
-    def _close_window(self, index: int, accs: dict[StreamKey, _WindowAcc]) -> None:
+    def _new_window(self, index: int) -> dict[StreamKey, _WindowAcc]:
+        return {}
+
+    def _close_window(
+        self, index: int, accs: dict[StreamKey, _WindowAcc], forced: bool
+    ) -> None:
         cfg = self.config
-        if self._closed_index is None or index > self._closed_index:
-            self._closed_index = index
         grouper = self._result.grouper
         by_meeting: dict[int, list[tuple[StreamKey, _WindowAcc]]] = {}
         meetings: dict[int, "Meeting"] = {}

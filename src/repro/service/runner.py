@@ -366,10 +366,9 @@ class ZoomMonitorService:
                 break
         if not self._flushed:
             self._flushed = True
-            self.rolling.eviction.sweep(float("inf"))  # finalize every live stream
+            self.aggregator.finish()  # finalize every live stream, close windows
             if self.qoe is not None:
                 self.qoe.flush(final=True)  # score tail QoE windows
-            self.aggregator.flush(final=True)
             if self.store_sink is not None:
                 self.store_sink.write_meetings(self.rolling.result.meetings)
                 self.store_sink.store.close()

@@ -9,12 +9,13 @@ summarizing per-media-type traffic and quality.  Batches enter the
 analyzer *through* the aggregator (:meth:`WindowAggregator.ingest`), which
 owns the volume → feed → watermark ordering.
 
-Window lifecycle is watermark-based, the standard trick for out-of-order
-tolerance with bounded state: the watermark trails the newest event
-timestamp by ``lateness`` seconds, any window ending at or before the
-watermark is closed and emitted, and events older than the watermark are
-counted (``service.late_events``) and dropped rather than re-opening a
-closed window.  A hard cap on simultaneously open windows
+Window lifecycle is the shared watermark clock,
+:class:`~repro.core.windows.TumblingWindows` (the standard trick for
+out-of-order tolerance with bounded state): the watermark trails the newest
+event timestamp by ``lateness`` seconds, any window ending at or before the
+watermark is closed and emitted, and events whose window is already behind
+the watermark are counted (``service.late_events``) and dropped rather than
+re-opening a closed window.  A hard cap on simultaneously open windows
 (``max_open_windows``) force-closes the oldest beyond it, so a capture with
 a wildly wrong clock cannot grow aggregator memory without bound.
 
@@ -41,6 +42,7 @@ from repro.core.events import (
 )
 from repro.core.rolling import FinalizedStream, live_stream_snapshots, summarize_stream
 from repro.core.streams import StreamKey
+from repro.core.windows import TumblingWindows
 from repro.telemetry.registry import Telemetry
 from repro.zoom.constants import ZoomMediaType
 
@@ -60,6 +62,52 @@ def media_name(media_type: int) -> str:
     return _MEDIA_NAMES.get(media_type, f"type{media_type}")
 
 
+# ---------------------------------------------------------------- schema
+#
+# The window record's wire shape, declared once.  ``to_dict`` below emits
+# exactly these fields in this order, and :mod:`repro.store.merge` reads the
+# same tables to combine records (``--reaggregate``, fleet merges), so a
+# field added here is serialized *and* merged without touching either.
+
+#: Merge rules: exact sum; maximum (a point-in-time census, not an event
+#: count); logical OR; mean of a rounded, nullable quality value weighted by
+#: the entry's :data:`WEIGHT_FIELD`; bits per second of the entry's
+#: :data:`RATE_FIELD` over the record's width.
+SUM, MAX, ANY, MEAN, RATE = "sum", "max", "any", "mean", "rate"
+WEIGHT_FIELD = "packets"
+RATE_FIELD = "bytes"
+
+#: Top-level fields (after the ``window``/``start``/``end`` identity).
+WINDOW_SCHEMA: dict[str, str] = {
+    "packets_total": SUM,
+    "bytes_total": SUM,
+    "zoom_packets": SUM,
+    "meetings_formed": SUM,
+    "meetings_active": MAX,
+    "streams_evicted": SUM,
+    "forced": ANY,
+}
+
+#: Per-media-entry fields (after the ``media`` name).
+MEDIA_SCHEMA: dict[str, str] = {
+    "packets": SUM,
+    "bytes": SUM,
+    "bitrate_bps": RATE,
+    "streams": MAX,
+    "streams_opened": SUM,
+    "p2p_packets": SUM,
+    "mean_fps": MEAN,
+    "mean_jitter_ms": MEAN,
+    "lost": SUM,
+    "duplicates": SUM,
+}
+
+
+def rate_bps(total_bytes: int, seconds: float) -> float:
+    """The :data:`RATE` rule: bits per second, at the wire precision."""
+    return round(total_bytes * 8.0 / seconds, 3)
+
+
 @dataclass
 class MediaWindowStats:
     """One media type's aggregate inside one window."""
@@ -76,27 +124,24 @@ class MediaWindowStats:
     lost: int = 0
     duplicates: int = 0
 
+    @property
+    def streams(self) -> int:
+        return len(self.stream_keys)
+
     def bitrate_bps(self, window_seconds: float) -> float:
         return self.bytes * 8.0 / window_seconds
 
     def to_dict(self, window_seconds: float) -> dict:
-        return {
-            "media": media_name(self.media_type),
-            "packets": self.packets,
-            "bytes": self.bytes,
-            "bitrate_bps": round(self.bitrate_bps(window_seconds), 3),
-            "streams": len(self.stream_keys),
-            "streams_opened": self.streams_opened,
-            "p2p_packets": self.p2p_packets,
-            "mean_fps": None if math.isnan(self.mean_fps) else round(self.mean_fps, 3),
-            "mean_jitter_ms": (
-                None
-                if math.isnan(self.mean_jitter_ms)
-                else round(self.mean_jitter_ms, 3)
-            ),
-            "lost": self.lost,
-            "duplicates": self.duplicates,
-        }
+        record: dict = {"media": media_name(self.media_type)}
+        for name, rule in MEDIA_SCHEMA.items():
+            if rule == RATE:
+                record[name] = rate_bps(getattr(self, RATE_FIELD), window_seconds)
+            elif rule == MEAN:
+                value = getattr(self, name)
+                record[name] = None if math.isnan(value) else round(value, 3)
+            else:
+                record[name] = getattr(self, name)
+        return record
 
 
 @dataclass
@@ -126,22 +171,14 @@ class WindowRecord:
         return stats
 
     def to_dict(self) -> dict:
-        return {
-            "window": self.index,
-            "start": self.start,
-            "end": self.end,
-            "packets_total": self.packets_total,
-            "bytes_total": self.bytes_total,
-            "zoom_packets": self.zoom_packets,
-            "meetings_formed": self.meetings_formed,
-            "meetings_active": self.meetings_active,
-            "streams_evicted": self.streams_evicted,
-            "forced": self.forced,
-            "media": [
-                self.media[media_type].to_dict(self.width)
-                for media_type in sorted(self.media)
-            ],
-        }
+        record: dict = {"window": self.index, "start": self.start, "end": self.end}
+        for name in WINDOW_SCHEMA:
+            record[name] = getattr(self, name)
+        record["media"] = [
+            self.media[media_type].to_dict(self.width)
+            for media_type in sorted(self.media)
+        ]
+        return record
 
 
 class WindowAggregator(AnalysisSink):
@@ -171,17 +208,16 @@ class WindowAggregator(AnalysisSink):
         on_window: Iterable[Callable[[WindowRecord], None]] = (),
         telemetry: Telemetry | None = None,
     ) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be > 0")
         self._analyzer = analyzer
-        self.window_seconds = window_seconds
-        self.lateness = lateness
-        self.max_open_windows = max_open_windows
+        self._windows: TumblingWindows[WindowRecord] = TumblingWindows(
+            window_seconds,
+            lateness,
+            self._new_window,
+            self._close,
+            max_open=max_open_windows,
+        )
         self._on_window = list(on_window)
         self._telemetry = telemetry if telemetry is not None else Telemetry(enabled=False)
-        self._open: dict[int, WindowRecord] = {}
-        self._watermark = float("-inf")
-        self._max_event_time = float("-inf")
         self._evicted_summaries: list[FinalizedStream] = []
         self.windows_emitted = 0
         self.late_events = 0
@@ -212,29 +248,44 @@ class WindowAggregator(AnalysisSink):
             for i in range(len(caplens)):
                 self._observe_volume(timestamps[i], caplens[i])
         self._analyzer.feed_batch(batch)
-        self._advance_watermark(batch.last_timestamp)
+        self._windows.advance(batch.last_timestamp)
+
+    def finish(self) -> list[WindowRecord]:
+        """End of input: finalize every live stream, then close every
+        window exactly once.  The sweep comes first so the evictions it
+        publishes still land in an open window.  Returns the windows this
+        call closed.
+        """
+        self._analyzer.eviction.sweep(float("inf"))
+        return self.flush(final=True)
 
     def on_stream_opened(self, event: StreamOpened) -> None:
-        window = self._window_for(event.timestamp)
-        if window is not None:
+        window = self._windows.slot(event.timestamp)
+        if window is None:
+            self._count_late()
+        else:
             stats = window.media_stats(event.record.media_type)
             stats.streams_opened += 1
             self._count_record(window, stats, event)
-        self._advance_watermark(event.timestamp)
+        self._windows.advance(event.timestamp)
 
     def on_stream_updated(self, event: StreamUpdated) -> None:
-        window = self._window_for(event.timestamp)
-        if window is not None:
+        window = self._windows.slot(event.timestamp)
+        if window is None:
+            self._count_late()
+        else:
             self._count_record(
                 window, window.media_stats(event.record.media_type), event
             )
-        self._advance_watermark(event.timestamp)
+        self._windows.advance(event.timestamp)
 
     def on_meeting_formed(self, event: MeetingFormed) -> None:
-        window = self._window_for(event.timestamp)
-        if window is not None:
+        window = self._windows.slot(event.timestamp)
+        if window is None:
+            self._count_late()
+        else:
             window.meetings_formed += 1
-        self._advance_watermark(event.timestamp)
+        self._windows.advance(event.timestamp)
 
     def on_stream_evicted(self, event: StreamEvicted) -> None:
         # The event's timestamp is the stream's last activity, which by
@@ -245,9 +296,12 @@ class WindowAggregator(AnalysisSink):
         # consults for every window the stream's lifetime overlaps.
         summary = summarize_stream(event.stream, event.metrics)
         self._evicted_summaries.append(summary)
-        if self._max_event_time > float("-inf"):
-            window = self._window_for(self._max_event_time)
-            if window is not None:
+        now = self._windows.max_ts
+        if now > float("-inf"):
+            window = self._windows.slot(now)
+            if window is None:
+                self._count_late()
+            else:
                 window.streams_evicted += 1
 
     # ------------------------------------------------------------- closing
@@ -257,17 +311,10 @@ class WindowAggregator(AnalysisSink):
         closes all of them (shutdown path).  Idempotent: a window is
         emitted exactly once.  Returns the records closed by this call.
         """
-        if final:
-            self._watermark = float("inf")
-        closed: list[WindowRecord] = []
-        for index in sorted(self._open):
-            window = self._open[index]
-            if window.end <= self._watermark:
-                closed.append(self._close(index))
-        return closed
+        return self._windows.flush(final=final)
 
     def open_window_count(self) -> int:
-        return len(self._open)
+        return len(self._windows)
 
     def add_callback(self, callback: Callable[[WindowRecord], None]) -> None:
         self._on_window.append(callback)
@@ -275,8 +322,9 @@ class WindowAggregator(AnalysisSink):
     # ----------------------------------------------------------- internals
 
     def _observe_volume(self, timestamp: float, raw_len: int) -> None:
-        window = self._window_for(timestamp)
+        window = self._windows.slot(timestamp)
         if window is None:
+            self._count_late()
             return
         window.packets_total += 1
         window.bytes_total += raw_len
@@ -291,41 +339,18 @@ class WindowAggregator(AnalysisSink):
         if event.record.is_p2p:
             stats.p2p_packets += 1
 
-    def _window_for(self, timestamp: float) -> WindowRecord | None:
-        index = int(timestamp // self.window_seconds)
-        # Late = the window this timestamp belongs to has already been
-        # closed by the watermark (comparing window end, not the raw
-        # timestamp, keeps exact-boundary events out of the late bucket).
-        if (index + 1) * self.window_seconds <= self._watermark:
-            self.late_events += 1
-            self._telemetry.count("service.late_events")
-            return None
-        window = self._open.get(index)
-        if window is None:
-            window = WindowRecord(
-                index=index,
-                start=index * self.window_seconds,
-                end=(index + 1) * self.window_seconds,
-            )
-            self._open[index] = window
-            while len(self._open) > self.max_open_windows:
-                oldest = min(self._open)
-                self._open[oldest].forced = True
-                self._telemetry.count("service.windows_forced")
-                self._close(oldest)
-        return window
+    def _count_late(self) -> None:
+        self.late_events += 1
+        self._telemetry.count("service.late_events")
 
-    def _advance_watermark(self, timestamp: float) -> None:
-        if timestamp <= self._max_event_time:
-            return
-        self._max_event_time = timestamp
-        watermark = timestamp - self.lateness
-        if watermark > self._watermark:
-            self._watermark = watermark
-            self.flush()
+    def _new_window(self, index: int) -> WindowRecord:
+        width = self._windows.window_seconds
+        return WindowRecord(index=index, start=index * width, end=(index + 1) * width)
 
-    def _close(self, index: int) -> WindowRecord:
-        window = self._open.pop(index)
+    def _close(self, index: int, window: WindowRecord, forced: bool) -> None:
+        if forced:
+            window.forced = True
+            self._telemetry.count("service.windows_forced")
         self._fill_quality(window)
         self.windows_emitted += 1
         self._telemetry.count("service.windows")
@@ -338,7 +363,6 @@ class WindowAggregator(AnalysisSink):
         ]
         for callback in self._on_window:
             callback(window)
-        return window
 
     def _fill_quality(self, window: WindowRecord) -> None:
         """Per-media quality from streams that overlap the window.

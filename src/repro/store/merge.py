@@ -33,6 +33,19 @@ import json
 import math
 from typing import TYPE_CHECKING
 
+from repro.service.windows import (
+    ANY,
+    MAX,
+    MEAN,
+    MEDIA_SCHEMA,
+    RATE,
+    RATE_FIELD,
+    SUM,
+    WEIGHT_FIELD,
+    WINDOW_SCHEMA,
+    rate_bps,
+)
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.query import StoreQuery
 
@@ -40,15 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: projected record loses its identity on the timeline.
 IDENTITY_KEYS = ("kind", "window", "start", "end")
 
-#: Window counting fields that sum exactly across a merge (the service's
-#: window invariant: summed over all windows they reproduce batch totals).
-SUMMED_WINDOW_KEYS = (
-    "packets_total",
-    "bytes_total",
-    "zoom_packets",
-    "meetings_formed",
-    "streams_evicted",
-)
+#: How each non-quality merge rule of the window schema combines one
+#: field across records (a record lacking the field contributes nothing).
+_COMBINE = {
+    SUM: lambda records, key: sum(int(r.get(key, 0)) for r in records),
+    MAX: lambda records, key: max((int(r.get(key, 0)) for r in records), default=0),
+    ANY: lambda records, key: any(r.get(key) for r in records),
+}
 
 
 def canonical_key(record: dict) -> tuple[float, str, str]:
@@ -94,13 +105,9 @@ def reaggregate_windows(windows: list[dict], coarse_seconds: float) -> list[dict
             "start": index * coarse_seconds,
             "end": (index + 1) * coarse_seconds,
             "windows_merged": len(group),
-            "forced": any(w.get("forced") for w in group),
         }
-        for key in SUMMED_WINDOW_KEYS:
-            record[key] = sum(int(w.get(key, 0)) for w in group)
-        record["meetings_active"] = max(
-            (int(w.get("meetings_active", 0)) for w in group), default=0
-        )
+        for key, rule in WINDOW_SCHEMA.items():
+            record[key] = _COMBINE[rule](group, key)
         record["media"] = merge_media_entries(group, coarse_seconds)
         merged.append(record)
     return merged
@@ -109,10 +116,13 @@ def reaggregate_windows(windows: list[dict], coarse_seconds: float) -> list[dict
 def merge_media_entries(group: list[dict], coarse_seconds: float) -> list[dict]:
     """Combine the per-media entries of several window records into one set.
 
-    Counting fields sum; ``streams`` takes the maximum (a census);
-    ``mean_fps``/``mean_jitter_ms`` become packet-weighted means over the
-    entries that reported them (weight floor 1, so a quality sample from a
-    packetless entry still counts once rather than vanishing).
+    Each field merges by its :data:`~repro.service.windows.MEDIA_SCHEMA`
+    rule: counting fields sum; ``streams`` takes the maximum (a census);
+    ``bitrate_bps`` is recomputed from the summed bytes over the coarse
+    width; ``mean_fps``/``mean_jitter_ms`` become packet-weighted means
+    over the entries that reported them (weight floor 1, so a quality
+    sample from a packetless entry still counts once rather than
+    vanishing).
     """
     by_name: dict[str, list[dict]] = {}
     for window in group:
@@ -121,32 +131,26 @@ def merge_media_entries(group: list[dict], coarse_seconds: float) -> list[dict]:
     out: list[dict] = []
     for name in sorted(by_name):
         entries = by_name[name]
-        packets = sum(int(e.get("packets", 0)) for e in entries)
-        total_bytes = sum(int(e.get("bytes", 0)) for e in entries)
-        merged: dict = {
-            "media": name,
-            "packets": packets,
-            "bytes": total_bytes,
-            "bitrate_bps": round(total_bytes * 8.0 / coarse_seconds, 3),
-            "streams": max((int(e.get("streams", 0)) for e in entries), default=0),
-            "streams_opened": sum(int(e.get("streams_opened", 0)) for e in entries),
-            "p2p_packets": sum(int(e.get("p2p_packets", 0)) for e in entries),
-            "lost": sum(int(e.get("lost", 0)) for e in entries),
-            "duplicates": sum(int(e.get("duplicates", 0)) for e in entries),
-        }
-        for key in ("mean_fps", "mean_jitter_ms"):
-            weighted = [
-                (float(e[key]), max(int(e.get("packets", 0)), 1))
-                for e in entries
-                if e.get(key) is not None
-            ]
-            if weighted:
-                weight = sum(w for _, w in weighted)
-                merged[key] = round(
-                    sum(v * w for v, w in weighted) / weight, 3
-                )
+        merged: dict = {"media": name}
+        for key, rule in MEDIA_SCHEMA.items():
+            if rule == RATE:
+                total = _COMBINE[SUM](entries, RATE_FIELD)
+                merged[key] = rate_bps(total, coarse_seconds)
+            elif rule == MEAN:
+                weighted = [
+                    (float(e[key]), max(int(e.get(WEIGHT_FIELD, 0)), 1))
+                    for e in entries
+                    if e.get(key) is not None
+                ]
+                if weighted:
+                    weight = sum(w for _, w in weighted)
+                    merged[key] = round(
+                        sum(v * w for v, w in weighted) / weight, 3
+                    )
+                else:
+                    merged[key] = None
             else:
-                merged[key] = None
+                merged[key] = _COMBINE[rule](entries, key)
         out.append(merged)
     return out
 

@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.store.merge import reaggregate_windows, shape_records
+from repro.store.merge import shape_records
 
 __all__ = [
     "QueryResult",
     "StoreQuery",
     "flatten_records",
-    "reaggregate_windows",  # re-exported: the math now lives in store.merge
     "run_query",
 ]
 
@@ -95,6 +94,28 @@ class StoreQuery:
                 "meeting_spans",
                 tuple((float(lo), float(hi)) for lo, hi in self.meeting_spans),
             )
+
+    # ------------------------------------------------------- meeting spans
+
+    def needs_span_pass(self) -> bool:
+        """Whether answering takes two passes: a meeting slice of
+        non-meeting kinds whose activity span(s) are not resolved yet."""
+        return (
+            self.meeting_id is not None
+            and self.meeting_spans is None
+            and self.kinds != ("meeting",)
+        )
+
+    def span_query(self) -> "StoreQuery":
+        """The first pass: this meeting's ``meeting`` records (index-pruned
+        by the footers' meeting-id sets), whose bounds are the spans."""
+        return StoreQuery(
+            kinds=("meeting",),
+            meeting_id=self.meeting_id,
+            start=self.start,
+            end=self.end,
+            use_index=self.use_index,
+        )
 
     # ------------------------------------------------------------ transport
 
@@ -165,20 +186,8 @@ def run_query(store: "MetricsStore", query: StoreQuery) -> QueryResult:
         spans = list(query.meeting_spans)
         if not spans:
             return QueryResult()
-    elif query.meeting_id is not None and query.kinds != ("meeting",):
-        # Resolve the meeting's activity span(s) first; the span query is
-        # itself index-pruned by the footers' meeting-id sets.
-        span_result = _scan(
-            store,
-            StoreQuery(
-                kinds=("meeting",),
-                meeting_id=query.meeting_id,
-                start=query.start,
-                end=query.end,
-                use_index=query.use_index,
-            ),
-            spans=None,
-        )
+    elif query.needs_span_pass():
+        span_result = _scan(store, query.span_query(), spans=None)
         spans = [
             (float(r["start"]), float(r["end"])) for r in span_result.records
         ]

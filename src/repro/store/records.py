@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable
 
+from repro.core.rolling import summarize_stream
 from repro.service.windows import WindowRecord, media_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -104,36 +105,9 @@ def records_from_result(result: "AnalysisResult") -> Iterable[dict]:
     tumbling-window timeline — so backfilling windows goes through the
     service's JSONL log instead.
     """
-    from repro.core.rolling import FinalizedStream
-
     for stream in result.media_streams():
-        metrics = result.metrics_for(stream.key)
-        frames = metrics.assembler.completed_count if metrics else 0
-        fps_samples = metrics.framerate_delivered.samples if metrics else []
-        loss = metrics.loss.report() if metrics else None
         yield stream_record(
-            FinalizedStream(
-                key=stream.key,
-                ssrc=stream.ssrc,
-                media_type=stream.media_type,
-                first_time=stream.first_time,
-                last_time=stream.last_time,
-                packets=stream.packets,
-                bytes=stream.bytes,
-                frames_completed=frames,
-                mean_fps=(
-                    sum(s.fps for s in fps_samples) / len(fps_samples)
-                    if fps_samples
-                    else float("nan")
-                ),
-                jitter_ms=(
-                    metrics.jitter.jitter * 1000 if metrics else float("nan")
-                ),
-                duplicates=loss.duplicates if loss else 0,
-                lost=loss.lost if loss else 0,
-                stall_count=len(metrics.stall_events()) if metrics else 0,
-                protocol=stream.protocol,
-            )
+            summarize_stream(stream, result.metrics_for(stream.key))
         )
     for meeting in result.meetings:
         yield meeting_record(meeting)

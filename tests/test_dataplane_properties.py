@@ -85,10 +85,10 @@ def rules_config(draw):
 
 
 def _seed(prefilter, endpoints):
-    from repro.dataplane.compiler import _ipv4_str_to_u32
+    from repro.net.ip import ipv4_str_to_u32
 
     for ip, port in endpoints:
-        prefilter.note_endpoint(_ipv4_str_to_u32(ip), port)
+        prefilter.note_endpoint(ipv4_str_to_u32(ip), port)
 
 
 def _single_frame_batch(frame):

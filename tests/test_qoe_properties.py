@@ -11,11 +11,17 @@ Two invariants the ISSUE pins:
   paths cannot diverge at the machine layer.
 """
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import AnalyzerConfig, ZoomAnalyzer
 from repro.core.config import QoeConfig
-from repro.qoe import QoeSample, QoeState, QoeStateMachine
+from repro.core.events import StreamUpdated
+from repro.core.streams import RTPPacketRecord
+from repro.qoe import MeetingQoeTracker, QoeSample, QoeState, QoeStateMachine
+from repro.zoom.constants import ZoomMediaType
 
 # Metric values deliberately span all severity bands, the exact thresholds
 # themselves, NaN (signal absent), and absurd extremes.
@@ -118,3 +124,34 @@ def test_clean_series_never_leaves_good(samples):
     ]
     assert machine.observe_batch(clean) == []
     assert machine.state is QoeState.GOOD
+
+
+def test_tracker_late_rule_is_the_watermark_not_the_last_closed_index():
+    """A packet whose window is already behind the watermark is late even
+    when no window at or after it has closed yet — the service aggregator's
+    rule, which the tracker's private clock had drifted away from."""
+    analyzer = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
+    analyzer.result.grouper.meeting_of = lambda key: SimpleNamespace(meeting_id=1)
+    config = QoeConfig(
+        window_seconds=1.0, lateness=0.5, min_meeting_packets=1, min_stream_packets=1
+    )
+    tracker = MeetingQoeTracker(analyzer, config)
+    five_tuple = ("10.0.0.1", 50000, "170.114.0.1", 8801, 17)
+    for sequence, timestamp in enumerate((0.2, 5.0, 3.2)):
+        record = RTPPacketRecord(
+            timestamp=timestamp,
+            five_tuple=five_tuple,
+            ssrc=7,
+            payload_type=98,
+            sequence=sequence,
+            rtp_timestamp=int(timestamp * 90000),
+            marker=False,
+            media_type=int(ZoomMediaType.VIDEO),
+            payload_len=100,
+            udp_payload_len=130,
+        )
+        analyzer.bus.emit(StreamUpdated(timestamp=timestamp, stream=None, record=record))
+    tracker.flush(final=True)
+    telemetry = analyzer.result.telemetry
+    assert telemetry.counter("qoe.late_packets") == 1  # t=3.2: watermark is 4.5
+    assert telemetry.counter("qoe.windows") == 2  # windows 0 and 5; 3 never scored

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.core import AnalyzerConfig, ZoomAnalyzer
+from repro.core.windows import TumblingWindows
 from repro.net.batch import prepared_frame_batch
 from repro.net.packet import parse_frame
 from repro.net.source import IterableSource
@@ -111,6 +112,42 @@ class TestWindowLifecycle:
             WindowAggregator(rolling, window_seconds=0.0)
 
 
+class TestTumblingWindows:
+    """The shared clock, where the aggregator's own cases cannot reach."""
+
+    @staticmethod
+    def _windows(**kwargs):
+        closed = []
+        windows = TumblingWindows(
+            1.0,
+            0.5,
+            lambda index: [],
+            lambda index, acc, forced: closed.append((index, acc, forced)),
+            **kwargs,
+        )
+        return windows, closed
+
+    def test_cap_force_closes_oldest_of_any_accumulator(self):
+        windows, closed = self._windows(max_open=2)
+        for timestamp in (4.2, 0.2, 2.2):  # never advanced: nothing is late
+            windows.slot(timestamp).append(timestamp)
+        assert closed == [(0, [0.2], True)]
+        assert len(windows) == 2
+        assert windows.flush() == []  # the watermark has not moved
+        assert windows.flush(final=True) == [[2.2], [4.2]]
+        assert closed[1:] == [(2, [2.2], False), (4, [4.2], False)]
+
+    def test_final_flush_is_idempotent_then_everything_is_late(self):
+        windows, closed = self._windows()
+        windows.slot(0.2).append("a")
+        windows.advance(0.2)
+        assert windows.flush(final=True) == [["a"]]
+        assert windows.flush(final=True) == []
+        assert windows.slot(0.3) is None and windows.slot(1e9) is None
+        windows.advance(1e9)
+        assert len(windows) == 0 and len(closed) == 1
+
+
 class TestBatchEquivalence:
     """Summed over all windows, counting metrics reproduce the batch run."""
 
@@ -130,8 +167,7 @@ class TestBatchEquivalence:
         )
         for batch in IterableSource(captures).frame_batches():
             aggregator.ingest(batch)
-        rolling.eviction.sweep(float("inf"))
-        aggregator.flush(final=True)
+        aggregator.finish()
         batch = ZoomAnalyzer(AnalyzerConfig(telemetry=True)).analyze(captures)
         return closed, batch, rolling
 

@@ -5,7 +5,11 @@ federated merge run through, so its arithmetic is pinned down here record
 by record.
 """
 
-from repro.store import StoreQuery
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.service.windows import MediaWindowStats, WindowRecord
+from repro.store import StoreQuery, window_record
 from repro.store.merge import (
     IDENTITY_KEYS,
     canonical_key,
@@ -176,3 +180,89 @@ class TestProjectRecord:
         assert with_media["media"] == [{"media": "video", "mean_fps": 24.0}]
         without = project_record(_window(0), ("packets_total",))
         assert "media" not in without
+
+
+# ---------------------------------------------------------------- the schema
+
+_counts = st.integers(min_value=0, max_value=10**9)
+_quality = st.one_of(
+    st.just(float("nan")), st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+)
+
+
+def _stream_keys(ssrcs):
+    return {(("10.0.0.1", 50000, "170.114.0.1", 8801, 17), ssrc) for ssrc in ssrcs}
+
+
+_media_stats = st.builds(
+    MediaWindowStats,
+    media_type=st.just(0),  # overwritten with the dict key below
+    packets=_counts,
+    bytes=_counts,
+    streams_opened=_counts,
+    stream_keys=st.sets(st.integers(0, 40), max_size=6).map(_stream_keys),
+    p2p_packets=_counts,
+    mean_fps=_quality,
+    mean_jitter_ms=_quality,
+    lost=_counts,
+    duplicates=_counts,
+)
+
+
+@st.composite
+def _live_windows(draw, width: int, index=st.integers(0, 10**6)):
+    """Any closed window the live aggregator could hand to ``to_dict``."""
+    i = draw(index)
+    media = draw(st.dictionaries(st.sampled_from([13, 15, 16, 42]), _media_stats))
+    for media_type, stats in media.items():
+        stats.media_type = media_type
+    return WindowRecord(
+        index=i,
+        start=i * float(width),
+        end=(i + 1) * float(width),
+        packets_total=draw(_counts),
+        bytes_total=draw(_counts),
+        zoom_packets=draw(_counts),
+        meetings_formed=draw(_counts),
+        meetings_active=draw(_counts),
+        streams_evicted=draw(_counts),
+        forced=draw(st.booleans()),
+        media=media,
+    )
+
+
+_widths = st.integers(min_value=1, max_value=60)
+
+
+class TestWindowSchema:
+    """One declaration drives the live record *and* its merge: whatever
+    ``WindowRecord.to_dict`` emits, re-aggregation carries through."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(window=_widths.flatmap(_live_windows))
+    def test_single_window_at_its_own_width_is_the_identity(self, window):
+        record = window_record(window)
+        [merged] = reaggregate_windows([record], window.width)
+        # The live record lists media by type number, the merge by name.
+        live_media = {entry["media"]: entry for entry in record.pop("media")}
+        merged_media = {entry["media"]: entry for entry in merged.pop("media")}
+        assert merged == {**record, "windows_merged": 1}
+        assert merged_media == live_media
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        windows=_widths.flatmap(
+            lambda width: st.lists(
+                _live_windows(width, index=st.integers(0, 40)),
+                max_size=8,
+                unique_by=lambda w: w.index,
+            )
+        ),
+        factor=st.integers(min_value=1, max_value=5),
+    )
+    def test_reaggregation_is_idempotent_at_a_fixed_width(self, windows, factor):
+        coarse = (windows[0].width if windows else 1.0) * factor
+        once = reaggregate_windows([window_record(w) for w in windows], coarse)
+        twice = reaggregate_windows(once, coarse)
+        assert all(w["windows_merged"] == 1 for w in twice)
+        assert [dict(w, windows_merged=1) for w in once] == twice
