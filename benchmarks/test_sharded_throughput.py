@@ -1,14 +1,14 @@
-"""Raw-batch and sharded throughput vs the prefilter-free single pass (§6 scale).
+"""Border-trace and sharded throughput of the one ingest path (§6 scale).
 
 The paper analyzes a 12-hour border-tap trace offline; a deployment that
-wants to keep up with the tap live needs both a cheaper per-frame path and
+wants to keep up with the tap live needs both a cheap per-frame path and
 more than one core.  This experiment measures the two levers separately:
 
 * **batch decode** — a border-style trace (95% provably non-Zoom
-  background, the mix a campus border actually carries) fed as prepared
-  batches (every frame parsed, no prefilter) vs the raw ``read_batches``
-  buffers, single core.  The prefilter drops the background before any
-  ``ParsedPacket`` exists, so the target is a >=5x packet rate.
+  background, the mix a campus border actually carries) read as
+  ``read_batches`` buffers, single core.  The prefilter drops the
+  background before any ``ParsedPacket`` exists; the frame counts are
+  checked against what the generator wrote.
 * **flow-affine sharding** — the campus trace through
   :class:`~repro.core.sharded.ShardedAnalyzer`, whose process backend
   ships :class:`~repro.net.batch.FrameBatch` buffers across the pool.
@@ -99,43 +99,32 @@ def test_batch_and_sharded_throughput(campus, report):
     # ---------------------------------------------- batch decode, one core
     border = _border_pcap()
 
-    def scalar_pass():
-        analyzer = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
-        return analyzer.analyze(PcapReader(io.BytesIO(border)))
-
     def batch_pass():
         analyzer = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
         for batch in PcapReader(io.BytesIO(border)).read_batches():
             analyzer.feed_batch(batch)
         return analyzer.result
 
-    scalar_result, scalar_time = _timed("scalar", scalar_pass, rounds=2)
     batch_result, batch_time = _timed("batch", batch_pass, rounds=2)
 
-    # Bit-identical analysis is the contract the speed comes under.
-    assert batch_result.packets_total == scalar_result.packets_total
-    assert batch_result.packets_zoom == scalar_result.packets_zoom
-    assert batch_result.bytes_total == scalar_result.bytes_total
-    batch_snapshot = batch_result.telemetry_snapshot()
-    dropped = batch_snapshot.counter("prefilter.dropped")
-    assert dropped > 0
+    # Exact accounting against the generator is the contract the speed
+    # comes under.
+    zoom_frames = len(range(0, BORDER_FRAMES, round(1.0 / (1.0 - BACKGROUND_SHARE))))
+    assert batch_result.packets_total == BORDER_FRAMES
+    assert batch_result.packets_zoom == zoom_frames
+    assert batch_result.bytes_total == len(border) - 24 - 16 * BORDER_FRAMES
+    dropped = batch_result.telemetry_snapshot().counter("prefilter.dropped")
+    assert dropped == BORDER_FRAMES - zoom_frames
 
-    scalar_pps = BORDER_FRAMES / scalar_time
     batch_pps = BORDER_FRAMES / batch_time
-    batch_speedup = scalar_time / batch_time
     batch_table = format_table(
-        ["ingest path", "frames", "best s", "frames/s", "speedup"],
-        [
-            ("prepared batches", BORDER_FRAMES, round(scalar_time, 2),
-             f"{scalar_pps:,.0f}", "1.00x"),
-            ("raw batches", BORDER_FRAMES, round(batch_time, 2),
-             f"{batch_pps:,.0f}", f"{batch_speedup:.2f}x"),
-        ],
+        ["ingest path", "frames", "best s", "frames/s"],
+        [("read_batches", BORDER_FRAMES, round(batch_time, 2), f"{batch_pps:,.0f}")],
     )
     batch_notes = (
         f"border trace: {100 * BACKGROUND_SHARE:.0f}% background; prefilter "
         f"dropped {dropped:,} of {BORDER_FRAMES:,} frames before any "
-        "ParsedPacket existed; results bit-identical"
+        "ParsedPacket existed; every frame and byte accounted"
     )
 
     # ------------------------------------------- flow-affine sharding
@@ -204,11 +193,9 @@ def test_batch_and_sharded_throughput(campus, report):
         + f"\nequivalent: {len(single.streams)} streams, "
         f"{len(single.grouper.meetings())} meetings, Table 2/3 rows identical",
     )
-    # The batch fast path is the tentpole claim: >=5x on the recorded run,
-    # asserted here with margin for shared-runner noise.
-    assert batch_speedup > 3.0, (
-        f"batch decode only {batch_speedup:.2f}x over scalar"
-    )
+    # ~190k frames/s on the recorded run; asserted with wide margin for
+    # shared-runner noise.
+    assert batch_pps > 30_000
     assert single_pps > 1_000
     assert sharded_pps > 1_000
 

@@ -643,6 +643,8 @@ def _cmd_fleet_query(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.net.batch import DEFAULT_FRAMES_PER_BATCH
+
     parser = argparse.ArgumentParser(
         prog="zoom-analysis",
         description="Passive measurement of Zoom performance (IMC'22 reproduction)",
@@ -712,11 +714,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--tolerant", action="store_true",
                          help="treat a truncated capture tail as end-of-file "
                               "instead of an error (counted in --stats)")
-    analyze.add_argument("--batch-size", type=_positive_int, default=256,
-                         metavar="FRAMES",
-                         help="capture read-chunk size in frames "
-                              "(default 256; the batch pipeline upgrades an "
-                              "untouched default to its preferred chunk)")
+    analyze.add_argument("--batch-size", type=_positive_int,
+                         default=DEFAULT_FRAMES_PER_BATCH, metavar="FRAMES",
+                         help="frames per ingest batch "
+                              f"(default {DEFAULT_FRAMES_PER_BATCH})")
     analyze.set_defaults(func=_cmd_analyze)
 
     live = sub.add_parser(
@@ -737,9 +738,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "CAP_NET_RAW); 'sim:<capture-path>' replays a "
                            "capture through the simulated socket, no "
                            "privileges needed")
-    live.add_argument("--batch-size", type=_positive_int, default=256,
-                      metavar="FRAMES",
-                      help="ingest read-chunk size in frames (default 256)")
+    live.add_argument("--batch-size", type=_positive_int,
+                      default=DEFAULT_FRAMES_PER_BATCH, metavar="FRAMES",
+                      help="frames per ingest batch "
+                           f"(default {DEFAULT_FRAMES_PER_BATCH})")
     live.add_argument("--window", type=float, default=10.0, metavar="SECONDS",
                       help="tumbling aggregation window width (default 10)")
     live.add_argument("--lateness", type=float, default=5.0, metavar="SECONDS",

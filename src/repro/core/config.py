@@ -17,6 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.net.batch import DEFAULT_FRAMES_PER_BATCH
 from repro.telemetry.registry import Telemetry
 from repro.zoom.constants import ZOOM_SERVER_SUBNETS
 
@@ -99,11 +100,10 @@ class AnalyzerConfig:
         protocols: Which protocol plugins the registry enables (default:
             Zoom only, the bit-identical legacy behaviour) plus their
             generic-RTP tunables.
-        batch_size: Read-chunk size (in frames) handed to capture sources
-            and the live interface source (``--batch-size``).  The default
-            mirrors :data:`repro.net.source.DEFAULT_BATCH_SIZE`; sources
-            upgrade an untouched default to their preferred batch-pipeline
-            chunk, while an explicit value is honoured as-is.
+        batch_size: Frames per ingest batch, handed to every source the
+            drivers open (``--batch-size``); any explicit value is honoured
+            as-is.  Defaults to
+            :data:`repro.net.batch.DEFAULT_FRAMES_PER_BATCH`.
     """
 
     zoom_subnets: tuple[str, ...] = tuple(ZOOM_SERVER_SUBNETS)
@@ -119,7 +119,7 @@ class AnalyzerConfig:
     rolling_sweep_interval: float = 10.0
     qoe: "QoeConfig | None" = None
     protocols: "ProtocolConfig" = dataclasses.field(default_factory=ProtocolConfig)
-    batch_size: int = 256
+    batch_size: int = DEFAULT_FRAMES_PER_BATCH
 
     def __post_init__(self) -> None:
         # Normalize subnet iterables to tuples so the config hashes/pickles

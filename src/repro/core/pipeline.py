@@ -12,8 +12,8 @@ stream.  Raw frame bytes are held only for the packet in flight — a
 through the stages and is then released; nothing downstream retains it
 (stream tables keep normalized records, and only when ``keep_records`` is
 set).  Input arrives as :class:`~repro.net.batch.FrameBatch` groups
-(:meth:`ZoomAnalyzer.feed_batch`); in raw batches non-Zoom frames are
-dropped by the prefilter before any per-packet object exists at all.
+(:meth:`ZoomAnalyzer.feed_batch`); non-Zoom frames are dropped by the
+prefilter before any per-packet object exists at all.
 """
 
 from __future__ import annotations
@@ -382,10 +382,11 @@ class ZoomAnalyzer:
         ``source`` may be a :class:`~repro.net.source.PacketSource`, a
         capture-file path, or a plain packet iterable (coerced to a source
         with the config's ``tolerant`` and ``batch_size``).  Memory stays
-        bounded by one batch regardless of capture size.  File-backed
-        sources deliver raw contiguous buffers, so non-Zoom frames are
-        prefiltered before any per-packet object is allocated; scalar
-        sources deliver ``prepared`` batches that bypass the prefilter.
+        bounded by one batch regardless of capture size.  Every source
+        delivers raw contiguous buffers, so an in-memory or simulated input
+        is analysed exactly as a capture file holding the same frames:
+        non-Zoom frames are prefiltered before any per-packet object is
+        allocated.
         """
         from repro.net.source import coerce_source
 
@@ -406,41 +407,14 @@ class ZoomAnalyzer:
     def feed_batch(self, batch: FrameBatch) -> None:
         """Feed one :class:`~repro.net.batch.FrameBatch` — the one ingest door.
 
-        Raw batches take the vectorized path: columnar header decode, the
-        compiled prefilter, then lazy materialization of survivors through
-        the per-packet stages.  Prepared batches (scalar sources) carry
-        already-parsed packets, which bypass the prefilter and feed through
-        unchanged — every counter, stream, and metric is bit-identical
-        between the two forms of the same frames.  Hint frames (sharding)
-        reach :meth:`hint_stun` in capture order, interleaved with the
-        survivors around them.  In rolling mode the eviction policy is
-        consulted once, after the batch, against its last timestamp.
+        Columnar header decode, the compiled prefilter, then lazy
+        materialization of survivors through the per-packet stages; dropped
+        frames are accounted in bulk with the values the stages would have
+        recorded.  Hint frames (sharding) reach :meth:`hint_stun` in
+        capture order, interleaved with the survivors around them.  In
+        rolling mode the eviction policy is consulted once, after the
+        batch, against its last timestamp.
         """
-        if batch.prepared is not None:
-            self._feed_prepared(batch)
-        else:
-            self._feed_raw(batch)
-        if self.eviction is not None and len(batch):
-            self.eviction.after_batch(batch.last_timestamp)
-
-    def _feed_prepared(self, batch: FrameBatch) -> None:
-        tel = self._telemetry
-        prepared = batch.prepared
-        if tel.enabled:
-            tel.count("pipeline.batch.batches")
-            tel.count("pipeline.batch.frames", len(prepared))
-        hints = batch.hints
-        if hints is not None:
-            for i, parsed in enumerate(prepared):
-                if hints[i]:
-                    self.hint_stun(parsed)
-                else:
-                    self._run(PacketContext(parsed=parsed))
-        else:
-            for parsed in prepared:
-                self._run(PacketContext(parsed=parsed))
-
-    def _feed_raw(self, batch: FrameBatch) -> None:
         tel = self._telemetry
         bctx = BatchContext(batch)
         self._decode_stage.process_batch(bctx)
@@ -452,8 +426,8 @@ class ZoomAnalyzer:
             tel.count("prefilter.passed", verdict.passed)
             tel.count("prefilter.dropped", verdict.dropped)
             if verdict.dropped:
-                # Scalar equivalence: every dropped frame would have
-                # stopped at the classify stage.
+                # Every dropped frame would have stopped at the classify
+                # stage.
                 tel.count("pipeline.stop.classify", verdict.dropped)
         materialize = batch.materialize
         hints = verdict.hint_indexes
@@ -471,6 +445,8 @@ class ZoomAnalyzer:
         else:
             for index in verdict.survivors:
                 self._run(PacketContext(parsed=materialize(index)))
+        if self.eviction is not None and len(batch):
+            self.eviction.after_batch(batch.last_timestamp)
 
     def evict_stream(self, key: StreamKey, *, reason: str = "idle") -> MediaStream | None:
         """Finalize and release one stream from the live analyzer state.

@@ -125,7 +125,7 @@ class ClassifyStage:
         if prefilter is None:
             prefilter = self._prefilter = BatchPrefilter.from_plugins(self._plugins)
         # Fold in endpoints learned outside the prefilter's own sniffing
-        # (prepared batches and STUN hints interleaved between raw batches).
+        # (STUN hints interleaved between batches).
         for plugin in self._plugins:
             for tracker in plugin.stun_trackers:
                 prefilter.sync_stun(tracker)

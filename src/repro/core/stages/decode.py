@@ -16,10 +16,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class DecodeStage:
     """Slice a raw batch's header columns and count every input packet.
 
-    Per-packet contexts arrive already parsed (materialized survivors of a
-    raw batch, or a prepared batch's packets); they are counted here, and
-    prefilter-dropped frames are counted in bulk, so ``packets_total`` and
-    ``bytes_total`` mean the same thing for either batch form.
+    Per-packet contexts arrive already parsed (the materialized survivors
+    of a batch); they are counted here, and prefilter-dropped frames are
+    counted in bulk, so ``packets_total`` and ``bytes_total`` cover every
+    frame of the batch.
     """
 
     name = "decode"

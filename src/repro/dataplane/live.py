@@ -47,8 +47,13 @@ from typing import Iterable, Iterator
 from repro.dataplane.cbpf import CBPFProgram, run_cbpf
 from repro.dataplane.compiler import CaptureRules, compile_cbpf
 from repro.dataplane.rawfilter import RawFrameFilter
-from repro.net.batch import BatchPrefilter, FrameBatch, FrameBatchBuilder
-from repro.net.source import DEFAULT_BATCH_SIZE, PacketSourceBase
+from repro.net.batch import (
+    DEFAULT_FRAMES_PER_BATCH,
+    BatchPrefilter,
+    FrameBatch,
+    FrameBatchBuilder,
+)
+from repro.net.source import PacketSourceBase
 from repro.telemetry.registry import Telemetry
 
 __all__ = [
@@ -366,7 +371,7 @@ class LiveInterfaceSource(PacketSourceBase):
         dataplane: DataplaneFilter | None = None,
         attach_filter: bool = True,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
         max_frames_per_poll: int = 65536,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
@@ -415,7 +420,7 @@ class LiveInterfaceSource(PacketSourceBase):
         tel.count("dataplane.polls")
         self.maybe_recompile()
         remaining = self._max_frames_per_poll
-        frames_per_batch = self._frames_per_batch()
+        frames_per_batch = self._batch_size
         raw = self.dataplane.raw if self.dataplane is not None else None
         builder = FrameBatchBuilder()
         received = 0
@@ -434,13 +439,13 @@ class LiveInterfaceSource(PacketSourceBase):
                     continue
                 builder.append(frame, timestamp)
                 if len(builder) >= frames_per_batch:
-                    yield self._finish(builder.build())
+                    yield self._emit(builder.build())
             if len(builder):
                 # Hand off at recv-chunk granularity: the analysis thread
                 # should not wait for a full-size batch on a quiet link.
-                yield self._finish(builder.build())
+                yield self._emit(builder.build())
         if len(builder):
-            yield self._finish(builder.build())
+            yield self._emit(builder.build())
         if received:
             tel.count("dataplane.frames", received)
         if filtered:
@@ -448,13 +453,6 @@ class LiveInterfaceSource(PacketSourceBase):
             tel.count("dataplane.filtered", filtered)
             tel.count("dataplane.filtered_bytes", filtered_bytes)
         self._update_kernel_stats()
-
-    def _finish(self, batch: FrameBatch) -> FrameBatch:
-        self.packets_emitted += len(batch)
-        self.bytes_emitted += batch.total_caplen
-        self._telemetry.count("capture.frames", len(batch))
-        self._telemetry.count("capture.bytes", batch.total_caplen)
-        return batch
 
     def _update_kernel_stats(self) -> None:
         packets, drops = self.socket.stats()
@@ -472,11 +470,6 @@ class LiveInterfaceSource(PacketSourceBase):
             yield from self.poll()
             if self.exhausted:
                 return
-
-    def _packets(self):
-        for batch in self.frame_batches():
-            for index in range(len(batch)):
-                yield batch.materialize(index)
 
     def close(self) -> None:
         self.socket.close()

@@ -149,15 +149,9 @@ class RawFrameFilter:
         """Compact ``batch`` to its survivors, sharing the original buffer.
 
         Hint frames (sharder replicas carried for STUN learning) always
-        survive — they must reach ``hint_stun`` downstream.  ``prepared``
-        batches pass through untouched: their packets never round-tripped
-        a wire format, so raw-bytes rules do not apply (same contract as
-        the columnar path, which skips prepared batches too).
+        survive — they must reach ``hint_stun`` downstream.
         """
         stats = RawFilterStats()
-        if batch.prepared is not None or len(batch) == 0:
-            stats.passed = len(batch)
-            return batch, stats
         buf = batch.buffer
         offsets = batch.offsets
         caplens = batch.caplens

@@ -17,7 +17,6 @@ from repro.net.batch import (
     HeaderColumns,
     PrefilterVerdict,
     decode_columns,
-    prepared_frame_batch,
 )
 from repro.net.checksum import internet_checksum
 from repro.net.ethernet import EtherType, EthernetHeader
@@ -67,7 +66,6 @@ __all__ = [
     "internet_checksum",
     "open_capture_source",
     "parse_frame",
-    "prepared_frame_batch",
     "sniff_capture_format",
     "write_pcap",
 ]

@@ -22,8 +22,8 @@ of this).  This module is the software analogue of that prefilter, and
   frames that are *provably* NOT_ZOOM before any ``ParsedPacket`` exists.
   Surviving indices are lazily materialized through the unchanged
   :func:`~repro.net.packet.parse_frame`, so every downstream stage, golden
-  snapshot, and metric is bit-identical to a prepared batch of the same
-  frames.
+  snapshot, and metric is exactly what feeding every frame through them
+  would give.
 
 Correctness contract of the prefilter (see DESIGN.md §12): a frame may be
 dropped only if feeding it through the per-packet stages would (a) classify
@@ -49,7 +49,6 @@ from repro.zoom.constants import STUN_SERVER_PORT
 __all__ = [
     "FrameBatch",
     "FrameBatchBuilder",
-    "prepared_frame_batch",
     "HeaderColumns",
     "decode_columns",
     "BatchPrefilter",
@@ -57,7 +56,8 @@ __all__ = [
     "DEFAULT_FRAMES_PER_BATCH",
 ]
 
-#: Default frame count per batch.  Large enough to amortize per-batch
+#: The one default frame count per batch (``AnalyzerConfig.batch_size``,
+#: ``--batch-size``, every source).  Large enough to amortize per-batch
 #: bookkeeping, small enough that a batch of MTU-sized frames stays well
 #: inside L2 cache.
 DEFAULT_FRAMES_PER_BATCH = 4096
@@ -82,12 +82,6 @@ class FrameBatch:
     only so its detector learns the STUN binding — a hint frame must be
     fed to :meth:`~repro.core.pipeline.ZoomAnalyzer.hint_stun`, never
     counted as traffic.
-
-    ``prepared`` (optional) carries already-parsed packets for sources
-    that cannot expose raw frames (simulation adapters, in-memory packet
-    lists).  When set, consumers must use those objects verbatim instead
-    of re-parsing the buffer, preserving exact scalar equivalence for
-    hand-built packets that would not round-trip through the wire format.
     """
 
     buffer: bytes | bytearray
@@ -96,32 +90,21 @@ class FrameBatch:
     timestamps: array
     total_caplen: int
     hints: array | None = None
-    prepared: list[ParsedPacket] | None = None
 
     def __len__(self) -> int:
-        if self.prepared is not None:
-            return len(self.prepared)
         return len(self.caplens)
 
     def frame(self, index: int) -> bytes:
         """The raw bytes of frame ``index`` (a copy, safe to retain)."""
-        if self.prepared is not None:
-            return self.prepared[index].raw
         start = self.offsets[index]
         return bytes(self.buffer[start : start + self.caplens[index]])
 
     def materialize(self, index: int) -> ParsedPacket:
         """Lazily dissect frame ``index`` via the unchanged scalar parser."""
-        if self.prepared is not None:
-            return self.prepared[index]
         return parse_frame(self.frame(index), self.timestamps[index])
 
     def iter_frames(self) -> Iterator[tuple]:
         """Yield ``(frame_bytes, timestamp)`` pairs without copying."""
-        if self.prepared is not None:
-            for parsed in self.prepared:
-                yield parsed.raw, parsed.timestamp
-            return
         view = memoryview(self.buffer)
         offsets = self.offsets
         caplens = self.caplens
@@ -133,36 +116,16 @@ class FrameBatch:
     @property
     def last_timestamp(self) -> float:
         """Timestamp of the final frame (0.0 for an empty batch)."""
-        if self.prepared:
-            return self.prepared[-1].timestamp
         return self.timestamps[-1] if len(self.timestamps) else 0.0
-
-
-def prepared_frame_batch(packets: Sequence[ParsedPacket]) -> FrameBatch:
-    """Wrap already-parsed packets as a :class:`FrameBatch`.
-
-    The default ``frame_batches()`` of scalar sources uses this: consumers
-    must treat ``prepared`` as authoritative (no re-parse, no prefilter),
-    which keeps hand-built packets byte-identical through
-    :meth:`~repro.core.pipeline.ZoomAnalyzer.feed_batch`.
-    """
-    packets = list(packets)
-    return FrameBatch(
-        buffer=b"",
-        offsets=array("Q"),
-        caplens=array("I"),
-        timestamps=array("d"),
-        total_caplen=sum(len(p.raw) for p in packets),
-        prepared=packets,
-    )
 
 
 class FrameBatchBuilder:
     """Accumulates frames into a :class:`FrameBatch`.
 
-    Used where frames arrive one by one (pcapng blocks, the sharding
-    repartitioner).  The pcap reader bypasses it entirely — its batches
-    alias the read chunk with zero copying.
+    Used where frames arrive one by one (pcapng blocks, in-memory and
+    simulated sources, the live socket, the sharding repartitioner).  The
+    pcap reader bypasses it entirely — its batches alias the read chunk
+    with zero copying.
     """
 
     __slots__ = ("_buffer", "_offsets", "_caplens", "_timestamps", "_hints", "_any_hint")
@@ -349,7 +312,7 @@ class BatchPrefilter:
     STUN magic cookie on Zoom-range UDP/:data:`STUN_SERVER_PORT` frames
     (both endpoints, more liberal than the detector's campus-gated learn),
     and :meth:`sync_stun` folds in anything the detector learned through
-    a prepared batch or a shard's STUN hint.
+    a shard's STUN hint.
 
     With the protocol registry (:meth:`from_plugins`) the compiled rules
     are the **union** of every enabled plugin's match-action hints: all

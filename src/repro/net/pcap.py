@@ -109,8 +109,10 @@ class PcapWriter:
 class PcapReader:
     """Read packets from a libpcap file.
 
-    Iterating yields :class:`CapturedPacket` records with float timestamps.
-    Handles both endiannesses and both timestamp resolutions.
+    :meth:`read_batches` is the one record walk; iterating is a
+    frame-by-frame view over it yielding :class:`CapturedPacket` records
+    with float timestamps.  Handles both endiannesses and both timestamp
+    resolutions.
 
     Args:
         path: File path or open binary stream.
@@ -184,28 +186,10 @@ class PcapReader:
             self.next_offset = 24
 
     def __iter__(self) -> Iterator[CapturedPacket]:
-        record = struct.Struct(self._endian + "IIII")
-        tel = self._telemetry
-        while True:
-            header = self._file.read(16)
-            if not header:
-                return
-            if len(header) < 16:
-                if self._tolerant:
-                    tel.count("capture.truncated")
-                    return
-                raise ValueError("truncated pcap record header")
-            seconds, frac, caplen, _origlen = record.unpack(header)
-            data = self._file.read(caplen)
-            if len(data) < caplen:
-                if self._tolerant:
-                    tel.count("capture.truncated")
-                    return
-                raise ValueError("truncated pcap packet data")
-            self.next_offset += 16 + caplen
-            tel.count("capture.frames")
-            tel.count("capture.bytes", caplen)
-            yield CapturedPacket(seconds + frac * self._tick, data)
+        # One-frame batches keep :attr:`next_offset` record-exact for a
+        # consumer that stops between frames.
+        for batch in self.read_batches(1):
+            yield CapturedPacket(batch.timestamps[0], batch.frame(0))
 
     def read_batches(
         self, max_frames: int = DEFAULT_FRAMES_PER_BATCH
@@ -216,12 +200,11 @@ class PcapReader:
         The file is read in large chunks; record headers are scanned in
         place with a precompiled :class:`struct.Struct` and each batch's
         offset/caplen/timestamp columns point *into the chunk itself* — no
-        per-frame ``bytes`` copy, no :class:`CapturedPacket`.  Telemetry
-        (``capture.frames`` / ``capture.bytes`` / ``capture.truncated``),
-        :attr:`next_offset` resume semantics (advanced per batch, always to
-        a record boundary), and tolerant-mode behaviour match the scalar
-        iterator exactly — equivalence is locked in by
-        ``tests/test_net_batch.py``.
+        per-frame ``bytes`` copy, no :class:`CapturedPacket`.  Records
+        ``capture.frames`` / ``capture.bytes`` per batch and advances
+        :attr:`next_offset` per batch, always to a record boundary; a
+        truncated tail raises (or, tolerant, counts ``capture.truncated``
+        and stops) after every complete record before it was yielded.
         """
         unpack_from = struct.Struct(self._endian + "IIII").unpack_from
         tel = self._telemetry

@@ -115,9 +115,11 @@ class PcapngWriter:
 class PcapngReader:
     """Read packets from a pcapng file (either endianness).
 
-    Yields :class:`CapturedPacket` records.  Simple Packet Blocks carry no
-    timestamp; they are reported at time 0.0.  Multiple sections and
-    interfaces are supported; per-interface ``if_tsresol`` is honored.
+    :meth:`read_batches` is the one block walk; iterating is a
+    frame-by-frame view over it yielding :class:`CapturedPacket` records.
+    Simple Packet Blocks carry no timestamp; they are reported at time 0.0.
+    Multiple sections and interfaces are supported; per-interface
+    ``if_tsresol`` is honored.
 
     Args:
         path: File path or open binary stream.
@@ -195,73 +197,10 @@ class PcapngReader:
         return data
 
     def __iter__(self) -> Iterator[CapturedPacket]:
-        if not self._tolerant:
-            yield from self._iter_blocks()
-            return
-        try:
-            yield from self._iter_blocks()
-        except ValueError:
-            # Mid-record cut-off (or a corrupt tail): stop cleanly.
-            self._telemetry.count("capture.truncated")
-
-    def _iter_blocks(self) -> Iterator[CapturedPacket]:
-        tel = self._telemetry
-        for block_type, body in self._packet_blocks():
-            packet = (
-                self._handle_epb(body)
-                if block_type == BLOCK_EPB
-                else self._handle_spb(body)
-            )
-            if packet is not None:
-                tel.count("capture.frames")
-                tel.count("capture.bytes", len(packet.data))
-                yield packet
-
-    def _packet_blocks(self) -> Iterator[tuple[int, bytes]]:
-        """Walk the block structure, yielding ``(type, body)`` for packet
-        blocks only.  Section headers (byte-order switches, interface-table
-        resets), interface descriptions, and unknown blocks are handled
-        internally — shared by the scalar iterator and :meth:`read_batches`
-        so the two paths cannot drift."""
-        tel = self._telemetry
-        while True:
-            head = self._read_exact(8)
-            if head is None:
-                return
-            block_type, total_len = struct.unpack(self._endian + "II", head)
-            if block_type == BLOCK_SHB:
-                # Length may be in the other byte order until we read the magic.
-                body_start = self._read_exact(4)
-                if body_start is None:
-                    raise ValueError("truncated section header")
-                (magic_le,) = struct.unpack("<I", body_start)
-                self._endian = "<" if magic_le == BYTE_ORDER_MAGIC else ">"
-                (_type, total_len) = struct.unpack(self._endian + "II", head)
-                # Consume the rest of the block: body after the magic plus
-                # the trailing total-length word.
-                remaining = total_len - 8 - 4
-                body = self._read_exact(remaining)
-                if body is None:
-                    raise ValueError("truncated section header block")
-                self._interfaces = []  # interfaces are per section
-                self.next_offset += total_len
-                continue
-            body_len = total_len - 12
-            if body_len < 0:
-                raise ValueError(f"invalid block length {total_len}")
-            body = self._read_exact(body_len + 4)  # body + trailing length
-            if body is None:
-                raise ValueError("truncated block body")
-            body = body[:-4]
-            self.next_offset += total_len
-            if block_type == BLOCK_IDB:
-                self._handle_idb(body)
-            elif block_type in (BLOCK_EPB, BLOCK_SPB):
-                yield block_type, body
-            else:
-                # Unknown block types are skipped by length, per spec —
-                # but counted, so --stats shows what the reader ignored.
-                tel.count("capture.unknown_blocks")
+        # One-frame batches keep :attr:`next_offset` block-exact for a
+        # consumer that stops between frames.
+        for batch in self.read_batches(1):
+            yield CapturedPacket(batch.timestamps[0], batch.frame(0))
 
     def read_batches(
         self, max_frames: int = DEFAULT_FRAMES_PER_BATCH
@@ -269,11 +208,10 @@ class PcapngReader:
         """Yield :class:`~repro.net.batch.FrameBatch`es of EPB/SPB frames.
 
         Frame bytes are appended straight from each block body into the
-        batch buffer — no per-frame :class:`CapturedPacket`.  Telemetry,
-        tolerant-mode truncation (including flushing the partial batch
-        built before the corrupt tail, so the frame sequence matches the
-        scalar iterator exactly), and :attr:`next_offset`/:meth:`resume_state`
-        block-boundary semantics are identical to iteration.
+        batch buffer — no per-frame :class:`CapturedPacket`.  A truncated
+        or corrupt tail raises (or, tolerant, counts ``capture.truncated``
+        and stops) only after the partial batch built before it was
+        yielded, so no complete block is lost to the error.
         """
         if not self._tolerant:
             yield from self._batch_blocks(max_frames)
@@ -284,18 +222,53 @@ class PcapngReader:
             self._telemetry.count("capture.truncated")
 
     def _batch_blocks(self, max_frames: int) -> Iterator[FrameBatch]:
+        """Walk the block structure, packing packet blocks into batches.
+
+        Section headers (byte-order switches, interface-table resets),
+        interface descriptions, and unknown blocks are consumed on the way.
+        """
         tel = self._telemetry
         builder = FrameBatchBuilder()
         try:
-            for block_type, body in self._packet_blocks():
-                view = memoryview(body)
+            while True:
+                head = self._read_exact(8)
+                if head is None:
+                    break
+                block_type, total_len = struct.unpack(self._endian + "II", head)
+                if block_type == BLOCK_SHB:
+                    # Length may be in the other byte order until we read the magic.
+                    body_start = self._read_exact(4)
+                    if body_start is None:
+                        raise ValueError("truncated section header")
+                    (magic_le,) = struct.unpack("<I", body_start)
+                    self._endian = "<" if magic_le == BYTE_ORDER_MAGIC else ">"
+                    (_type, total_len) = struct.unpack(self._endian + "II", head)
+                    # Consume the rest of the block: body after the magic plus
+                    # the trailing total-length word.
+                    remaining = total_len - 8 - 4
+                    if self._read_exact(remaining) is None:
+                        raise ValueError("truncated section header block")
+                    self._interfaces = []  # interfaces are per section
+                    self.next_offset += total_len
+                    continue
+                body_len = total_len - 12
+                if body_len < 0:
+                    raise ValueError(f"invalid block length {total_len}")
+                body = self._read_exact(body_len + 4)  # body + trailing length
+                if body is None:
+                    raise ValueError("truncated block body")
+                self.next_offset += total_len
+                if block_type == BLOCK_IDB:
+                    self._handle_idb(body[:-4])
+                    continue
+                view = memoryview(body)[:-4]
                 if block_type == BLOCK_EPB:
-                    if len(body) < 20:
+                    if len(view) < 20:
                         raise ValueError("enhanced packet block too short")
                     interface_id, high, low, caplen, _origlen = struct.unpack_from(
-                        self._endian + "IIIII", body, 0
+                        self._endian + "IIIII", view, 0
                     )
-                    if 20 + caplen > len(body):
+                    if 20 + caplen > len(view):
                         raise ValueError("truncated packet data in EPB")
                     if interface_id < len(self._interfaces):
                         ticks_per_second = self._interfaces[
@@ -303,15 +276,20 @@ class PcapngReader:
                         ].ticks_per_second
                     else:
                         ticks_per_second = 1_000_000.0
-                    ticks = (high << 32) | low
                     data = view[20 : 20 + caplen]
-                    timestamp = ticks / ticks_per_second
-                else:  # BLOCK_SPB — no timestamp, data may be silently short
-                    if len(body) < 4:
+                    timestamp = ((high << 32) | low) / ticks_per_second
+                elif block_type == BLOCK_SPB:
+                    # No timestamp; the data may be silently short.
+                    if len(view) < 4:
                         raise ValueError("simple packet block too short")
-                    (origlen,) = struct.unpack_from(self._endian + "I", body, 0)
+                    (origlen,) = struct.unpack_from(self._endian + "I", view, 0)
                     data = view[4 : 4 + origlen]
                     timestamp = 0.0
+                else:
+                    # Unknown block types are skipped by length, per spec —
+                    # but counted, so --stats shows what the reader ignored.
+                    tel.count("capture.unknown_blocks")
+                    continue
                 builder.append(data, timestamp)
                 tel.count("capture.frames")
                 tel.count("capture.bytes", len(data))
@@ -344,29 +322,6 @@ class PcapngReader:
                 else:
                     ticks_per_second = float(10 ** resol)
         self._interfaces.append(_Interface(linktype, ticks_per_second))
-
-    def _handle_epb(self, body: bytes) -> CapturedPacket | None:
-        if len(body) < 20:
-            raise ValueError("enhanced packet block too short")
-        interface_id, high, low, caplen, _origlen = struct.unpack_from(
-            self._endian + "IIIII", body, 0
-        )
-        data = bytes(body[20 : 20 + caplen])
-        if len(data) < caplen:
-            raise ValueError("truncated packet data in EPB")
-        if interface_id < len(self._interfaces):
-            ticks_per_second = self._interfaces[interface_id].ticks_per_second
-        else:
-            ticks_per_second = 1_000_000.0
-        ticks = (high << 32) | low
-        return CapturedPacket(ticks / ticks_per_second, data)
-
-    def _handle_spb(self, body: bytes) -> CapturedPacket | None:
-        if len(body) < 4:
-            raise ValueError("simple packet block too short")
-        (origlen,) = struct.unpack_from(self._endian + "I", body, 0)
-        data = bytes(body[4 : 4 + origlen])
-        return CapturedPacket(0.0, data)
 
     def close(self) -> None:
         if self._owns:

@@ -6,9 +6,11 @@ pcap bytes before its output could be analyzed, and adding a new input kind
 meant touching every driver.  A :class:`PacketSource` is the one contract
 they all consume now: an iterator of :class:`~repro.net.batch.FrameBatch`
 groups plus ingest metadata (link type, packet/byte counters, telemetry
-hookup).  File-backed sources yield raw contiguous buffers (the columnar
-prefilter path); scalar sources yield ``prepared`` batches carrying their
-already-parsed packets.  Concrete sources:
+hookup).  Every source yields raw contiguous buffers — file and live
+sources straight off their readers, scalar sources by packing the
+``(frame bytes, capture timestamp)`` pairs they generate — so an in-memory
+or simulated input is analysed exactly as a capture file holding the same
+frames.  Concrete sources:
 
 * :class:`PcapFileSource` / :class:`PcapNgFileSource` — true streaming
   readers over one capture file (never hold the capture in memory).
@@ -34,20 +36,11 @@ from glob import glob as _glob
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Union, runtime_checkable
 
-from repro.net.batch import (
-    DEFAULT_FRAMES_PER_BATCH,
-    FrameBatch,
-    prepared_frame_batch,
-)
-from repro.net.packet import CapturedPacket, ParsedPacket, parse_frame
+from repro.net.batch import DEFAULT_FRAMES_PER_BATCH, FrameBatch, FrameBatchBuilder
+from repro.net.packet import CapturedPacket, ParsedPacket
 from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_MICROS, MAGIC_NANOS, PcapReader
 from repro.net.pcapng import BLOCK_SHB, PcapngReader, PcapngResumeState
 from repro.telemetry.registry import Telemetry
-
-#: Default number of parsed packets per yielded batch.  Large enough to
-#: amortize generator overhead on the hot path, small enough that a source
-#: never holds more than a few hundred frames of a multi-gigabyte capture.
-DEFAULT_BATCH_SIZE = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,20 +93,27 @@ class PacketSource(Protocol):
 class PacketSourceBase:
     """Shared machinery: batching, counters, context management.
 
-    Scalar subclasses implement :meth:`_packets`, an iterator of parsed
-    packets; the base class packs them into ``prepared`` frame batches and
-    keeps the emitted-packet accounting the :class:`PacketSource` protocol
-    promises.  File-backed subclasses override :meth:`frame_batches` with
-    raw-buffer batches.
+    Scalar subclasses implement :meth:`_frames`, one generator of
+    ``(frame bytes, capture timestamp)`` pairs, which :meth:`frame_batches`
+    packs into raw batches of ``batch_size`` frames.  File and live
+    subclasses override :meth:`frame_batches` with the zero-copy batches of
+    their reader.  Either way every yielded batch goes through
+    :meth:`_emit`, which keeps the accounting the :class:`PacketSource`
+    protocol promises.
     """
 
     linktype: int = LINKTYPE_ETHERNET
+
+    #: Whether frames enter the process here, so this source records
+    #: ``capture.frames``/``capture.bytes`` itself.  False where a wrapped
+    #: reader or the composed inputs already did.
+    _records_capture = True
 
     def __init__(
         self,
         *,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -122,7 +122,7 @@ class PacketSourceBase:
         self.packets_emitted = 0
         self.bytes_emitted = 0
 
-    def _packets(self) -> Iterator[ParsedPacket]:
+    def _frames(self) -> Iterator[tuple[bytes, float]]:
         raise NotImplementedError
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
@@ -140,47 +140,30 @@ class PacketSourceBase:
     def _propagate_telemetry(self, telemetry: Telemetry) -> None:
         """Hand the adopted registry to wrapped readers/children."""
 
-    def _frames_per_batch(self) -> int:
-        """Frame count for raw :class:`FrameBatch` reads.
-
-        An explicitly tuned ``batch_size`` (resume granularity for the
-        tailer, memory ceilings) is honored on the batch path too; the
-        untouched default upgrades to the larger
-        :data:`~repro.net.batch.DEFAULT_FRAMES_PER_BATCH`, since batch
-        reads amortize so much better.
-        """
-        if self._batch_size != DEFAULT_BATCH_SIZE:
-            return self._batch_size
-        return DEFAULT_FRAMES_PER_BATCH
-
-    def batches(self) -> Iterator[list[ParsedPacket]]:
-        batch: list[ParsedPacket] = []
-        for parsed in self._packets():
-            self.packets_emitted += 1
-            self.bytes_emitted += len(parsed.raw)
-            batch.append(parsed)
-            if len(batch) >= self._batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+    def _emit(self, batch: FrameBatch) -> FrameBatch:
+        """Account one batch on its way out."""
+        self.packets_emitted += len(batch)
+        self.bytes_emitted += batch.total_caplen
+        if self._records_capture:
+            self._telemetry.count("capture.frames", len(batch))
+            self._telemetry.count("capture.bytes", batch.total_caplen)
+        return batch
 
     def frame_batches(self) -> Iterator[FrameBatch]:
-        """Yield :class:`~repro.net.batch.FrameBatch` groups.
-
-        The default packs scalar reads, carrying the parsed packets in
-        ``FrameBatch.prepared`` so the analyzer feeds *exactly* those
-        objects, prefilter-free — hand-built packets (simulation adapters,
-        in-memory lists) that would not round-trip through a wire-format
-        re-parse stay byte-identical.  File sources override this with true
-        raw-buffer batches that enable the columnar decode fast path.
-        """
-        for batch in self.batches():
-            yield prepared_frame_batch(batch)
+        """Yield :class:`~repro.net.batch.FrameBatch` groups."""
+        builder = FrameBatchBuilder()
+        for data, timestamp in self._frames():
+            builder.append(data, timestamp)
+            if len(builder) >= self._batch_size:
+                yield self._emit(builder.build())
+        if len(builder):
+            yield self._emit(builder.build())
 
     def __iter__(self) -> Iterator[ParsedPacket]:
-        for batch in self.batches():
-            yield from batch
+        """Materialize every batch frame (inspection, ``repro filter``)."""
+        for batch in self.frame_batches():
+            for index in range(len(batch)):
+                yield batch.materialize(index)
 
     def close(self) -> None:  # overridden where a file is held
         pass
@@ -195,10 +178,11 @@ class PacketSourceBase:
 class PcapFileSource(PacketSourceBase):
     """Streaming source over one classic-pcap file.
 
-    Packets are decoded record by record off the open file — the capture is
-    never materialized as a list, so memory stays bounded by one batch
-    regardless of file size.
+    Batches alias the reader's chunks — the capture is never materialized
+    as a list, so memory stays bounded by one batch regardless of file size.
     """
+
+    _records_capture = False  # the reader does
 
     def __init__(
         self,
@@ -206,7 +190,7 @@ class PcapFileSource(PacketSourceBase):
         *,
         telemetry: Telemetry | None = None,
         tolerant: bool = False,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
         resume: CaptureResume | None = None,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
@@ -230,16 +214,10 @@ class PcapFileSource(PacketSourceBase):
             packets=self._resumed_packets + self.packets_emitted,
         )
 
-    def _packets(self) -> Iterator[ParsedPacket]:
-        for captured in self._reader:
-            yield parse_frame(captured.data, captured.timestamp)
-
     def frame_batches(self) -> Iterator[FrameBatch]:
-        """Raw-buffer batches straight off the reader — the fast path."""
-        for batch in self._reader.read_batches(self._frames_per_batch()):
-            self.packets_emitted += len(batch)
-            self.bytes_emitted += batch.total_caplen
-            yield batch
+        """Raw-buffer batches straight off the reader."""
+        for batch in self._reader.read_batches(self._batch_size):
+            yield self._emit(batch)
 
     def _propagate_telemetry(self, telemetry: Telemetry) -> None:
         self._reader._telemetry = telemetry
@@ -251,13 +229,15 @@ class PcapFileSource(PacketSourceBase):
 class PcapNgFileSource(PacketSourceBase):
     """Streaming source over one pcapng file (either endianness)."""
 
+    _records_capture = False  # the reader does
+
     def __init__(
         self,
         path: str | Path,
         *,
         telemetry: Telemetry | None = None,
         tolerant: bool = False,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
         resume: CaptureResume | None = None,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
@@ -288,16 +268,10 @@ class PcapNgFileSource(PacketSourceBase):
             interfaces=state.interfaces,
         )
 
-    def _packets(self) -> Iterator[ParsedPacket]:
-        for captured in self._reader:
-            yield parse_frame(captured.data, captured.timestamp)
-
     def frame_batches(self) -> Iterator[FrameBatch]:
-        """Raw-buffer batches straight off the reader — the fast path."""
-        for batch in self._reader.read_batches(self._frames_per_batch()):
-            self.packets_emitted += len(batch)
-            self.bytes_emitted += batch.total_caplen
-            yield batch
+        """Raw-buffer batches straight off the reader."""
+        for batch in self._reader.read_batches(self._batch_size):
+            yield self._emit(batch)
 
     def _propagate_telemetry(self, telemetry: Telemetry) -> None:
         self._reader._telemetry = telemetry
@@ -310,7 +284,7 @@ class IterableSource(PacketSourceBase):
     """Adapt an in-memory sequence of packets to the source protocol.
 
     Accepts :class:`CapturedPacket` or already-parsed :class:`ParsedPacket`
-    items (mixed is fine); raw frames are decoded on the way through.
+    items (mixed is fine); either contributes its frame bytes and timestamp.
     """
 
     def __init__(
@@ -318,17 +292,17 @@ class IterableSource(PacketSourceBase):
         packets: Iterable[CapturedPacket | ParsedPacket],
         *,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
         self._items = packets
 
-    def _packets(self) -> Iterator[ParsedPacket]:
+    def _frames(self) -> Iterator[tuple[bytes, float]]:
         for item in self._items:
             if isinstance(item, ParsedPacket):
-                yield item
+                yield item.raw, item.timestamp
             else:
-                yield parse_frame(item.data, item.timestamp)
+                yield item.data, item.timestamp
 
 
 class SimulationSource(PacketSourceBase):
@@ -352,22 +326,23 @@ class SimulationSource(PacketSourceBase):
         *,
         timestamp_resolution: float | None = 1e-9,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
         self._scenario = scenario
         self._resolution = timestamp_resolution
 
-    def _packets(self) -> Iterator[ParsedPacket]:
+    def _frames(self) -> Iterator[tuple[bytes, float]]:
         # Imported lazily: repro.simulation sits above repro.net in the
         # layering and importing it here at module scope would be circular.
-        from repro.simulation.adapter import parsed_packets
+        from repro.simulation.adapter import captured_packets, quantize_timestamp
 
-        yield from parsed_packets(
-            self._scenario,
-            timestamp_resolution=self._resolution,
-            telemetry=self._telemetry,
-        )
+        resolution = self._resolution
+        for captured in captured_packets(self._scenario):
+            timestamp = captured.timestamp
+            if resolution is not None:
+                timestamp = quantize_timestamp(timestamp, resolution)
+            yield captured.data, timestamp
 
 
 class CaptureDirectorySource(PacketSourceBase):
@@ -382,6 +357,8 @@ class CaptureDirectorySource(PacketSourceBase):
     ``capture.*`` via the underlying reader.
     """
 
+    _records_capture = False  # each file's reader does
+
     def __init__(
         self,
         paths: str | Path | Iterable[str | Path],
@@ -389,7 +366,7 @@ class CaptureDirectorySource(PacketSourceBase):
         pattern: str = "*.pcap*",
         telemetry: Telemetry | None = None,
         tolerant: bool = False,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
         self._tolerant = tolerant
@@ -420,21 +397,6 @@ class CaptureDirectorySource(PacketSourceBase):
         )
         self._open: PacketSourceBase | None = None
 
-    def _packets(self) -> Iterator[ParsedPacket]:
-        for path in self.files:
-            self._open = open_capture_source(
-                path,
-                telemetry=self._telemetry,
-                tolerant=self._tolerant,
-                batch_size=self._batch_size,
-            )
-            self._telemetry.count("ingest.files")
-            try:
-                yield from self._open
-            finally:
-                self._open.close()
-                self._open = None
-
     def frame_batches(self) -> Iterator[FrameBatch]:
         """Raw-buffer batches, file by file in first-timestamp order."""
         for path in self.files:
@@ -447,9 +409,7 @@ class CaptureDirectorySource(PacketSourceBase):
             self._telemetry.count("ingest.files")
             try:
                 for batch in self._open.frame_batches():
-                    self.packets_emitted += len(batch)
-                    self.bytes_emitted += batch.total_caplen
-                    yield batch
+                    yield self._emit(batch)
             finally:
                 self._open.close()
                 self._open = None
@@ -464,24 +424,32 @@ class InterleavedSource(PacketSourceBase):
     """Compose sources by k-way merging on capture timestamp.
 
     Each input must itself be time-ordered (every source here is); the
-    merge is a heap over one head packet per input, so composing k live
-    taps costs O(log k) per packet and holds k packets of state.
+    merge is a heap over one head frame per input, so composing k live
+    taps costs O(log k) per frame and holds k frames of state.  Opening the
+    merge counts ``ingest.sources``.
     """
+
+    _records_capture = False  # the inputs do
 
     def __init__(
         self,
         *sources: PacketSource,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
         if not sources:
             raise ValueError("InterleavedSource needs at least one source")
         self.sources: tuple[PacketSource, ...] = sources
-        self._telemetry.count("ingest.sources", len(sources))
 
-    def _packets(self) -> Iterator[ParsedPacket]:
-        yield from heapq.merge(*self.sources, key=lambda p: p.timestamp)
+    def _frames(self) -> Iterator[tuple[bytes, float]]:
+        # Counted here, not at construction: the registry in use may have
+        # been adopted (``attach_telemetry``) after the source was built.
+        self._telemetry.count("ingest.sources", len(self.sources))
+        yield from heapq.merge(
+            *(_source_frames(source) for source in self.sources),
+            key=lambda frame: frame[1],
+        )
 
     def _propagate_telemetry(self, telemetry: Telemetry) -> None:
         for source in self.sources:
@@ -523,7 +491,7 @@ def open_capture_source(
     *,
     telemetry: Telemetry | None = None,
     tolerant: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     resume: CaptureResume | None = None,
 ) -> PcapFileSource | PcapNgFileSource:
     """Open one capture file with the reader its magic bytes call for.
@@ -554,12 +522,17 @@ def _has_magic(text: str) -> bool:
     return any(char in text for char in "*?[")
 
 
+def _source_frames(source: PacketSource) -> Iterator[tuple[bytes, float]]:
+    for batch in source.frame_batches():
+        yield from batch.iter_frames()
+
+
 def _first_capture_timestamp(path: Path) -> float:
-    """Peek one packet for file ordering; empty files sort last."""
-    peek = open_capture_source(path)
+    """Peek one frame for file ordering; empty files sort last."""
+    peek = open_capture_source(path, batch_size=1)
     try:
-        for parsed in peek:
-            return parsed.timestamp
+        for batch in peek.frame_batches():
+            return batch.timestamps[0]
         return float("inf")
     finally:
         peek.close()
@@ -576,7 +549,7 @@ def coerce_source(
     *,
     telemetry: Telemetry | None = None,
     tolerant: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    batch_size: int = DEFAULT_FRAMES_PER_BATCH,
 ) -> PacketSource:
     """Normalize the ``source`` argument the drivers accept.
 

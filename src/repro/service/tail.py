@@ -28,8 +28,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
-from repro.net.batch import FrameBatch
-from repro.net.source import DEFAULT_BATCH_SIZE, CaptureResume, open_capture_source
+from repro.net.batch import DEFAULT_FRAMES_PER_BATCH, FrameBatch
+from repro.net.source import CaptureResume, open_capture_source
 from repro.telemetry.registry import Telemetry
 
 
@@ -41,7 +41,7 @@ class CaptureDirectoryTailer:
         pattern: Glob selecting capture files inside it.
         telemetry: Optional registry; the tailer records ``ingest.tail.*``
             counters and the underlying readers record ``capture.*``.
-        batch_size: Packets per yielded batch (the source-layer default).
+        batch_size: Frames per yielded batch (the source-layer default).
 
     Attributes:
         packets_emitted / bytes_emitted: Running totals across all polls.
@@ -53,7 +53,7 @@ class CaptureDirectoryTailer:
         *,
         pattern: str = "*.pcap*",
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         self._directory = Path(directory)
         self._pattern = pattern

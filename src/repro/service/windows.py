@@ -238,15 +238,10 @@ class WindowAggregator(AnalysisSink):
         timestamp/caplen columns — no ``ParsedPacket`` is built for frames
         the prefilter drops.
         """
-        prepared = batch.prepared
-        if prepared is not None:
-            for parsed in prepared:
-                self._observe_volume(parsed.timestamp, len(parsed.raw))
-        else:
-            timestamps = batch.timestamps
-            caplens = batch.caplens
-            for i in range(len(caplens)):
-                self._observe_volume(timestamps[i], caplens[i])
+        timestamps = batch.timestamps
+        caplens = batch.caplens
+        for i in range(len(caplens)):
+            self._observe_volume(timestamps[i], caplens[i])
         self._analyzer.feed_batch(batch)
         self._windows.advance(batch.last_timestamp)
 

@@ -24,7 +24,7 @@ Behaviours reproduced (with the paper section that documents each):
 * A campus-diurnal meeting arrival pattern for trace-scale studies (§6.2).
 """
 
-from repro.simulation.adapter import captured_packets, parsed_packets, quantize_timestamp
+from repro.simulation.adapter import captured_packets, quantize_timestamp
 from repro.simulation.clock import EventScheduler
 from repro.simulation.netpath import CongestionEvent, NetworkPath
 from repro.simulation.media import AudioSource, ScreenShareSource, VideoSource
@@ -84,6 +84,5 @@ __all__ = [
     "jitter_spike_scenario",
     "loss_burst_scenario",
     "loss_collapse_scenario",
-    "parsed_packets",
     "quantize_timestamp",
 ]

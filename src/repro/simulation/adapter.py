@@ -3,10 +3,10 @@
 Historically the only interchange between the emulator and the analyzer was
 a pcap file — every simulated study paid a serialize/deserialize round trip
 just to move in-memory frames between two modules of the same process.
-This adapter emits :class:`~repro.net.packet.CapturedPacket` /
-:class:`~repro.net.packet.ParsedPacket` records directly from any simulation
-scenario, with optional timestamp quantization that reproduces the pcap
-writer's nanosecond rounding, so a direct feed is *bit-identical* to the
+This adapter emits :class:`~repro.net.packet.CapturedPacket` records
+directly from any simulation scenario, and :func:`quantize_timestamp`
+reproduces the pcap writer's nanosecond rounding, so a direct feed
+(:class:`~repro.net.source.SimulationSource`) is *bit-identical* to the
 write-then-read path (the equivalence the source-layer tests assert).
 """
 
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.net.packet import CapturedPacket, ParsedPacket, parse_frame
-from repro.telemetry.registry import Telemetry
+from repro.net.packet import CapturedPacket
 
 #: Simulation scenario: anything that can produce captured frames.
 #: Accepted forms are a :class:`~repro.simulation.MeetingConfig` (the
@@ -63,30 +62,3 @@ def captured_packets(scenario: object) -> Iterator[CapturedPacket]:
         yield from scenario
         return
     raise TypeError(f"cannot emit packets from {type(scenario).__name__}")
-
-
-def parsed_packets(
-    scenario: object,
-    *,
-    timestamp_resolution: float | None = 1e-9,
-    telemetry: Telemetry | None = None,
-) -> Iterator[ParsedPacket]:
-    """Decode a scenario's frames as the analyzer would see them off disk.
-
-    Args:
-        scenario: Any form accepted by :func:`captured_packets`.
-        timestamp_resolution: Quantize capture times as a pcap writer at
-            this resolution would (``1e-9`` matches the default nanosecond
-            writer, making the direct feed equal to a pcap round trip);
-            ``None`` keeps the simulator's exact float timestamps.
-        telemetry: Optional registry; ``capture.frames`` / ``capture.bytes``
-            are recorded exactly as the file readers record them.
-    """
-    tel = telemetry if telemetry is not None else Telemetry(enabled=False)
-    for captured in captured_packets(scenario):
-        timestamp = captured.timestamp
-        if timestamp_resolution is not None:
-            timestamp = quantize_timestamp(timestamp, timestamp_resolution)
-        tel.count("capture.frames")
-        tel.count("capture.bytes", len(captured.data))
-        yield parse_frame(captured.data, timestamp)

@@ -39,8 +39,7 @@ SHARD_VARIANT_PREFIXES: tuple[str, ...] = (
     "assemble.meetings_formed",
     # Batch-execution bookkeeping: how many batches the input was chopped
     # into, and how many frames the prefilter short-circuited, depend on
-    # the execution strategy (prepared vs raw batches, batch size, shard
-    # partitioning) — never on what the traffic *was*.  The semantic
+    # the execution strategy (batch size, shard partitioning) — never on what the traffic *was*.  The semantic
     # counters (classify.class.*, decode.*, pipeline.stop.*) stay
     # invariant and stay compared.
     "pipeline.batch.",

@@ -6,10 +6,13 @@ and read-only for the tests that consume them.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.net.batch import prepared_frame_batch
+from repro.net.batch import BatchPrefilter, decode_columns
 from repro.net.packet import parse_frame
+from repro.protocols import build_registry
 from repro.simulation import (
     CongestionEvent,
     MeetingConfig,
@@ -20,17 +23,79 @@ from repro.simulation.meeting import SimulationResult
 from repro.zoom.constants import ZoomMediaType
 
 
-def feed_prepared(analyzer, packets):
-    """Feed captured ``packets`` as one *prepared* batch; returns the result.
+#: Counter families the oracle tallies in full (a name it never counted must be 0).
+_ORACLE_FAMILIES = ("classify.class.", "protocols.claimed.")
 
-    Each frame is parsed on its own and carried verbatim, bypassing the
-    columnar decode and the prefilter — the reference every raw-batch
-    equivalence test compares :meth:`ZoomAnalyzer.feed_batch` against.
+
+def _endpoints(plugins):
+    return {p.name: sorted(e for t in p.stun_trackers for e in t.endpoints()) for p in plugins}
+
+
+def scalar_oracle(config, packets):
+    """What the per-packet decision tree counts over *every* frame.
+
+    A fresh plugin registry classifies each frame in capture order through
+    the public plugin API — no columnar decode, no prefilter, first claiming
+    verdict wins.  Returns ``(expected totals/counters, claimed frame
+    indexes, final STUN endpoints per plugin)`` — the reference the batch
+    path is held to by :func:`assert_matches_oracle`.
     """
-    analyzer.feed_batch(
-        prepared_frame_batch([parse_frame(p.data, p.timestamp) for p in packets])
-    )
-    return analyzer.result
+    plugins = build_registry(config)
+    expected, claimed = Counter(), []
+    for index, packet in enumerate(packets):
+        parsed = parse_frame(packet.data, packet.timestamp)
+        expected["packets_total"] += 1
+        expected["bytes_total"] += len(packet.data)
+        if parsed.ethernet is None:
+            expected["decode.parse_failures"] += 1
+        klass = claimant = None
+        for plugin in plugins:
+            verdict = plugin.classify(parsed)
+            if verdict is not None and verdict.claimed:
+                klass, claimant = verdict, plugin
+                break
+            klass = verdict if klass is None else klass
+        expected["classify.class." + (klass.value if klass is not None else "not_zoom")] += 1
+        if claimant is None:
+            expected["classify.bytes.not_zoom"] += len(packet.data)
+        else:
+            expected["protocols.claimed." + claimant.name] += 1
+            claimed.append(index)
+    return expected, claimed, _endpoints(plugins)
+
+
+def feed_batches(analyzer, batches):
+    """Feed ``batches``; returns the frame indexes the prefilter let through
+    (a shadow prefilter, compiled from and synced with the analyzer's own
+    plugins exactly as the classify stage does it, records each verdict)."""
+    prefilter = BatchPrefilter.from_plugins(analyzer.plugins)
+    survivors, base = set(), 0
+    for batch in batches:
+        for plugin in analyzer.plugins:
+            for tracker in plugin.stun_trackers:
+                prefilter.sync_stun(tracker)
+        verdict = prefilter.apply(batch, decode_columns(batch))
+        survivors.update(base + index for index in verdict.survivors)
+        analyzer.feed_batch(batch)
+        base += len(batch)
+    return survivors
+
+
+def assert_matches_oracle(analyzer, oracle, survivors):
+    """The raw path dropped nothing claimable and bulk-accounted the rest."""
+    expected, claimed, endpoints = oracle
+    assert survivors >= set(claimed)
+    result = analyzer.result
+    got = dict(result.telemetry_snapshot().counters)
+    got.update(packets_total=result.packets_total, bytes_total=result.bytes_total)
+    tallied = {
+        name: value
+        for name, value in got.items()
+        if name in expected or (value and name.startswith(_ORACLE_FAMILIES))
+    }
+    assert tallied == expected
+    assert result.packets_zoom == len(claimed)
+    assert _endpoints(analyzer.plugins) == endpoints
 
 
 @pytest.fixture(scope="session")

@@ -294,7 +294,7 @@ class TestCliParsing:
         args = build_parser().parse_args(["analyze-live", "--interface", "sim:/x.pcap"])
         assert args.directory is None
         assert args.interface == "sim:/x.pcap"
-        assert args.batch_size == 256
+        assert args.batch_size == AnalyzerConfig().batch_size == 4096  # the one default
 
     def test_batch_size_flags(self):
         from repro.cli import build_parser

@@ -1,11 +1,12 @@
 """Ingestion-path equivalence on the mixed zoom+rtp protocol trace.
 
 The registry refactor must hold the same invariants the Zoom-only pipeline
-already proves for itself: raw batches (whose prefilter now compiles the
-**union** of the enabled plugins' match-action rules) and the flow-sharded
-driver must produce metric-identical results to the prefilter-free
-prepared batch of the same frames, on a trace where both plugins claim
-traffic concurrently.
+already proves for itself, on a trace where both plugins claim traffic
+concurrently: the batch path (whose prefilter compiles the **union** of the
+enabled plugins' match-action rules) drops nothing either plugin's
+per-packet decision tree would claim and bulk-accounts the rest exactly
+(``tests/conftest.py:scalar_oracle``), and the flow-sharded driver is
+metric-identical to the single pass.
 """
 
 from __future__ import annotations
@@ -14,17 +15,15 @@ import pytest
 
 from repro.core.pipeline import ZoomAnalyzer
 from repro.core.sharded import ShardedAnalyzer
-from repro.net.batch import FrameBatchBuilder
+from repro.net.source import IterableSource
 from repro.telemetry import shard_invariant_counters
 
-from tests.conftest import feed_prepared
+from tests.conftest import assert_matches_oracle, feed_batches, scalar_oracle
 from tests.golden_utils import (
     mixed_protocol_config,
     mixed_trace_captures,
     summarize_result,
 )
-
-BATCH_FRAMES = 256
 
 
 @pytest.fixture(scope="module")
@@ -33,47 +32,45 @@ def mixed_captures():
 
 
 @pytest.fixture(scope="module")
-def scalar_result(mixed_captures):
-    return feed_prepared(ZoomAnalyzer(mixed_protocol_config()), mixed_captures)
+def single_pass(mixed_captures):
+    """One analyzer fed the whole trace, plus the prefilter's survivors."""
+    analyzer = ZoomAnalyzer(mixed_protocol_config())
+    source = IterableSource(
+        mixed_captures, telemetry=analyzer.result.telemetry, batch_size=256
+    )
+    return analyzer, feed_batches(analyzer, source.frame_batches())
 
 
-def _batches(captures):
-    builder = FrameBatchBuilder()
-    for packet in captures:
-        builder.append(packet.data, packet.timestamp)
-        if len(builder) >= BATCH_FRAMES:
-            yield builder.build()
-            builder = FrameBatchBuilder()
-    if len(builder):
-        yield builder.build()
+@pytest.fixture(scope="module")
+def scalar_result(single_pass):
+    return single_pass[0].result
+
+
+@pytest.fixture(scope="module")
+def frame_by_frame(mixed_captures):
+    """The same trace at ``batch_size=1``: every frame meets the prefilter
+    alone, with both plugins' state fully synced — the finest granularity."""
+    return ZoomAnalyzer(mixed_protocol_config(batch_size=1)).analyze(mixed_captures)
 
 
 class TestMixedBatchEquivalence:
-    def test_batch_path_metric_identical(self, mixed_captures, scalar_result):
-        batched = ZoomAnalyzer(mixed_protocol_config())
-        for batch in _batches(mixed_captures):
-            batched.feed_batch(batch)
-        assert summarize_result(batched.result) == summarize_result(scalar_result)
+    def test_batch_path_metric_identical(self, scalar_result, frame_by_frame):
+        """Batch granularity changes no metric."""
+        assert summarize_result(scalar_result) == summarize_result(frame_by_frame)
 
-    def test_batch_path_counter_identical(self, mixed_captures, scalar_result):
-        batched = ZoomAnalyzer(mixed_protocol_config())
-        for batch in _batches(mixed_captures):
-            batched.feed_batch(batch)
+    def test_batch_path_counter_identical(self, scalar_result, frame_by_frame):
         assert shard_invariant_counters(
-            batched.result.telemetry_snapshot()
-        ) == shard_invariant_counters(scalar_result.telemetry_snapshot())
+            scalar_result.telemetry_snapshot()
+        ) == shard_invariant_counters(frame_by_frame.telemetry_snapshot())
 
-    def test_prefilter_drops_nothing_claimable(self, mixed_captures, scalar_result):
-        """Every packet either plugin claims prefilter-free survives the
-        compiled union prefilter: claimed counts match exactly."""
-        batched = ZoomAnalyzer(mixed_protocol_config())
-        for batch in _batches(mixed_captures):
-            batched.feed_batch(batch)
-        scalar = scalar_result.telemetry_snapshot().counters
-        vector = batched.result.telemetry_snapshot().counters
-        for name in ("protocols.claimed.zoom", "protocols.claimed.rtp"):
-            assert vector[name] == scalar[name]
-        assert batched.result.packets_zoom == scalar_result.packets_zoom
+    def test_prefilter_drops_nothing_claimable(self, mixed_captures, single_pass):
+        """Every packet either plugin claims survives the compiled union
+        prefilter; class, claim and byte tallies and both plugins' learned
+        endpoints equal the per-packet tree's."""
+        analyzer, survivors = single_pass
+        oracle = scalar_oracle(analyzer.config, mixed_captures)
+        assert oracle[0]["protocols.claimed.zoom"] and oracle[0]["protocols.claimed.rtp"]
+        assert_matches_oracle(analyzer, oracle, survivors)
 
 
 class TestMixedShardedEquivalence:

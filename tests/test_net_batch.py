@@ -1,13 +1,12 @@
-"""Batch ingestion tests: FrameBatch readers, prefilter safety, equivalence.
+"""Batch ingestion tests: FrameBatch readers, prefilter safety, the oracle.
 
-The raw-batch path's correctness contract is *bit-identical* results: the
-same frame sequence out of the batch readers as out of the scalar readers,
-and the same analysis out of ``feed_batch`` for a raw buffer as for a
-prepared batch of the same frames parsed one by one.  These tests
-pin that contract directly (golden scenarios are covered separately in
-``test_golden_e2e.py`` / ``test_source_equivalence.py``), including the
-awkward inputs — truncated records, malformed frames, pcapng interface
-blocks, multi-section files — where fast paths usually diverge first.
+``read_batches`` is each capture format's one record walk, so its cases are
+asserted directly against the packets that were written — frame bytes,
+timestamps at both resolutions and byte orders, ``capture.*`` telemetry,
+strict vs tolerant behaviour at every truncation cut, pcapng interface
+blocks and multi-section files.  ``feed_batch`` is the one ingest door; its
+bulk accounting and drop-safety are held to the per-packet decision tree
+run over every frame (``tests/conftest.py:scalar_oracle``).
 """
 
 import io
@@ -18,35 +17,103 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalyzerConfig, ZoomAnalyzer
-from repro.net.batch import (
-    BatchPrefilter,
-    FrameBatchBuilder,
-    decode_columns,
-    prepared_frame_batch,
-)
+from repro.net.batch import BatchPrefilter, FrameBatchBuilder, decode_columns
 from repro.net.packet import CapturedPacket, build_udp_frame, parse_frame
-from repro.net.pcap import PcapReader, PcapWriter
+from repro.net.pcap import MAGIC_MICROS, MAGIC_NANOS, PcapReader, PcapWriter
 from repro.net.pcapng import PcapngReader, PcapngWriter
 from repro.rtp.stun import StunMessage
-from repro.telemetry.registry import Telemetry, shard_invariant_counters
-from tests.conftest import feed_prepared
+from repro.simulation import quantize_timestamp
+from repro.telemetry.registry import Telemetry
+from tests.conftest import assert_matches_oracle, feed_batches, scalar_oracle
 
 ZOOM_NET = "170.114.0.0/16"
 TXN = bytes(range(12))
 
 
-def _batch_frames(reader):
-    """All (frame bytes, timestamp) pairs off a reader's batch interface."""
-    out = []
-    for batch in reader.read_batches():
-        assert batch.total_caplen == sum(batch.caplens)
-        for i in range(len(batch)):
-            out.append((batch.frame(i), batch.timestamps[i]))
+def _read(reader, max_frames=4096):
+    """``(frames, error)`` off ``read_batches`` — frames yielded before a
+    raise are kept, ``error`` is the ``ValueError`` text or ``None``."""
+    frames, error = [], None
+    try:
+        for batch in reader.read_batches(max_frames):
+            assert batch.total_caplen == sum(batch.caplens)
+            frames.extend((batch.frame(i), batch.timestamps[i]) for i in range(len(batch)))
+    except ValueError as exc:
+        error = str(exc)
+    return frames, error
+
+
+def _written(packets, resolution=1e-9):
+    """What a pcap reader must yield for ``packets`` written at ``resolution``."""
+    return [(p.data, quantize_timestamp(p.timestamp, resolution)) for p in packets]
+
+
+def _written_ng(packets, tsresol=9):
+    """Same for pcapng, whose timestamps are one tick count, not two words."""
+    return [(p.data, round(p.timestamp * 10**tsresol) / 10**tsresol) for p in packets]
+
+
+def _capture_counters(packets, **extra):
+    return {
+        "capture.frames": len(packets),
+        "capture.bytes": sum(len(p.data) for p in packets),
+        **extra,
+    }
+
+
+def _pcap_bytes(packets, *, nanosecond=True, endian="<"):
+    tick = 1e-9 if nanosecond else 1e-6
+    magic = MAGIC_NANOS if nanosecond else MAGIC_MICROS
+    out = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 262144, 1)
+    for p in packets:
+        whole = int(p.timestamp)
+        frac = round((p.timestamp - whole) / tick)
+        out += struct.pack(endian + "IIII", whole, frac, len(p.data), len(p.data)) + p.data
     return out
 
 
-def _scalar_frames(reader):
-    return [(p.data, p.timestamp) for p in reader]
+def _block(endian, block_type, body):
+    total = 12 + len(body)
+    return struct.pack(endian + "II", block_type, total) + body + struct.pack(endian + "I", total)
+
+
+def _pcapng_section(packets, *, endian="<", tsresol=9):
+    """Section header + one interface (``if_tsresol``) + an EPB per packet."""
+    shb = _block(endian, 0x0A0D0D0A, struct.pack(endian + "IHHq", 0x1A2B3C4D, 1, 0, -1))
+    options = struct.pack(endian + "HHB3xHH", 9, 1, tsresol, 0, 0)
+    idb = _block(endian, 1, struct.pack(endian + "HHI", 1, 0, 262144) + options)
+    return shb + idb + _epbs(packets, endian=endian, tsresol=tsresol)
+
+
+def _epbs(packets, *, endian="<", tsresol=9):
+    out = b""
+    for p in packets:
+        ticks = round(p.timestamp * 10**tsresol)
+        size = len(p.data)
+        head = struct.pack(endian + "IIIII", 0, ticks >> 32, ticks & 0xFFFFFFFF, size, size)
+        out += _block(endian, 6, head + p.data + bytes(-size % 4))
+    return out
+
+
+def _check_every_truncation(reader_cls, whole, last, complete, packets):
+    """Cut ``whole`` anywhere inside its final record/block (``last`` bytes).
+
+    Strict: every complete frame is yielded — the partial batch is flushed,
+    nothing buffered is lost — and then the read raises; returns the error
+    per kept-byte count.  Tolerant: same frames, a clean stop counted once,
+    ``next_offset`` left at the last good boundary for a later resume.
+    """
+    errors = {}
+    for cut in range(1, last):
+        data = whole[:-cut]
+        frames, errors[last - cut] = _read(reader_cls(io.BytesIO(data)), max_frames=4)
+        assert frames == complete and errors[last - cut] is not None
+        tel = Telemetry()
+        tolerant = reader_cls(io.BytesIO(data), tolerant=True, telemetry=tel)
+        assert _read(tolerant, max_frames=4) == (complete, None)
+        assert tel.counters == _capture_counters(packets, **{"capture.truncated": 1})
+        assert tolerant.next_offset == len(whole) - last
+    return errors
 
 
 def _mixed_frames(n=40):
@@ -80,131 +147,87 @@ def _mixed_frames(n=40):
 
 
 class TestPcapReadBatches:
+    @pytest.mark.parametrize("endian", ["<", ">"], ids=["le", "be"])
     @pytest.mark.parametrize("nanosecond", [True, False])
-    def test_matches_scalar(self, nanosecond):
+    def test_yields_what_was_written(self, nanosecond, endian):
         packets = _mixed_frames()
-        buffer = io.BytesIO()
-        PcapWriter(buffer, nanosecond=nanosecond).write_all(packets)
-        scalar = _scalar_frames(PcapReader(io.BytesIO(buffer.getvalue())))
-        batched = _batch_frames(PcapReader(io.BytesIO(buffer.getvalue())))
-        assert batched == scalar
+        data = _pcap_bytes(packets, nanosecond=nanosecond, endian=endian)
+        tel = Telemetry()
+        frames, error = _read(PcapReader(io.BytesIO(data), telemetry=tel))
+        assert error is None
+        assert frames == _written(packets, 1e-9 if nanosecond else 1e-6)
+        assert tel.counters == _capture_counters(packets)
 
     def test_max_frames_splits_batches(self):
         packets = _mixed_frames(10)
         buffer = io.BytesIO()
         PcapWriter(buffer).write_all(packets)
+        assert buffer.getvalue() == _pcap_bytes(packets)
         buffer.seek(0)
         sizes = [len(b) for b in PcapReader(buffer).read_batches(max_frames=4)]
         assert sizes == [4, 4, 2]
-        assert sum(sizes) == 10
 
-    def test_telemetry_counters_match_scalar(self):
-        packets = _mixed_frames(12)
-        buffer = io.BytesIO()
-        PcapWriter(buffer).write_all(packets)
-        tel_scalar, tel_batch = Telemetry(), Telemetry()
-        list(PcapReader(io.BytesIO(buffer.getvalue()), telemetry=tel_scalar))
-        list(PcapReader(io.BytesIO(buffer.getvalue()), telemetry=tel_batch).read_batches())
-        assert tel_batch.counters == tel_scalar.counters
-
-    @pytest.mark.parametrize("cut", [3, 9, 20])
-    def test_truncated_strict_and_tolerant_match_scalar(self, cut):
+    def test_truncated_tail_strict_and_tolerant_at_every_cut(self):
         packets = _mixed_frames(6)
-        buffer = io.BytesIO()
-        PcapWriter(buffer).write_all(packets)
-        data = buffer.getvalue()[:-cut]
-
-        def collect(frame_iter):
-            frames, error = [], None
-            try:
-                for item in frame_iter:
-                    frames.append(item)
-            except ValueError as exc:
-                error = str(exc)
-            return frames, error
-
-        scalar, scalar_err = collect(
-            (p.data, p.timestamp) for p in PcapReader(io.BytesIO(data))
+        last = 16 + len(packets[-1].data)
+        errors = _check_every_truncation(
+            PcapReader, _pcap_bytes(packets), last, _written(packets[:-1]), packets[:-1]
         )
-        batched, batch_err = collect(
-            (batch.frame(i), batch.timestamps[i])
-            for batch in PcapReader(io.BytesIO(data)).read_batches()
-            for i in range(len(batch))
-        )
-        assert batched == scalar
-        assert batch_err == scalar_err and batch_err is not None
-
-        tolerant_tel = Telemetry()
-        tolerant = PcapReader(io.BytesIO(data), tolerant=True, telemetry=tolerant_tel)
-        assert _batch_frames(tolerant) == scalar
-        assert tolerant_tel.counter("capture.truncated") == 1
+        assert errors == {
+            kept: "truncated pcap " + ("record header" if kept < 16 else "packet data")
+            for kept in range(1, last)
+        }
 
 
 # ------------------------------------------------------------- pcapng reader
 
 
 class TestPcapngReadBatches:
-    def test_matches_scalar_with_interface_and_unknown_blocks(self):
+    def test_interface_unknown_and_simple_blocks(self):
         packets = _mixed_frames(8)
-        buffer = io.BytesIO()
-        writer = PcapngWriter(buffer)
-        for packet in packets[:4]:
-            writer.write(packet)
-        # An unknown block a reader must skip without losing sync.
-        body = b"\xde\xad\xbe\xef"
-        total = 12 + len(body)
-        buffer.write(struct.pack("<II", 0x0BAD, total) + body + struct.pack("<I", total))
-        # A Simple Packet Block: no timestamp, reported at t=0.
-        frame = b"\xaa" * 24
-        body = struct.pack("<I", len(frame)) + frame
-        total = 12 + len(body)
-        buffer.write(struct.pack("<II", 3, total) + body + struct.pack("<I", total))
-        for packet in packets[4:]:
-            writer.write(packet)
-        data = buffer.getvalue()
-
-        scalar = _scalar_frames(PcapngReader(io.BytesIO(data)))
-        batched = _batch_frames(PcapngReader(io.BytesIO(data)))
-        assert batched == scalar
-        assert (frame, 0.0) in batched
+        spb_frame = b"\xaa" * 24
+        data = (
+            _pcapng_section(packets[:4])
+            # An unknown block a reader must skip without losing sync.
+            + _block("<", 0x0BAD, b"\xde\xad\xbe\xef")
+            # A Simple Packet Block: no timestamp, reported at t=0.
+            + _block("<", 3, struct.pack("<I", len(spb_frame)) + spb_frame)
+            + _epbs(packets[4:])
+        )
+        tel = Telemetry()
+        frames, error = _read(PcapngReader(io.BytesIO(data), telemetry=tel))
+        assert error is None
+        assert frames == (
+            _written_ng(packets[:4]) + [(spb_frame, 0.0)] + _written_ng(packets[4:])
+        )
+        spb = CapturedPacket(0.0, spb_frame)
+        assert tel.counters == _capture_counters(
+            packets + [spb], **{"capture.unknown_blocks": 1}
+        )
 
     def test_multi_section_file(self):
+        """The second section switches byte order and timestamp resolution."""
         packets = _mixed_frames(6)
-        first, second = io.BytesIO(), io.BytesIO()
-        PcapngWriter(first).write_all(packets[:3])
-        PcapngWriter(second).write_all(packets[3:])
-        data = first.getvalue() + second.getvalue()
-        scalar = _scalar_frames(PcapngReader(io.BytesIO(data)))
-        batched = _batch_frames(PcapngReader(io.BytesIO(data)))
-        assert batched == scalar
-        assert len(batched) == 6
+        data = _pcapng_section(packets[:3]) + _pcapng_section(
+            packets[3:], endian=">", tsresol=6
+        )
+        frames, error = _read(PcapngReader(io.BytesIO(data)))
+        assert error is None
+        assert frames == _written_ng(packets[:3]) + _written_ng(packets[3:], 6)
 
     def test_truncated_flushes_partial_batch(self):
         packets = _mixed_frames(5)
         buffer = io.BytesIO()
         PcapngWriter(buffer).write_all(packets)
-        data = buffer.getvalue()[:-7]
-        scalar = []
-        try:
-            scalar = _scalar_frames(PcapngReader(io.BytesIO(data)))
-        except ValueError:
-            pass
-        frames, error = [], None
-        try:
-            frames.extend(_batch_frames(PcapngReader(io.BytesIO(data))))
-        except ValueError as exc:
-            error = exc
-        # The strict batch reader flushed every complete block before
-        # raising — nothing buffered is lost to the exception.
-        assert error is not None
-
-        tel = Telemetry()
-        tolerant = PcapngReader(io.BytesIO(data), tolerant=True, telemetry=tel)
-        assert _batch_frames(tolerant) == scalar or len(scalar) == 0
-        assert tel.counter("capture.truncated") == 1
+        whole = buffer.getvalue()
+        assert whole == _pcapng_section(packets)  # the helper writes what the writer does
+        last = len(whole) - len(_pcapng_section(packets[:-1]))
+        _check_every_truncation(
+            PcapngReader, whole, last, _written_ng(packets[:-1]), packets[:-1]
+        )
 
 
-# ------------------------------------------------------- property: identical
+# ------------------------------------------------- property: lazy materialize
 
 
 @given(
@@ -218,23 +241,20 @@ class TestPcapngReadBatches:
 )
 @settings(max_examples=40, deadline=None)
 def test_lazy_materialization_is_byte_identical(items):
-    """read_batches → materialize reproduces the scalar ParsedPacket stream,
+    """read_batches → materialize is ``parse_frame`` of what was written,
     field for field, including truncated/malformed frames."""
     packets = [CapturedPacket(t, d) for t, d in items]
-    for writer_cls, reader_cls in (
-        (PcapWriter, PcapReader),
-        (PcapngWriter, PcapngReader),
+    for writer_cls, reader_cls, written in (
+        (PcapWriter, PcapReader, _written),
+        (PcapngWriter, PcapngReader, _written_ng),
     ):
         buffer = io.BytesIO()
         writer_cls(buffer).write_all(packets)
-        data = buffer.getvalue()
-        scalar = [parse_frame(p.data, p.timestamp) for p in reader_cls(io.BytesIO(data))]
+        buffer.seek(0)
         batched = []
-        for batch in reader_cls(io.BytesIO(data)).read_batches():
+        for batch in reader_cls(buffer).read_batches():
             batched.extend(batch.materialize(i) for i in range(len(batch)))
-        assert [p.raw for p in batched] == [p.raw for p in scalar]
-        assert [p.timestamp for p in batched] == [p.timestamp for p in scalar]
-        assert batched == scalar
+        assert batched == [parse_frame(data, ts) for data, ts in written(packets)]
 
 
 # ----------------------------------------------------------- prefilter rules
@@ -260,13 +280,13 @@ class TestBatchPrefilter:
         data = build_udp_frame("10.0.0.1", 5000, "8.8.8.8", 53, b"x" * 20)
         verdict, _ = _single_frame_verdict(prefilter, data)
         assert verdict.dropped == 1 and verdict.survivors == []
-        # Drop-safety: fed prefilter-free, the per-packet stages classify
-        # the same frame NOT_ZOOM and leave no stream/meeting state behind.
-        analyzer = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
-        feed_prepared(analyzer, [CapturedPacket(1.0, data)])
-        snapshot = analyzer.result.telemetry_snapshot()
-        assert snapshot.counter("classify.class.not_zoom") == 1
-        assert not analyzer.result.media_streams()
+        # Drop-safety: the per-packet tree calls the same frame NOT_ZOOM,
+        # claims nothing and learns nothing.
+        expected, claimed, endpoints = scalar_oracle(
+            AnalyzerConfig(), [CapturedPacket(1.0, data)]
+        )
+        assert expected["classify.class.not_zoom"] == 1
+        assert not claimed and endpoints == {"zoom": []}
 
     def test_runt_frame_counts_parse_failure(self):
         prefilter = BatchPrefilter([ZOOM_NET])
@@ -341,44 +361,30 @@ class TestBatchPrefilter:
         assert verdict.dropped == 0
 
 
-# ------------------------------------------------------ pipeline equivalence
+# ------------------------------------------------------- pipeline vs oracle
 
 
 class TestFeedBatchEquivalence:
-    def _summaries(self, packets):
-        scalar = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
-        feed_prepared(scalar, packets)
-        batched = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
+    """``feed_batch`` ≡ the per-packet decision tree over every frame."""
+
+    def _check(self, packets):
         buffer = io.BytesIO()
         PcapWriter(buffer).write_all(packets)
+        frames = list(PcapReader(io.BytesIO(buffer.getvalue())))
+        analyzer = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
         buffer.seek(0)
-        for batch in PcapReader(buffer).read_batches(max_frames=16):
-            batched.feed_batch(batch)
-        return scalar.result, batched.result
+        survivors = feed_batches(analyzer, PcapReader(buffer).read_batches(max_frames=16))
+        assert_matches_oracle(analyzer, scalar_oracle(analyzer.config, frames), survivors)
+        return analyzer.result
 
     def test_mixed_traffic_bit_identical(self):
-        scalar, batched = self._summaries(_mixed_frames(100))
-        assert batched.packets_total == scalar.packets_total
-        assert batched.bytes_total == scalar.bytes_total
-        assert batched.packets_zoom == scalar.packets_zoom
-        assert shard_invariant_counters(
-            batched.telemetry_snapshot()
-        ) == shard_invariant_counters(scalar.telemetry_snapshot())
-        assert [s.key for s in batched.media_streams()] == [
-            s.key for s in scalar.media_streams()
-        ]
-        snapshot = batched.telemetry_snapshot()
+        result = self._check(_mixed_frames(100))
+        snapshot = result.telemetry_snapshot()
         assert snapshot.counter("prefilter.dropped") > 0
         assert snapshot.counter("prefilter.passed") > 0
-
-    def test_prepared_batches_preserve_objects(self):
-        packets = [
-            parse_frame(p.data, p.timestamp) for p in _mixed_frames(10)
-        ]
-        batch = prepared_frame_batch(packets)
-        assert batch.prepared == packets
-        assert batch.materialize(3) is packets[3]
-        assert len(batch) == 10
+        assert snapshot.counter("pipeline.stop.classify") >= snapshot.counter(
+            "prefilter.dropped"
+        )
 
     @given(
         st.lists(
@@ -388,15 +394,26 @@ class TestFeedBatchEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_arbitrary_garbage_is_equivalent(self, blobs):
-        """Random byte blobs as prepared vs raw batches: identical semantic
-        counters (prefilter drops must account exactly like stage stops)."""
-        packets = [CapturedPacket(float(i), blob) for i, blob in enumerate(blobs)]
-        scalar, batched = self._summaries(packets)
-        assert batched.packets_total == scalar.packets_total
-        assert batched.bytes_total == scalar.bytes_total
-        assert shard_invariant_counters(
-            batched.telemetry_snapshot()
-        ) == shard_invariant_counters(scalar.telemetry_snapshot())
+        """Random byte blobs: prefilter drops must account exactly like the
+        per-packet tree would have."""
+        self._check([CapturedPacket(float(i), blob) for i, blob in enumerate(blobs)])
+
+
+class TestFrameBatchBuilder:
+    def test_zero_length_frames_and_edge_hints(self):
+        builder = FrameBatchBuilder()
+        frames = [b"", b"\x01\x02", b"", b"\x03"]
+        for i, data in enumerate(frames):
+            builder.append(data, float(i), hint=i in (0, len(frames) - 1))
+        batch = builder.build()
+        assert len(builder) == 0  # reset for the next batch
+        assert [batch.frame(i) for i in range(len(batch))] == frames
+        assert [bytes(d) for d, _ in batch.iter_frames()] == frames
+        assert list(batch.hints) == [1, 0, 0, 1]
+        assert (batch.total_caplen, batch.last_timestamp) == (3, 3.0)
+        verdict = BatchPrefilter([ZOOM_NET]).apply(batch, decode_columns(batch))
+        assert verdict.hint_indexes == [0, 3]
+        assert (verdict.dropped, verdict.parse_failures) == (2, 2)
 
 
 # ------------------------------------------------------------ anomaly rule

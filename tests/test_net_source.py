@@ -78,19 +78,31 @@ class TestPcapFileSource:
             assert source.bytes_emitted == sum(len(c.data) for c in captures)
 
     def test_streaming_yields_before_eof(self, pcap_path):
-        """The reader must hand over the first batch with most of the file
-        still unread — the memory-boundedness contract."""
+        """The reader must hand over the first batch having read one chunk,
+        not the file — the memory-boundedness contract."""
+        from repro.net.pcap import _BATCH_CHUNK_BYTES
+
         size = pcap_path.stat().st_size
         with PcapFileSource(pcap_path, batch_size=4) as source:
-            first = next(source.batches())
+            first = next(source.frame_batches())
             assert len(first) == 4
             assert source.packets_emitted == 4
             consumed = source._reader._file.tell()
-        assert consumed < size / 2
+            assert source.resume_state().offset < size / 100
+        assert consumed == 24 + _BATCH_CHUNK_BYTES < size
 
     def test_batch_size_validated(self, pcap_path):
         with pytest.raises(ValueError):
             PcapFileSource(pcap_path, batch_size=0)
+
+    @pytest.mark.parametrize("batch_size", [255, 256, 257])
+    def test_explicit_batch_size_always_honoured(self, tmp_path, captures, batch_size):
+        """256 used to be a sentinel meaning "untouched, read 4096"."""
+        path = tmp_path / "thousand.pcap"
+        write_pcap(path, captures[:1000])
+        with PcapFileSource(path, batch_size=batch_size) as source:
+            sizes = [len(batch) for batch in source.frame_batches()]
+        assert sizes == [batch_size] * (1000 // batch_size) + [1000 % batch_size]
 
     def test_telemetry_records_capture_counters(self, pcap_path, captures):
         telemetry = Telemetry(enabled=True)
@@ -137,7 +149,7 @@ class TestIterableSource:
             CapturedPacket(float(i), frame.data) for i in itertools.count()
         )
         source = IterableSource(endless, batch_size=16)
-        first = next(source.batches())
+        first = next(source.frame_batches())
         assert len(first) == 16
         assert source.packets_emitted == 16
 
@@ -225,14 +237,19 @@ class TestInterleavedSource:
         assert timestamps == sorted(timestamps)
 
     def test_counts_sources(self, captures):
-        telemetry = Telemetry(enabled=True)
+        """Built bare, adopted by the session: the run's registry must still
+        see ``ingest.sources`` (it used to be counted at construction, into
+        the disabled placeholder) and each input's ``capture.*`` once."""
+        from repro.core import AnalysisSession, AnalyzerConfig
+
         source = InterleavedSource(
-            IterableSource(captures[:5]),
-            IterableSource(captures[5:10]),
-            telemetry=telemetry,
+            IterableSource(captures[0:40:2]), IterableSource(captures[1:40:2])
         )
-        list(source)
-        assert telemetry.snapshot().counters["ingest.sources"] == 2
+        result = AnalysisSession(AnalyzerConfig(telemetry=True)).run(source)
+        counters = result.telemetry_snapshot().counters
+        assert counters["ingest.sources"] == 2
+        assert counters["capture.frames"] == result.packets_total == 40
+        assert counters["capture.bytes"] == result.bytes_total
 
     def test_requires_at_least_one_source(self):
         with pytest.raises(ValueError):

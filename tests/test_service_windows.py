@@ -7,8 +7,7 @@ import pytest
 
 from repro.core import AnalyzerConfig, ZoomAnalyzer
 from repro.core.windows import TumblingWindows
-from repro.net.batch import prepared_frame_batch
-from repro.net.packet import parse_frame
+from repro.net.batch import FrameBatchBuilder
 from repro.net.source import IterableSource
 from repro.service.windows import WindowAggregator, media_name
 from repro.telemetry.registry import Telemetry
@@ -25,7 +24,9 @@ def _aggregator(**kwargs):
 
 def _ingest_one(aggregator, timestamp, size=100):
     """One non-Zoom frame of ``size`` bytes at ``timestamp``, as a batch."""
-    aggregator.ingest(prepared_frame_batch([parse_frame(bytes(size), timestamp)]))
+    builder = FrameBatchBuilder()
+    builder.append(bytes(size), timestamp)
+    aggregator.ingest(builder.build())
 
 
 class TestWindowLifecycle:
