@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md §5 calls out.
+"""Ablations of the design choices DESIGN.md §12 calls out.
 
 1. Duplicate-stream matching features: with SSRC-only matching (no RTP
    timestamp window), re-used SSRCs from unrelated meetings collapse into

@@ -112,17 +112,14 @@ class P4CaptureModel:
     # ------------------------------------------------------------- internals
 
     def _match(self, parsed: ParsedPacket) -> bool:
-        src_ip, dst_ip = parsed.src_ip, parsed.dst_ip
-        if src_ip is None or dst_ip is None:
-            self.counters.no_campus_endpoint += 1
-            return False
-        src_campus = self.campus_matcher.matches(src_ip)
-        dst_campus = self.campus_matcher.matches(dst_ip)
+        ip = parsed.ipv4 or parsed.ipv6
+        src_campus = ip is not None and self.campus_matcher.contains(ip.src)
+        dst_campus = ip is not None and self.campus_matcher.contains(ip.dst)
         if not src_campus and not dst_campus:
             self.counters.no_campus_endpoint += 1
             return False
         # Stage: Zoom IP match (stateless pass for server traffic).
-        if self.zoom_matcher.matches(src_ip) or self.zoom_matcher.matches(dst_ip):
+        if self.zoom_matcher.contains(ip.src) or self.zoom_matcher.contains(ip.dst):
             self.counters.zoom_ip_matched += 1
             # Stage: STUN learn.
             if (
@@ -136,12 +133,12 @@ class P4CaptureModel:
         if parsed.is_udp:
             now = parsed.timestamp
             if src_campus and self.p2p_sources.contains(
-                endpoint_key(src_ip, parsed.src_port or 0), now
+                endpoint_key(parsed.src_ip, parsed.src_port or 0), now
             ):
                 self.counters.p2p_matched += 1
                 return True
             if dst_campus and self.p2p_destinations.contains(
-                endpoint_key(dst_ip, parsed.dst_port or 0), now
+                endpoint_key(parsed.dst_ip, parsed.dst_port or 0), now
             ):
                 self.counters.p2p_matched += 1
                 return True

@@ -187,7 +187,7 @@ class QoeConfig:
     The machine classifies each meeting into GOOD / DEGRADED / IMPAIRED /
     CRITICAL from window-level monitor-visible signals, with hysteresis so a
     flapping link does not flap alerts.  Threshold provenance is the paper's
-    §5 validation ranges (see DESIGN.md §13): recovery-visible loss share,
+    §5 validation ranges (see DESIGN.md §7): recovery-visible loss share,
     RFC-3550 jitter, and the frame-rate collapse that "Can You See Me Now?"
     identifies as the dominant user-visible failure.
 

@@ -13,11 +13,10 @@ the media flow will use**.  :class:`StunTracker` remembers those
 from __future__ import annotations
 
 import enum
-import ipaddress
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
-from repro.net.ip import IPProtocol
+from repro.net.ip import PrefixTable
 from repro.net.packet import ParsedPacket
 from repro.rtp.stun import STUN_PORT, is_stun
 from repro.zoom.constants import SERVER_MEDIA_PORT, SERVER_TLS_PORT, ZOOM_SERVER_SUBNETS
@@ -47,37 +46,19 @@ class ZoomClass(enum.Enum):
         return self in (ZoomClass.SERVER_MEDIA, ZoomClass.P2P_MEDIA)
 
 
-class ZoomSubnetMatcher:
-    """Membership test against Zoom's published IP prefix list.
+#: An ``(ip string, port)`` endpoint — the :class:`StunTracker` key.
+Endpoint = tuple[str, int]
 
-    Prefixes are pre-split by the first address octet so per-packet matching
-    stays O(prefixes with that octet) — the same trick a TCAM would make
-    unnecessary in the Tofino version (§6.1).
-    """
+#: ``lookup(ip, port, now)`` — one view of a :class:`StunTracker`
+#: (:meth:`~StunTracker.touch` or :meth:`~StunTracker.peek`).
+EndpointLookup = Callable[[str, int, float], bool]
 
-    def __init__(self, subnets: Iterable[str] = ZOOM_SERVER_SUBNETS) -> None:
-        self._networks: dict[int, list[ipaddress.IPv4Network | ipaddress.IPv6Network]]
-        self._networks = {}
-        for subnet in subnets:
-            network = ipaddress.ip_network(subnet)
-            first_octet = int(str(network.network_address).split(".")[0]) if network.version == 4 else -1
-            self._networks.setdefault(first_octet, []).append(network)
 
-    def __contains__(self, ip: str) -> bool:
-        try:
-            address = ipaddress.ip_address(ip)
-        except ValueError:
-            return False
-        key = int(ip.split(".", 1)[0]) if address.version == 4 else -1
-        return any(address in network for network in self._networks.get(key, ()))
-
-    def matches(self, ip: str | None) -> bool:
-        return ip is not None and ip in self
-
-    @property
-    def networks(self) -> list[ipaddress.IPv4Network | ipaddress.IPv6Network]:
-        """The compiled prefix list (the batch prefilter recompiles from it)."""
-        return [network for bucket in self._networks.values() for network in bucket]
+#: The one prefix table (public name kept): Zoom and campus membership for
+#: the detector and the capture model and — through the same ``(network,
+#: netmask)`` pairs — the batch prefilter and the cBPF compiler; the TCAM
+#: match of the Tofino version (§6.1).
+ZoomSubnetMatcher = PrefixTable
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,12 +111,16 @@ class StunTracker:
             self._bindings[(ip, port)] = now
         return True
 
+    def touch(self, ip: str, port: int, now: float) -> bool:
+        """The refreshing :meth:`lookup` — the view ``classify`` decides with."""
+        return self.lookup(ip, port, now, refresh=True)
+
     def peek(self, ip: str, port: int, now: float) -> bool:
         """:meth:`lookup` without side effects: no expiry delete, no refresh.
 
-        Used by the registry's conflict probe (``would_claim``), which must
-        not perturb tracker state when re-evaluating a packet another plugin
-        already claimed.
+        The view the registry's conflict probe (``would_claim``) and the
+        shard hint (``observe_stun``) decide with: re-evaluating a packet
+        must not perturb tracker state.
         """
         learned = self._bindings.get((ip, port))
         return learned is not None and now - learned <= self.timeout
@@ -241,85 +226,60 @@ class ZoomTrafficDetector:
 
     def classify(self, packet: ParsedPacket) -> ZoomClass:
         """Classify one parsed packet and update detector state."""
-        result = self._classify(packet)
-        self.counters.bump(result)
-        return result
+        klass, learned = self.decide(packet, self.stun.touch)
+        for ip, port in learned:
+            self.stun.learn(ip, port, packet.timestamp)
+        self.counters.bump(klass)
+        return klass
 
-    def _classify(self, packet: ParsedPacket) -> ZoomClass:
-        src_ip, dst_ip = packet.src_ip, packet.dst_ip
-        if src_ip is None:
-            return ZoomClass.NOT_ZOOM
-        src_is_zoom = self.matcher.matches(src_ip)
-        dst_is_zoom = self.matcher.matches(dst_ip)
-        if src_is_zoom or dst_is_zoom:
-            if packet.is_udp:
-                if STUN_PORT in (packet.src_port, packet.dst_port) and is_stun(
-                    packet.payload
-                ):
-                    self._learn_stun(packet, src_is_zoom)
-                    return ZoomClass.SERVER_STUN
-                if SERVER_MEDIA_PORT in (packet.src_port, packet.dst_port):
-                    return ZoomClass.SERVER_MEDIA
-                return ZoomClass.SERVER_OTHER
-            if packet.is_tcp and SERVER_TLS_PORT in (packet.src_port, packet.dst_port):
-                return ZoomClass.SERVER_TLS
-            return ZoomClass.SERVER_OTHER
-        if packet.is_udp:
-            # A hit refreshes the binding: an active P2P flow must stay
-            # classified for as long as it is actually sending, so the only
-            # timeout that ends it is the *idle* timeout — consistent with
-            # how server streams are handled.
-            now = packet.timestamp
-            if self._endpoint_is_campus(src_ip) is not False and self.stun.lookup(
-                src_ip, packet.src_port or 0, now, refresh=True
-            ):
-                return ZoomClass.P2P_MEDIA
-            if self._endpoint_is_campus(dst_ip) is not False and self.stun.lookup(
-                dst_ip, packet.dst_port or 0, now, refresh=True
-            ):
-                return ZoomClass.P2P_MEDIA
-        return ZoomClass.NOT_ZOOM
+    def decide(
+        self, packet: ParsedPacket, lookup: EndpointLookup
+    ) -> tuple[ZoomClass, Sequence[Endpoint]]:
+        """The decision tree, stated once and free of side effects.
 
-    def observe_stun(self, packet: ParsedPacket) -> bool:
-        """Learn a STUN binding *without* counting the packet.
-
-        The sharded driver replicates STUN exchanges to every shard so each
-        shard-local detector can recognize the P2P flow that follows, but
-        only the packet's home shard counts it; this is the side-effect-only
-        entry point the replicas use.  Returns whether a binding was learned.
+        Returns the packet's class and the endpoints it teaches (the client
+        side of a STUN exchange: the source of a request, the destination
+        of a response).  Which tracker view ``lookup`` is decides what a
+        P2P hit does: :meth:`StunTracker.touch` re-arms the binding — an
+        active P2P flow must stay classified for as long as it is sending,
+        so only the *idle* timeout ends it, as for server streams —
+        :meth:`StunTracker.peek` leaves it alone.
         """
-        src_is_zoom = self.matcher.matches(packet.src_ip)
-        dst_is_zoom = self.matcher.matches(packet.dst_ip)
-        if not (src_is_zoom or dst_is_zoom) or not packet.is_udp:
-            return False
-        if STUN_PORT not in (packet.src_port, packet.dst_port):
-            return False
-        if not is_stun(packet.payload):
-            return False
-        self._learn_stun(packet, src_is_zoom)
-        return True
+        ip = packet.ipv4 or packet.ipv6
+        if ip is None:
+            return ZoomClass.NOT_ZOOM, ()
+        udp = packet.udp
+        src_is_zoom = self.matcher.contains(ip.src)
+        if src_is_zoom or self.matcher.contains(ip.dst):
+            if udp is not None:
+                ports = (udp.src_port, udp.dst_port)
+                if STUN_PORT in ports and is_stun(packet.payload):
+                    if src_is_zoom:
+                        return ZoomClass.SERVER_STUN, ((packet.dst_ip, udp.dst_port),)
+                    return ZoomClass.SERVER_STUN, ((packet.src_ip, udp.src_port),)
+                if SERVER_MEDIA_PORT in ports:
+                    return ZoomClass.SERVER_MEDIA, ()
+            elif packet.tcp is not None and SERVER_TLS_PORT in (
+                packet.tcp.src_port,
+                packet.tcp.dst_port,
+            ):
+                return ZoomClass.SERVER_TLS, ()
+            return ZoomClass.SERVER_OTHER, ()
+        if udp is not None:
+            now = packet.timestamp
+            campus = self.campus_matcher
+            if (campus is None or campus.contains(ip.src)) and lookup(
+                packet.src_ip, udp.src_port, now
+            ):
+                return ZoomClass.P2P_MEDIA, ()
+            if (campus is None or campus.contains(ip.dst)) and lookup(
+                packet.dst_ip, udp.dst_port, now
+            ):
+                return ZoomClass.P2P_MEDIA, ()
+        return ZoomClass.NOT_ZOOM, ()
 
     def merge_from(self, other: "ZoomTrafficDetector") -> None:
         """Fold another detector's telemetry and learned state into this one
         (sharded-result merge)."""
         self.counters.merge_from(other.counters)
         self.stun.merge_from(other.stun)
-
-    def _learn_stun(self, packet: ParsedPacket, src_is_zoom: bool) -> None:
-        """Record the client endpoint of a STUN exchange.
-
-        For a request, the client is the source; for a response, the
-        destination.  Either direction suffices to learn the binding.
-        """
-        if src_is_zoom:
-            client_ip, client_port = packet.dst_ip, packet.dst_port
-        else:
-            client_ip, client_port = packet.src_ip, packet.src_port
-        if client_ip is not None and client_port is not None:
-            self.stun.learn(client_ip, client_port, packet.timestamp)
-
-    def _endpoint_is_campus(self, ip: str | None) -> bool | None:
-        """Campus membership, or ``None`` when no campus list was given."""
-        if self.campus_matcher is None:
-            return None
-        return self.campus_matcher.matches(ip)

@@ -321,7 +321,7 @@ class ZoomAnalyzer:
         self.result = AnalysisResult()
         self.result.telemetry = config.make_telemetry()
         self._telemetry = self.result.telemetry
-        # The protocol registry (DESIGN §14).  The Zoom plugin's detector is
+        # The protocol registry (DESIGN §4.3).  The Zoom plugin's detector is
         # also exposed as ``result.detector`` so shard merges and the report
         # layers keep working unchanged; a registry without Zoom still gets
         # a (detached, never-fed) detector there for those layers.

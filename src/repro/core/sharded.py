@@ -32,78 +32,25 @@ packet, and each shard feeds them to :meth:`ZoomAnalyzer.feed_batch`.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.config import AnalyzerConfig
 from repro.core.pipeline import AnalysisResult, ZoomAnalyzer
-from repro.net.batch import FrameBatch, FrameBatchBuilder
+from repro.net.batch import FrameBatch, FrameBatchBuilder, decode_columns, has_stun_cookie
 from repro.rtp.stun import STUN_PORT
 from repro.telemetry.registry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.source import SourceLike
 
-_ETHERTYPE_VLAN = 0x8100
-_ETHERTYPE_IPV4 = 0x0800
-_ETHERTYPE_IPV6 = 0x86DD
-_STUN_MAGIC = b"\x21\x12\xa4\x42"
+_PROTO_UDP = 17
 
-
-def flow_shard_info(data) -> tuple[int, bool] | None:
-    """(bidirectional flow hash, looks-like-Zoom-STUN) for one raw frame.
-
-    Reads the handful of header bytes it needs directly — this runs once per
-    packet in the partitioning loop, before any shard does a full decode.
-    ``data`` may be ``bytes`` or a ``memoryview`` into a batch buffer (the
-    hash is over header *values*, so both spell the same shard).  Returns
-    ``None`` for frames without an IPv4/IPv6 + TCP/UDP flow key (ARP,
-    truncated frames, other protocols); those carry no per-flow state and
-    may go to any shard.
-    """
-    if len(data) < 34:
-        return None
-    ethertype = (data[12] << 8) | data[13]
-    offset = 14
-    if ethertype == _ETHERTYPE_VLAN:
-        if len(data) < 38:
-            return None
-        ethertype = (data[16] << 8) | data[17]
-        offset = 18
-    if ethertype == _ETHERTYPE_IPV4:
-        ihl = (data[offset] & 0x0F) * 4
-        if ihl < 20 or len(data) < offset + ihl + 4:
-            return None
-        proto = data[offset + 9]
-        src = bytes(data[offset + 12 : offset + 16])
-        dst = bytes(data[offset + 16 : offset + 20])
-        l4 = offset + ihl
-    elif ethertype == _ETHERTYPE_IPV6:
-        if len(data) < offset + 44:
-            return None
-        proto = data[offset + 6]
-        src = bytes(data[offset + 8 : offset + 24])
-        dst = bytes(data[offset + 24 : offset + 40])
-        l4 = offset + 40
-    else:
-        return None
-    if proto not in (6, 17) or len(data) < l4 + 4:
-        return None
-    sport = (data[l4] << 8) | data[l4 + 1]
-    dport = (data[l4 + 2] << 8) | data[l4 + 3]
-    endpoint_a = src + bytes((sport >> 8, sport & 0xFF))
-    endpoint_b = dst + bytes((dport >> 8, dport & 0xFF))
-    if endpoint_b < endpoint_a:
-        endpoint_a, endpoint_b = endpoint_b, endpoint_a
-    flow_hash = zlib.crc32(endpoint_a + endpoint_b + bytes((proto,)))
-    is_stun = (
-        proto == 17
-        and STUN_PORT in (sport, dport)
-        and len(data) >= l4 + 8 + 8
-        and data[l4 + 12 : l4 + 16] == _STUN_MAGIC
-    )
-    return flow_hash, is_stun
+#: ``(ip, port)`` of the smaller endpoint, of the larger, then the protocol:
+#: the bidirectional flow key, packed for hashing.
+_PACK_FLOW = struct.Struct("!IHIHB").pack
 
 
 @dataclass
@@ -166,6 +113,10 @@ class ShardedAnalyzer:
         Each frame lands on exactly one home shard (flow-affine, both
         directions together, capture order preserved); STUN frames are
         additionally replicated to every other shard as detector hints.
+        The flow key — ``(min endpoint, max endpoint, proto)`` — is read
+        off the batch's :func:`~repro.net.batch.decode_columns`, the one
+        header walk (IPv6 addresses are not columns, so those flows hash
+        on ports and protocol alone — still both directions together).
         Frames are copied into the shard's own contiguous buffer, so the
         output is what the process backend wants to pickle: one buffer +
         three flat arrays per batch, not one object per packet.  Shard
@@ -179,15 +130,28 @@ class ShardedAnalyzer:
         stats = PartitionStats(shard_packets=[0] * shards)
         crc32 = zlib.crc32
         for batch in batches:
-            for data, timestamp in batch.iter_frames():
-                info = flow_shard_info(data)
-                if info is None:
+            columns = decode_columns(batch)
+            src, dst, protos = columns.src, columns.dst, columns.proto
+            src_port, dst_port, l4_offset = columns.src_port, columns.dst_port, columns.l4_offset
+            for i, (data, timestamp) in enumerate(batch.iter_frames()):
+                is_stun = False
+                if src_port[i] < 0:
+                    # No IP + TCP/UDP flow key (ARP, truncated frames, other
+                    # protocols): no per-flow state, any shard will do.
                     home = crc32(data) % shards
                     stats.unhashable_frames += 1
-                    is_stun = False
                 else:
-                    flow_hash, is_stun = info
-                    home = flow_hash % shards
+                    a = (src[i], src_port[i])
+                    b = (dst[i], dst_port[i])
+                    if b < a:
+                        a, b = b, a
+                    proto = protos[i]
+                    home = crc32(_PACK_FLOW(*a, *b, proto)) % shards
+                    is_stun = (
+                        proto == _PROTO_UDP
+                        and STUN_PORT in (a[1], b[1])
+                        and has_stun_cookie(data, l4_offset[i], len(data) - l4_offset[i])
+                    )
                 builders[home].append(data, timestamp)
                 stats.shard_packets[home] += 1
                 if is_stun:

@@ -74,7 +74,7 @@ from repro.dataplane.cbpf import (
     Assembler,
     CBPFProgram,
 )
-from repro.net.ip import ipv4_nets_to_u32, ipv4_str_to_u32
+from repro.net.ip import PrefixTable, ipv4_str_to_u32
 
 __all__ = [
     "CaptureRules",
@@ -119,23 +119,18 @@ class CaptureRules:
     @classmethod
     def from_networks(
         cls,
-        networks: Iterable,
+        networks: Iterable[str],
         *,
         endpoints: Iterable[tuple[str, int]] = (),
         sniff_all_stun: bool = False,
-        campus: Iterable | None = None,
+        campus: Iterable[str] | None = None,
     ) -> "CaptureRules":
         """Build rules from prefix strings and ``(ip, port)`` endpoints."""
-        packed = []
-        for ip, port in endpoints:
-            u32 = ipv4_str_to_u32(ip)
-            if u32 is not None:
-                packed.append((u32 << 16) | port)
         return cls(
-            networks_v4=ipv4_nets_to_u32(networks),
-            endpoints=tuple(sorted(set(packed))),
+            networks_v4=PrefixTable(networks).v4,
+            endpoints=_pack_endpoints(endpoints),
             sniff_all_stun=sniff_all_stun,
-            campus_v4=ipv4_nets_to_u32(campus) if campus is not None else None,
+            campus_v4=PrefixTable(campus).v4 if campus is not None else None,
         )
 
     @classmethod
@@ -168,11 +163,21 @@ class CaptureRules:
                 key, when
             ):
                 endpoints.append((ip, port))
-        return cls.from_networks(
-            model.zoom_matcher.networks,
-            endpoints=endpoints,
-            campus=model.campus_matcher.networks,
+        return cls(
+            networks_v4=model.zoom_matcher.v4,
+            endpoints=_pack_endpoints(endpoints),
+            campus_v4=model.campus_matcher.v4,
         )
+
+
+def _pack_endpoints(endpoints: Iterable[tuple[str, int]]) -> tuple[int, ...]:
+    """Sorted, de-duplicated ``(ip_u32 << 16) | port`` keys of the IPv4 members."""
+    packed = set()
+    for ip, port in endpoints:
+        u32 = ipv4_str_to_u32(ip)
+        if u32 is not None:
+            packed.add((u32 << 16) | port)
+    return tuple(sorted(packed))
 
 
 @dataclass(slots=True)

@@ -35,7 +35,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 
-from repro.net.batch import BatchPrefilter, FrameBatch
+from repro.net.batch import BatchPrefilter, FrameBatch, has_stun_cookie
 from repro.zoom.constants import STUN_SERVER_PORT
 
 __all__ = ["RawFrameFilter", "RawFilterStats"]
@@ -129,16 +129,9 @@ class RawFrameFilter:
             sniff = prefilter.sniff_all_stun or (
                 zoom_hit and (sp == STUN_SERVER_PORT or dp == STUN_SERVER_PORT)
             )
-            if sniff and caplen >= l4 + 16:
-                c = o + l4
-                if (
-                    buf[c + 12] == 0x21
-                    and buf[c + 13] == 0x12
-                    and buf[c + 14] == 0xA4
-                    and buf[c + 15] == 0x42
-                ):
-                    prefilter.note_endpoint(s, sp)
-                    prefilter.note_endpoint(d, dp)
+            if sniff and has_stun_cookie(buf, o + l4, caplen - l4):
+                prefilter.note_endpoint(s, sp)
+                prefilter.note_endpoint(d, dp)
             endpoints = prefilter.endpoint_keys_view
             if zoom_hit or ((s << 16) | sp) in endpoints or ((d << 16) | dp) in endpoints:
                 return _PASS

@@ -25,7 +25,7 @@ of this).  This module is the software analogue of that prefilter, and
   snapshot, and metric is exactly what feeding every frame through them
   would give.
 
-Correctness contract of the prefilter (see DESIGN.md §12): a frame may be
+Correctness contract of the prefilter (see DESIGN.md §4.3): a frame may be
 dropped only if feeding it through the per-packet stages would (a) classify
 as NOT_ZOOM and (b) leave detector state untouched.  The prefilter
 guarantees (b) by learning STUN endpoints *more* liberally than the
@@ -42,7 +42,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.net.ip import ipv4_nets_to_u32, ipv4_str_to_u32
+from repro.net.ip import PrefixTable, ipv4_str_to_u32
 from repro.net.packet import ParsedPacket, parse_frame
 from repro.zoom.constants import STUN_SERVER_PORT
 
@@ -53,6 +53,7 @@ __all__ = [
     "decode_columns",
     "BatchPrefilter",
     "PrefilterVerdict",
+    "has_stun_cookie",
     "DEFAULT_FRAMES_PER_BATCH",
 ]
 
@@ -67,6 +68,8 @@ _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_IPV6 = 0x86DD
 _PROTO_TCP = 6
 _PROTO_UDP = 17
+
+_STUN_COOKIE = b"\x21\x12\xa4\x42"
 
 _UNPACK_ADDRS = struct.Struct("!II").unpack_from  # IPv4 src, dst
 _UNPACK_PORTS = struct.Struct("!HH").unpack_from  # transport src, dst
@@ -276,6 +279,12 @@ def decode_columns(batch: FrameBatch) -> HeaderColumns:
     )
 
 
+def has_stun_cookie(buf, l4: int, room: int) -> bool:
+    """Whether the UDP datagram whose header starts at ``buf[l4]``, with
+    ``room`` captured bytes from there, carries the RFC 5389 magic cookie."""
+    return room >= 16 and buf[l4 + 12 : l4 + 16] == _STUN_COOKIE
+
+
 @dataclass(slots=True)
 class PrefilterVerdict:
     """Outcome of one :meth:`BatchPrefilter.apply` pass over a batch."""
@@ -327,28 +336,28 @@ class BatchPrefilter:
     its classification touches no plugin state (all lookups miss).
     """
 
-    __slots__ = ("_nets_v4", "_endpoints", "_synced_learns", "_sniff_all")
+    __slots__ = ("networks_v4", "sniff_all_stun", "_endpoints", "_synced_learns")
 
-    def __init__(self, networks: Iterable, *, sniff_all_stun: bool = False) -> None:
-        self._nets_v4: Sequence[tuple[int, int]] = ipv4_nets_to_u32(networks)
+    def __init__(
+        self, networks: Iterable[str] = (), *, sniff_all_stun: bool = False
+    ) -> None:
+        #: Compiled IPv4 rules — a :class:`PrefixTable`'s ``(net, mask)`` pairs.
+        self.networks_v4: Sequence[tuple[int, int]] = PrefixTable(networks).v4
+        #: Whether the STUN cookie sniff applies beyond Zoom-range frames.
+        self.sniff_all_stun = sniff_all_stun
         self._endpoints: set[int] = set()
         self._synced_learns: dict[int, int] = {}
-        self._sniff_all = sniff_all_stun
-
-    @classmethod
-    def from_matcher(cls, matcher) -> "BatchPrefilter":
-        """Compile from a :class:`~repro.core.detector.ZoomSubnetMatcher`."""
-        return cls(matcher.networks)
 
     @classmethod
     def from_plugins(cls, plugins: Iterable) -> "BatchPrefilter":
-        """Compile the union of the enabled plugins' match-action rules."""
-        networks: list = []
-        sniff_all = False
-        for plugin in plugins:
-            networks.extend(plugin.prefilter_networks)
-            sniff_all = sniff_all or plugin.sniff_all_stun
-        return cls(networks, sniff_all_stun=sniff_all)
+        """The union of the enabled plugins' match-action rules — their
+        already-compiled prefix pairs, not a recompile."""
+        plugins = tuple(plugins)
+        prefilter = cls(sniff_all_stun=any(p.sniff_all_stun for p in plugins))
+        prefilter.networks_v4 = tuple(
+            pair for plugin in plugins for pair in plugin.prefilter_networks
+        )
+        return prefilter
 
     # ------------------------------------------------------ compiled state
     #
@@ -356,11 +365,6 @@ class BatchPrefilter:
     # — the raw-bytes pre-decode filter and the cBPF kernel program — from
     # this object's rule state, so the state is public read-only API, not
     # an implementation detail.
-
-    @property
-    def networks_v4(self) -> Sequence[tuple[int, int]]:
-        """Compiled IPv4 rules as ``(network_u32, netmask_u32)`` pairs."""
-        return self._nets_v4
 
     @property
     def endpoint_keys(self) -> frozenset[int]:
@@ -376,11 +380,6 @@ class BatchPrefilter:
     def endpoint_count(self) -> int:
         """Size of the pass-set — it never shrinks, so growth ⇔ change."""
         return len(self._endpoints)
-
-    @property
-    def sniff_all_stun(self) -> bool:
-        """Whether the STUN cookie sniff applies beyond Zoom-range frames."""
-        return self._sniff_all
 
     # ----------------------------------------------------------- endpoints
 
@@ -415,7 +414,7 @@ class BatchPrefilter:
         dropped_bytes = 0
         parse_failures = 0
 
-        nets = self._nets_v4
+        nets = self.networks_v4
         endpoints = self._endpoints
         note = self.note_endpoint
         buf = batch.buffer
@@ -430,7 +429,7 @@ class BatchPrefilter:
         dst_port = columns.dst_port
         l4_offset = columns.l4_offset
         stun_port = STUN_SERVER_PORT
-        sniff_all = self._sniff_all
+        sniff_all = self.sniff_all_stun
 
         for i in range(len(caplens)):
             et = ethertype[i]
@@ -454,13 +453,8 @@ class BatchPrefilter:
                         # sniff-all mode (arbitrary-port ICE) noting both
                         # endpoints here also makes the cookie frame itself
                         # pass the endpoint check below.
-                        l4 = offsets[i] + l4_offset[i]
-                        if (
-                            caplens[i] >= l4_offset[i] + 16
-                            and buf[l4 + 12] == 0x21
-                            and buf[l4 + 13] == 0x12
-                            and buf[l4 + 14] == 0xA4
-                            and buf[l4 + 15] == 0x42
+                        if has_stun_cookie(
+                            buf, offsets[i] + l4_offset[i], caplens[i] - l4_offset[i]
                         ):
                             note(s, sp)
                             note(d, dp)

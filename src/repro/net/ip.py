@@ -42,15 +42,45 @@ def ipv4_str_to_u32(ip: str) -> int | None:
     return (a << 24) | (b << 16) | (c << 8) | d
 
 
-def ipv4_nets_to_u32(networks: Iterable) -> tuple[tuple[int, int], ...]:
-    """``(network address, netmask)`` u32 pairs of the IPv4 members of
-    ``networks`` (``ipaddress`` network objects or CIDR strings)."""
-    pairs = []
-    for net in networks:
-        net = ipaddress.ip_network(net) if isinstance(net, str) else net
-        if net.version == 4:
+class PrefixTable:
+    """A CIDR list compiled once into ``(network, netmask)`` integer pairs.
+
+    The one prefix-membership implementation: the detector, the campus
+    gate, the P4 capture model, the batch prefilter and the cBPF compiler
+    all read :attr:`v4` (host-order u32 pairs) / :attr:`v6` (128-bit pairs)
+    of the same table.  Per-packet callers ask :meth:`contains` with the
+    packed address a decoded header already holds; the string forms exist
+    for configuration-time and interactive use.
+    """
+
+    __slots__ = ("v4", "v6")
+
+    def __init__(self, cidrs: Iterable[str] = ()) -> None:
+        v4: list[tuple[int, int]] = []
+        v6: list[tuple[int, int]] = []
+        for cidr in cidrs:
+            net = ipaddress.ip_network(cidr)
+            pairs = v4 if net.version == 4 else v6
             pairs.append((int(net.network_address), int(net.netmask)))
-    return tuple(pairs)
+        self.v4 = tuple(v4)
+        self.v6 = tuple(v6)
+
+    def contains(self, packed: bytes) -> bool:
+        """Whether a packed 4- or 16-byte address falls in any prefix."""
+        value = int.from_bytes(packed, "big")
+        for net, mask in self.v4 if len(packed) == 4 else self.v6:
+            if value & mask == net:
+                return True
+        return False
+
+    def __contains__(self, ip: str) -> bool:
+        try:
+            return self.contains(ip_from_str(ip))
+        except ValueError:
+            return False
+
+    def matches(self, ip: str | None) -> bool:
+        return ip is not None and ip in self
 
 
 @dataclass(frozen=True, slots=True)

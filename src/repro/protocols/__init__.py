@@ -1,4 +1,4 @@
-"""Protocol plugin registry: Zoom is one dissector among many (DESIGN §14)."""
+"""Protocol plugin registry: Zoom is one dissector among many (DESIGN §4.3)."""
 
 from repro.protocols.base import (
     ProtocolClass,

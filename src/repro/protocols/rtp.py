@@ -36,12 +36,12 @@ import enum
 from typing import TYPE_CHECKING
 
 from repro.core.detector import StunTracker
-from repro.core.events import RTCPObserved
 from repro.core.streams import RTPPacketRecord
-from repro.protocols.base import ProtocolPlugin
+from repro.protocols.base import ProtocolPlugin, observe_rtcp, undecoded
+from repro.rtp.rtcp import parse_rtcp_compound
 from repro.rtp.rtp import RTP_VERSION, RTPHeader, looks_like_rtp
 from repro.rtp.stun import is_stun
-from repro.zoom.constants import ENCAP_OTHER, ZoomMediaType
+from repro.zoom.constants import ZoomMediaType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import AnalyzerConfig
@@ -110,46 +110,24 @@ class RtpPlugin(ProtocolPlugin):
             audio_payload_types=config.protocols.rtp_audio_payload_types,
         )
 
-    @property
-    def stun_trackers(self) -> tuple[StunTracker, ...]:
-        return (self.stun,)
-
     # ------------------------------------------------------------- detection
 
-    def classify(self, parsed: "ParsedPacket") -> RtpClass | None:
-        if not parsed.is_udp:
-            return None
+    def decide(self, parsed: "ParsedPacket", lookup):
+        udp = parsed.udp
+        if udp is None:
+            return None, ()
         payload = parsed.payload
+        src = (parsed.src_ip, udp.src_port)
+        dst = (parsed.dst_ip, udp.dst_port)
         if is_stun(payload):
-            now = parsed.timestamp
-            if parsed.src_ip is not None and parsed.src_port is not None:
-                self.stun.learn(parsed.src_ip, parsed.src_port, now)
-            if parsed.dst_ip is not None and parsed.dst_port is not None:
-                self.stun.learn(parsed.dst_ip, parsed.dst_port, now)
-            return RtpClass.RTP_STUN
+            # Either end may be the monitored side: the frame teaches both.
+            return RtpClass.RTP_STUN, (src, dst)
         now = parsed.timestamp
-        tracked = self.stun.lookup(
-            parsed.src_ip or "", parsed.src_port or 0, now, refresh=True
-        ) or self.stun.lookup(
-            parsed.dst_ip or "", parsed.dst_port or 0, now, refresh=True
-        )
-        if not tracked:
-            return None
-        if looks_like_rtcp(payload) or looks_like_rtp(payload):
-            return RtpClass.RTP_MEDIA
-        return None
-
-    def would_claim(self, parsed: "ParsedPacket") -> bool:
-        if not parsed.is_udp:
-            return False
-        payload = parsed.payload
-        if is_stun(payload):
-            return True
-        now = parsed.timestamp
-        tracked = self.stun.peek(
-            parsed.src_ip or "", parsed.src_port or 0, now
-        ) or self.stun.peek(parsed.dst_ip or "", parsed.dst_port or 0, now)
-        return tracked and (looks_like_rtcp(payload) or looks_like_rtp(payload))
+        if (lookup(*src, now) or lookup(*dst, now)) and (
+            looks_like_rtcp(payload) or looks_like_rtp(payload)
+        ):
+            return RtpClass.RTP_MEDIA, ()
+        return None, ()
 
     def on_claimed(self, ctx: "PacketContext", result: "AnalysisResult") -> bool:
         parsed = ctx.parsed
@@ -173,13 +151,22 @@ class RtpPlugin(ProtocolPlugin):
         assert parsed is not None and ctx.five_tuple is not None
         payload = parsed.payload
         if looks_like_rtcp(payload):
-            if self._observe_rtcp(payload, parsed.timestamp, result, bus, telemetry):
-                return False
-            return self._undecoded(payload, result, telemetry)
+            reports = parse_rtcp_compound(bytes(payload))
+            if not reports:
+                return undecoded(len(payload), result, telemetry)
+            return observe_rtcp(
+                reports,
+                int(ZoomMediaType.RTCP_SR),
+                len(payload),
+                parsed.timestamp,
+                result,
+                bus,
+                telemetry,
+            )
         try:
             header, payload_offset = RTPHeader.parse(payload)
         except ValueError:
-            return self._undecoded(payload, result, telemetry)
+            return undecoded(len(payload), result, telemetry)
         if header.payload_type in self._audio_payload_types:
             media_type = int(ZoomMediaType.AUDIO)
         else:
@@ -216,69 +203,6 @@ class RtpPlugin(ProtocolPlugin):
         ctx.record = record
         return True
 
-    def _observe_rtcp(
-        self,
-        payload: bytes | memoryview,
-        timestamp: float,
-        result: "AnalysisResult",
-        bus: "EventBus",
-        telemetry: "Telemetry",
-    ) -> bool:
-        from repro.rtp.rtcp import (
-            RTCPReceiverReport,
-            RTCPSdes,
-            RTCPSenderReport,
-            parse_rtcp_compound,
-        )
-
-        reports = parse_rtcp_compound(bytes(payload))
-        if not reports:
-            return False
-        result.encap_packets[int(ZoomMediaType.RTCP_SR)] += 1
-        result.encap_bytes[int(ZoomMediaType.RTCP_SR)] += len(payload)
-        telemetry.count("demux.rtcp")
-        for report in reports:
-            if isinstance(report, RTCPSenderReport):
-                result.rtcp_sender_reports += 1
-            elif isinstance(report, RTCPSdes):
-                if report.is_empty:
-                    result.rtcp_sdes_empty += 1
-            elif isinstance(report, RTCPReceiverReport):
-                result.rtcp_receiver_reports += 1
-                telemetry.count("demux.rtcp_receiver_reports")
-            bus.emit(RTCPObserved(timestamp=timestamp, report=report))
-        return True
-
-    def _undecoded(
-        self,
-        payload: bytes | memoryview,
-        result: "AnalysisResult",
-        telemetry: "Telemetry",
-    ) -> bool:
-        result.undecoded_packets += 1
-        result.encap_packets[ENCAP_OTHER] += 1
-        result.encap_bytes[ENCAP_OTHER] += len(payload)
-        telemetry.count("demux.undecoded")
-        return False
-
-    # --------------------------------------------------------------- sharing
-
-    def observe_stun(self, parsed: "ParsedPacket") -> bool:
-        """Learn both endpoints of a replicated STUN frame (hint path)."""
-        if not parsed.is_udp or not is_stun(parsed.payload):
-            return False
-        learned = False
-        if parsed.src_ip is not None and parsed.src_port is not None:
-            self.stun.learn(parsed.src_ip, parsed.src_port, parsed.timestamp)
-            learned = True
-        if parsed.dst_ip is not None and parsed.dst_port is not None:
-            self.stun.learn(parsed.dst_ip, parsed.dst_port, parsed.timestamp)
-            learned = True
-        return learned
-
-    def purge(self, now: float) -> int:
-        return self.stun.purge(now)
-
     # ------------------------------------------------------------------- CLI
 
     def flow_tag(self, klass) -> str:
@@ -289,8 +213,6 @@ class RtpPlugin(ProtocolPlugin):
         if is_stun(payload):
             return "STUN binding (ICE) — endpoint learned\n"
         if looks_like_rtcp(payload):
-            from repro.rtp.rtcp import parse_rtcp_compound
-
             reports = parse_rtcp_compound(bytes(payload))
             lines = [f"RTCP compound ({len(reports)} report(s))"]
             for report in reports:

@@ -12,17 +12,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.detector import ZoomClass, ZoomTrafficDetector
-from repro.core.events import RTCPObserved
 from repro.core.metrics.latency import TCPRTTEstimator
 from repro.core.streams import RTPPacketRecord
-from repro.protocols.base import ProtocolPlugin
-from repro.zoom.constants import ENCAP_OTHER, SERVER_MEDIA_PORT
+from repro.protocols.base import ProtocolPlugin, observe_rtcp, undecoded
+from repro.zoom.constants import SERVER_MEDIA_PORT
 from repro.zoom.packets import parse_zoom_payload
 from repro.zoom.sfu_encap import Direction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import AnalyzerConfig
-    from repro.core.detector import StunTracker
     from repro.core.events import EventBus
     from repro.core.pipeline import AnalysisResult
     from repro.core.stages.base import PacketContext
@@ -44,6 +42,11 @@ class ZoomPlugin(ProtocolPlugin):
 
     def __init__(self, detector: ZoomTrafficDetector) -> None:
         self.detector = detector
+        self.stun = detector.stun
+        # The one Zoom tree lives on the detector; it answers ``NOT_ZOOM``
+        # rather than ``None`` for unclaimed packets, so the detector's
+        # per-class counters keep counting every packet.
+        self.decide = detector.decide
 
     @classmethod
     def from_config(cls, config: "AnalyzerConfig") -> "ZoomPlugin":
@@ -58,47 +61,13 @@ class ZoomPlugin(ProtocolPlugin):
     # ------------------------------------------------------------- prefilter
 
     @property
-    def prefilter_networks(self) -> tuple:
-        return tuple(self.detector.matcher.networks)
-
-    @property
-    def stun_trackers(self) -> tuple["StunTracker", ...]:
-        return (self.detector.stun,)
+    def prefilter_networks(self) -> tuple[tuple[int, int], ...]:
+        return self.detector.matcher.v4
 
     # ------------------------------------------------------------- detection
 
-    def classify(self, parsed: "ParsedPacket") -> ZoomClass:
-        """Delegates to the detector — returns ``NOT_ZOOM`` rather than
-        ``None`` for unclaimed packets so the detector's per-class counters
-        keep their original semantics (every packet is counted)."""
-        return self.detector.classify(parsed)
-
-    def would_claim(self, parsed: "ParsedPacket") -> bool:
-        """The detector's decision tree, re-evaluated without mutation.
-
-        Mirrors :meth:`ZoomTrafficDetector._classify` with
-        :meth:`~repro.core.detector.StunTracker.peek` in place of the
-        refreshing ``lookup`` and no STUN learning.
-        """
-        detector = self.detector
-        src_ip, dst_ip = parsed.src_ip, parsed.dst_ip
-        if src_ip is None:
-            return False
-        if detector.matcher.matches(src_ip) or detector.matcher.matches(dst_ip):
-            # Every server-side branch of the tree yields a Zoom class.
-            return True
-        if parsed.is_udp:
-            now = parsed.timestamp
-            stun = detector.stun
-            if detector._endpoint_is_campus(src_ip) is not False and stun.peek(
-                src_ip, parsed.src_port or 0, now
-            ):
-                return True
-            if detector._endpoint_is_campus(dst_ip) is not False and stun.peek(
-                dst_ip, parsed.dst_port or 0, now
-            ):
-                return True
-        return False
+    def count(self, klass: ZoomClass) -> None:
+        self.detector.counters.bump(klass)
 
     def account_unclaimed_batch(self, count: int) -> None:
         self.detector.counters.add(ZoomClass.NOT_ZOOM, count)
@@ -132,19 +101,16 @@ class ZoomPlugin(ProtocolPlugin):
         from_server = ctx.klass is ZoomClass.SERVER_MEDIA
         zoom = parse_zoom_payload(parsed.payload, from_server=from_server)
         ctx.zoom = zoom
+        size = len(parsed.payload)
         if zoom.media is None or not (zoom.is_media or zoom.is_rtcp):
-            result.undecoded_packets += 1
-            result.encap_packets[ENCAP_OTHER] += 1
-            result.encap_bytes[ENCAP_OTHER] += len(parsed.payload)
-            telemetry.count("demux.undecoded")
-            return False
+            return undecoded(size, result, telemetry)
         media_type = zoom.media.media_type
-        result.encap_packets[media_type] += 1
-        result.encap_bytes[media_type] += len(parsed.payload)
         if zoom.is_rtcp:
-            telemetry.count("demux.rtcp")
-            self._observe_rtcp(zoom, parsed.timestamp, result, bus, telemetry)
-            return False
+            return observe_rtcp(
+                zoom.rtcp, media_type, size, parsed.timestamp, result, bus, telemetry
+            )
+        result.encap_packets[media_type] += 1
+        result.encap_bytes[media_type] += size
         assert zoom.rtp is not None
         to_server: bool | None
         if zoom.is_p2p:
@@ -166,7 +132,7 @@ class ZoomPlugin(ProtocolPlugin):
             marker=zoom.rtp.marker,
             media_type=media_type,
             payload_len=len(zoom.rtp_payload),
-            udp_payload_len=len(parsed.payload),
+            udp_payload_len=size,
             frame_sequence=zoom.media.frame_sequence,
             packets_in_frame=zoom.media.packets_in_frame,
             is_p2p=zoom.is_p2p,
@@ -177,48 +143,19 @@ class ZoomPlugin(ProtocolPlugin):
         ctx.record = record
         return True
 
-    def _observe_rtcp(
-        self,
-        zoom,
-        timestamp: float,
-        result: "AnalysisResult",
-        bus: "EventBus",
-        telemetry: "Telemetry",
-    ) -> None:
-        from repro.rtp.rtcp import RTCPReceiverReport, RTCPSdes, RTCPSenderReport
-
-        for report in zoom.rtcp:
-            if isinstance(report, RTCPSenderReport):
-                result.rtcp_sender_reports += 1
-            elif isinstance(report, RTCPSdes):
-                if report.is_empty:
-                    result.rtcp_sdes_empty += 1
-            elif isinstance(report, RTCPReceiverReport):
-                result.rtcp_receiver_reports += 1
-                telemetry.count("demux.rtcp_receiver_reports")
-            bus.emit(RTCPObserved(timestamp=timestamp, report=report))
-
     def _observe_tcp(self, parsed: "ParsedPacket", result: "AnalysisResult") -> None:
-        src_is_zoom = self.detector.matcher.matches(parsed.src_ip)
-        if src_is_zoom:
+        ip = parsed.ipv4 or parsed.ipv6
+        if ip is None:
+            return
+        if self.detector.matcher.contains(ip.src):
             client_ip, server_ip = parsed.dst_ip, parsed.src_ip
         else:
             client_ip, server_ip = parsed.src_ip, parsed.dst_ip
-        if client_ip is None or server_ip is None:
-            return
         key = (client_ip, server_ip)
         estimator = result.tcp_rtt.get(key)
         if estimator is None:
             estimator = result.tcp_rtt[key] = TCPRTTEstimator(client_ip, server_ip)
         estimator.observe(parsed)
-
-    # --------------------------------------------------------------- sharing
-
-    def observe_stun(self, parsed: "ParsedPacket") -> bool:
-        return self.detector.observe_stun(parsed)
-
-    def purge(self, now: float) -> int:
-        return self.detector.stun.purge(now)
 
     # ------------------------------------------------------------------- CLI
 

@@ -6,11 +6,12 @@ and read-only for the tests that consume them.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 import pytest
 
-from repro.net.batch import BatchPrefilter, decode_columns
+from repro.net.batch import BatchPrefilter, FrameBatchBuilder, decode_columns
 from repro.net.packet import parse_frame
 from repro.protocols import build_registry
 from repro.simulation import (
@@ -98,6 +99,34 @@ def assert_matches_oracle(analyzer, oracle, survivors):
     assert _endpoints(analyzer.plugins) == endpoints
 
 
+def partition_homes(frames, shards):
+    """``(home shard of each frame, PartitionStats)`` from one
+    ``ShardedAnalyzer.partition_frames`` call over ``frames``."""
+    from repro.core import AnalyzerConfig, ShardedAnalyzer
+
+    driver = ShardedAnalyzer(AnalyzerConfig(shards=shards))
+    builder = FrameBatchBuilder()
+    for position, frame in enumerate(frames):
+        builder.append(frame, float(position))
+    homes = {}
+    for shard, batches in enumerate(driver.partition_frames([builder.build()])):
+        for batch in batches:
+            for i in range(len(batch)):
+                if batch.hints is None or not batch.hints[i]:
+                    homes[int(batch.timestamps[i])] = shard
+    return [homes[position] for position in range(len(frames))], driver.partition_stats
+
+
+@functools.lru_cache(maxsize=None)
+def simulated(config: MeetingConfig) -> SimulationResult:
+    """``MeetingSimulator(config).run()``, once per distinct config per session.
+
+    Every module that needs the same seeded trace (the golden meeting, an
+    impairment-suite scenario) shares one run; results are read-only.
+    """
+    return MeetingSimulator(config).run()
+
+
 @pytest.fixture(scope="session")
 def sfu_meeting_result() -> SimulationResult:
     """A 3-party SFU meeting: two on-campus, one off-campus with screen
@@ -126,7 +155,7 @@ def sfu_meeting_result() -> SimulationResult:
         allow_p2p=False,
         seed=1234,
     )
-    return MeetingSimulator(config).run()
+    return simulated(config)
 
 
 @pytest.fixture(scope="session")
@@ -143,7 +172,7 @@ def p2p_meeting_result() -> SimulationResult:
         p2p_switch_delay=5.0,
         seed=77,
     )
-    return MeetingSimulator(config).run()
+    return simulated(config)
 
 
 @pytest.fixture(scope="session")

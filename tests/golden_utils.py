@@ -31,7 +31,6 @@ from repro.net.source import PcapFileSource
 from repro.simulation import (
     CongestionEvent,
     MeetingConfig,
-    MeetingSimulator,
     ParticipantConfig,
     WebRTCCallConfig,
     impairment_suite,
@@ -39,6 +38,7 @@ from repro.simulation import (
 )
 from repro.telemetry import shard_invariant_counters
 from repro.zoom.constants import ZoomMediaType
+from tests.conftest import simulated
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "meeting_small.json"
 IMPAIRED_GOLDEN_PATH = Path(__file__).parent / "golden" / "meeting_impaired.json"
@@ -88,7 +88,7 @@ def compute_golden_summary(tmp_dir: Path) -> dict[str, Any]:
     Exercises the production ingestion path end to end:
     ``AnalysisSession(config).run(PcapFileSource(path))``.
     """
-    sim = MeetingSimulator(golden_config()).run()
+    sim = simulated(golden_config())
     pcap_path = Path(tmp_dir) / "golden_meeting.pcap"
     write_pcap(pcap_path, sim.captures)
 
@@ -199,7 +199,7 @@ def compute_impaired_summary(tmp_dir: Path) -> dict[str, Any]:
     the alerting layer keys on.
     """
     scenario = impaired_scenario()
-    sim = MeetingSimulator(scenario.meeting).run()
+    sim = simulated(scenario.meeting)
     pcap_path = Path(tmp_dir) / "impaired_meeting.pcap"
     write_pcap(pcap_path, sim.captures)
 
@@ -263,7 +263,7 @@ def mixed_trace_captures() -> list[CapturedPacket]:
     """The golden Zoom meeting plus one concurrent WebRTC call, merged in
     timestamp order — the trace every mixed-protocol equivalence test and
     the webrtc snapshot run over."""
-    zoom = MeetingSimulator(golden_config()).run().captures
+    zoom = simulated(golden_config()).captures
     webrtc = simulate_webrtc_call(webrtc_call_config()).captures
     return sorted([*zoom, *webrtc], key=lambda packet: packet.timestamp)
 

@@ -8,6 +8,10 @@ from repro.core.detector import (
     ZoomSubnetMatcher,
     ZoomTrafficDetector,
 )
+from repro.core.config import AnalyzerConfig
+from repro.core.pipeline import ZoomAnalyzer
+from repro.net.batch import BatchPrefilter
+from repro.net.ip import ip_from_str
 from repro.net.packet import build_tcp_frame, build_udp_frame, parse_frame
 from repro.rtp.stun import StunMessage
 
@@ -46,6 +50,22 @@ class TestSubnetMatcher:
         matcher = ZoomSubnetMatcher(["2001:db8::/32"])
         assert "2001:db8::1" in matcher
         assert "2001:db9::1" not in matcher
+
+
+    @pytest.mark.parametrize(
+        "subnet, inside, outside",
+        [
+            ("8.0.0.0/7", "9.1.2.3", "10.0.0.1"),  # shorter than /8: missed by
+            ("0.0.0.0/1", "100.1.1.1", "200.1.1.1"),  # the old first-octet buckets
+            ("203.0.113.7/32", "203.0.113.7", "203.0.113.8"),
+            ("2001:db8::/32", "2001:db8:ffff::1", "::ffff:170.114.0.1"),
+            ("170.114.0.0/16", "170.114.255.255", "170.114.1"),  # malformed: no match
+        ],
+    )
+    def test_string_and_packed_forms_agree(self, subnet, inside, outside):
+        matcher = ZoomSubnetMatcher([subnet])
+        assert inside in matcher and matcher.contains(ip_from_str(inside))
+        assert outside not in matcher and not matcher.matches(outside)
 
 
 class TestStunTracker:
@@ -136,6 +156,20 @@ class TestDetector:
         detector.classify(_stun_request(PEER, 53333))  # off-campus STUN learner
         packet = _udp(PEER, 53333, "203.0.114.9", 1000, ts=1.0)
         assert detector.classify(packet) is ZoomClass.NOT_ZOOM
+
+    def test_prefixes_shorter_than_slash8(self):
+        """Zoom list and campus gate both match below /8, on the very pairs
+        the batch prefilter compiles in (one table)."""
+        config = AnalyzerConfig(zoom_subnets=("8.0.0.0/7",), campus_subnets=("0.0.0.0/1",))
+        analyzer = ZoomAnalyzer(config)
+        detector = analyzer.result.detector
+        prefilter = BatchPrefilter.from_plugins(analyzer.plugins)
+        assert prefilter.networks_v4 == detector.matcher.v4 == ((8 << 24, 0xFE000000),)
+        assert detector.classify(_udp(CLIENT, 50000, "9.1.2.3", 8801)) is ZoomClass.SERVER_MEDIA
+        detector.classify(_stun_request(PEER, 53333, dst="9.1.2.3"))  # off-campus learner
+        assert detector.classify(_udp(PEER, 53333, "203.0.114.9", 1000, ts=1.0)) is ZoomClass.NOT_ZOOM
+        detector.classify(_stun_request(CLIENT, 52001, dst="9.1.2.3"))
+        assert detector.classify(_udp(CLIENT, 52001, PEER, 53333, ts=1.0)) is ZoomClass.P2P_MEDIA
 
     def test_counters(self):
         detector = ZoomTrafficDetector()

@@ -153,7 +153,10 @@ class TestPcapReadBatches:
         packets = _mixed_frames()
         data = _pcap_bytes(packets, nanosecond=nanosecond, endian=endian)
         tel = Telemetry()
-        frames, error = _read(PcapReader(io.BytesIO(data), telemetry=tel))
+        reader = PcapReader(io.BytesIO(data), telemetry=tel)
+        assert reader.header.nanosecond == nanosecond
+        assert reader.header.little_endian == (endian == "<")
+        frames, error = _read(reader)
         assert error is None
         assert frames == _written(packets, 1e-9 if nanosecond else 1e-6)
         assert tel.counters == _capture_counters(packets)
@@ -319,12 +322,12 @@ class TestBatchPrefilter:
     def test_sync_stun_folds_detector_learns_between_batches(self):
         analyzer = ZoomAnalyzer(AnalyzerConfig(telemetry=True))
         detector = analyzer.result.detector
-        prefilter = BatchPrefilter.from_matcher(detector.matcher)
+        prefilter = BatchPrefilter.from_plugins(analyzer.plugins)
         p2p = build_udp_frame("10.8.0.9", 54321, "192.0.2.44", 9000, bytes(60))
         verdict, _ = _single_frame_verdict(prefilter, p2p)
         assert verdict.dropped == 1  # nothing learned yet
         # Scalar-path STUN learn (e.g. a shard hint), then sync.
-        detector.observe_stun(
+        analyzer.hint_stun(
             parse_frame(
                 build_udp_frame(
                     "10.8.0.9", 54321, "170.114.1.2", 3478,

@@ -1,4 +1,9 @@
-"""Tests for pcap reading and writing."""
+"""Tests for pcap writing and the write → read round trip.
+
+What the reader does with each byte order, timestamp resolution and
+truncation cut is pinned, for both capture formats, by the reader cases of
+``tests/test_net_batch.py``.
+"""
 
 import io
 import struct
@@ -22,17 +27,6 @@ def _sample_packets(n=3):
         CapturedPacket(1.0 + 0.123456 * i, build_udp_frame("1.2.3.4", i + 1, "5.6.7.8", 80, bytes([i])))
         for i in range(n)
     ]
-
-
-def test_roundtrip_nanosecond_memory():
-    buffer = io.BytesIO()
-    packets = _sample_packets()
-    PcapWriter(buffer).write_all(packets)
-    buffer.seek(0)
-    read_back = list(PcapReader(buffer))
-    assert [p.data for p in read_back] == [p.data for p in packets]
-    for original, restored in zip(packets, read_back):
-        assert abs(original.timestamp - restored.timestamp) < 1e-8
 
 
 def test_roundtrip_microsecond():
@@ -67,17 +61,6 @@ def test_global_header_magic():
     assert magic2 == MAGIC_MICROS
 
 
-def test_big_endian_read():
-    """Reader handles the opposite byte order."""
-    frame = b"\xde\xad\xbe\xef"
-    header = struct.pack(">IHHiIII", MAGIC_MICROS, 2, 4, 0, 0, 65535, 1)
-    record = struct.pack(">IIII", 10, 500000, len(frame), len(frame)) + frame
-    reader = PcapReader(io.BytesIO(header + record))
-    assert not reader.header.little_endian
-    packets = list(reader)
-    assert packets == [CapturedPacket(10.5, frame)]
-
-
 def test_bad_magic_rejected():
     with pytest.raises(ValueError):
         PcapReader(io.BytesIO(b"\x00" * 24))
@@ -86,21 +69,6 @@ def test_bad_magic_rejected():
 def test_short_global_header_rejected():
     with pytest.raises(ValueError):
         PcapReader(io.BytesIO(b"\x00" * 10))
-
-
-def test_truncated_record_header_rejected():
-    buffer = io.BytesIO()
-    PcapWriter(buffer).write(_sample_packets(1)[0])
-    truncated = buffer.getvalue()[:-len(_sample_packets(1)[0].data) - 8]
-    with pytest.raises(ValueError):
-        list(PcapReader(io.BytesIO(truncated)))
-
-
-def test_truncated_packet_data_rejected():
-    buffer = io.BytesIO()
-    PcapWriter(buffer).write(_sample_packets(1)[0])
-    with pytest.raises(ValueError):
-        list(PcapReader(io.BytesIO(buffer.getvalue()[:-2])))
 
 
 def test_fractional_rounding_never_overflows_second():

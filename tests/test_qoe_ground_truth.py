@@ -30,10 +30,10 @@ from repro.qoe import QoeState
 from repro.service.runner import ZoomMonitorService
 from repro.simulation import (
     ImpairmentScenario,
-    MeetingSimulator,
     congestion_adaptation_scenario,
     impairment_suite,
 )
+from tests.conftest import simulated
 
 _SUITE = impairment_suite()
 _NAMES = [scenario.name for scenario in _SUITE]
@@ -44,8 +44,7 @@ def scenario_captures():
     """name -> (scenario, captures), simulated once for the whole module."""
     result = {}
     for scenario in _SUITE:
-        sim = MeetingSimulator(scenario.meeting).run()
-        result[scenario.name] = (scenario, sim.captures)
+        result[scenario.name] = (scenario, simulated(scenario.meeting).captures)
     return result
 
 
@@ -199,7 +198,7 @@ class TestCongestionAdaptation:
 
     def test_all_paths(self, tmp_path):
         scenario = congestion_adaptation_scenario()
-        captures = MeetingSimulator(scenario.meeting).run().captures
+        captures = simulated(scenario.meeting).captures
         batch = _session_transitions(captures, tmp_path / "b", rolling=False)
         _assert_ground_truth(scenario, batch)
         roll = _session_transitions(captures, tmp_path / "r", rolling=True)

@@ -2,53 +2,39 @@
 
 from __future__ import annotations
 
-import struct
-
 import pytest
 
 from repro.core import AnalyzerConfig, ShardedAnalyzer, ZoomAnalyzer
-from repro.core.sharded import flow_shard_info
+from repro.net.packet import build_tcp_frame, build_udp_frame, parse_frame
 from repro.net.source import IterableSource
+from tests.conftest import partition_homes
 
 
-def _ipv4_frame(
-    src: str,
-    sport: int,
-    dst: str,
-    dport: int,
-    proto: int = 17,
-    payload: bytes = b"\x00" * 32,
-) -> bytes:
-    src_b = bytes(int(p) for p in src.split("."))
-    dst_b = bytes(int(p) for p in dst.split("."))
-    if proto == 17:
-        l4 = struct.pack("!HHHH", sport, dport, 8 + len(payload), 0) + payload
-    else:
-        l4 = struct.pack("!HHIIBBHHH", sport, dport, 0, 0, 5 << 4, 0, 0, 0, 0) + payload
-    ip = (
-        struct.pack("!BBHHHBBH", 0x45, 0, 20 + len(l4), 0, 0, 64, proto, 0)
-        + src_b
-        + dst_b
-    )
-    return b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00" + ip + l4
+def flow_shard_info(frame: bytes, shards: int = 251) -> tuple[int, bool] | None:
+    """``(home shard, replicated as a STUN hint)`` of one frame through
+    ``partition_frames``; ``None`` when it is counted unhashable."""
+    homes, stats = partition_homes([frame], shards)
+    if stats.unhashable_frames:
+        return None
+    return homes[0], stats.hints_replicated == shards - 1
 
 
 class TestFlowShardInfo:
     def test_bidirectional_hash_matches(self):
-        forward = _ipv4_frame("10.0.0.1", 5000, "170.114.1.2", 8801)
-        reverse = _ipv4_frame("170.114.1.2", 8801, "10.0.0.1", 5000)
+        forward = build_udp_frame("10.0.0.1", 5000, "170.114.1.2", 8801, bytes(32))
+        reverse = build_udp_frame("170.114.1.2", 8801, "10.0.0.1", 5000, bytes(32))
         info_f = flow_shard_info(forward)
         info_r = flow_shard_info(reverse)
         assert info_f is not None and info_r is not None
         assert info_f[0] == info_r[0]
 
     def test_different_flows_hash_differently(self):
-        a = flow_shard_info(_ipv4_frame("10.0.0.1", 5000, "170.114.1.2", 8801))
-        b = flow_shard_info(_ipv4_frame("10.0.0.2", 6000, "170.114.1.2", 8801))
+        a = flow_shard_info(build_udp_frame("10.0.0.1", 5000, "170.114.1.2", 8801, bytes(32)))
+        b = flow_shard_info(build_udp_frame("10.0.0.2", 6000, "170.114.1.2", 8801, bytes(32)))
         assert a[0] != b[0]
 
     def test_tcp_flows_are_hashable(self):
-        info = flow_shard_info(_ipv4_frame("10.0.0.1", 443, "1.2.3.4", 555, proto=6))
+        info = flow_shard_info(build_tcp_frame("10.0.0.1", 443, "1.2.3.4", 555, seq=1))
         assert info is not None and info[1] is False
 
     def test_non_ip_frame_is_unhashable(self):
@@ -60,12 +46,12 @@ class TestFlowShardInfo:
 
     def test_stun_detection(self):
         stun_payload = b"\x00\x01\x00\x00" + b"\x21\x12\xa4\x42" + b"\x00" * 12
-        frame = _ipv4_frame("10.0.0.1", 5000, "1.2.3.4", 3478, payload=stun_payload)
+        frame = build_udp_frame("10.0.0.1", 5000, "1.2.3.4", 3478, stun_payload)
         info = flow_shard_info(frame)
         assert info is not None and info[1] is True
 
     def test_non_stun_udp_on_other_ports(self):
-        frame = _ipv4_frame("10.0.0.1", 5000, "1.2.3.4", 8801)
+        frame = build_udp_frame("10.0.0.1", 5000, "1.2.3.4", 8801, bytes(32))
         info = flow_shard_info(frame)
         assert info is not None and info[1] is False
 
@@ -77,7 +63,7 @@ class TestPartition:
             IterableSource(sfu_meeting_result.captures).frame_batches()
         )
         assert len(work) == 4
-        seen_flows: dict[int, int] = {}
+        seen_flows: dict[frozenset, int] = {}
         home_total = 0
         for index, batches in enumerate(work):
             times = [ts for batch in batches for ts in batch.timestamps]
@@ -87,10 +73,11 @@ class TestPartition:
                     if batch.hints is not None and batch.hints[position]:
                         continue
                     home_total += 1
-                    info = flow_shard_info(batch.frame(position))
-                    if info is None:
+                    flow = parse_frame(batch.frame(position)).five_tuple
+                    if flow is None:
                         continue
-                    assert seen_flows.setdefault(info[0], index) == index
+                    key = frozenset((flow[:2], flow[2:4]))
+                    assert seen_flows.setdefault(key, index) == index
         assert home_total == len(sfu_meeting_result.captures)
         assert sum(driver.partition_stats.shard_packets) == home_total
 

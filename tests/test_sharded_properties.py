@@ -1,15 +1,15 @@
-"""Property-based agreement between the sharding pre-parse and the full decoder.
+"""Properties of ``ShardedAnalyzer.partition_frames``.
 
-:func:`repro.core.sharded.flow_shard_info` reads raw header bytes once per
-packet to pick a shard before any full decode happens.  Its contract is that
-it agrees with :func:`repro.net.packet.parse_frame` on what matters for
-flow-affine sharding:
+The partitioner reads the flow key off the batch's header columns (the one
+header walk, ``decode_columns``); what remains to pin is what sharding
+needs of it:
 
-* both directions of a flow hash to the same shard, for any shard count;
-* a frame is hashable exactly when the full decoder finds an IP + TCP/UDP
-  flow key in it;
-* it never misses a packet the full STUN parser would accept on the Zoom
-  STUN port (a miss would silently break cross-shard P2P detection).
+* both directions of a flow land on the same shard, for any shard count;
+* a frame is counted unhashable exactly when it carries no IP + TCP/UDP
+  flow key, and cutting a frame short never moves it to another shard;
+* every packet the full STUN parser accepts on the Zoom STUN port is
+  replicated to every other shard (a miss would silently break cross-shard
+  P2P detection).
 
 Frames are generated across IPv4/IPv6, with and without an 802.1Q VLAN tag,
 TCP and UDP, random and genuine-STUN payloads.
@@ -22,10 +22,10 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sharded import flow_shard_info
 from repro.net.checksum import internet_checksum
 from repro.net.packet import parse_frame
 from repro.rtp.stun import STUN_PORT, is_stun
+from tests.conftest import partition_homes
 
 STUN_MAGIC = b"\x21\x12\xa4\x42"
 
@@ -99,19 +99,15 @@ def flow_frames(draw) -> tuple[bytes, bytes]:
 
 class TestFlowShardInfoProperties:
     @given(flow_frames())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_both_directions_land_on_the_same_shard(self, pair):
-        forward, reverse = pair
-        info_f = flow_shard_info(forward)
-        info_r = flow_shard_info(reverse)
-        assert info_f is not None and info_r is not None
-        assert info_f[0] == info_r[0]
-        assert info_f[1] == info_r[1]
         for shards in (2, 3, 4, 8, 16):
-            assert info_f[0] % shards == info_r[0] % shards
+            (forward, reverse), stats = partition_homes(pair, shards)
+            assert forward == reverse
+            assert stats.hints_replicated in (0, 2 * (shards - 1))  # both or neither
 
     @given(flow_frames())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_hashable_agrees_with_full_decode(self, pair):
         forward, _ = pair
         parsed = parse_frame(forward)
@@ -119,27 +115,28 @@ class TestFlowShardInfoProperties:
             parsed.udp is not None or parsed.tcp is not None
         )
         assert has_flow_key, "generated frames must fully decode"
-        assert flow_shard_info(forward) is not None
+        arp = b"\xff" * 6 + b"\x02" * 6 + b"\x08\x06" + bytes(28)
+        _, stats = partition_homes([forward, arp, forward[:20]], 4)
+        assert stats.unhashable_frames == 2
+        assert sum(stats.shard_packets) == 3
 
     @given(flow_frames(), st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_truncation_never_moves_a_flow(self, pair, data):
         """Cutting a frame short may make it unhashable, but must never
         silently hash it onto a different shard than the full frame."""
         forward, _ = pair
-        full = flow_shard_info(forward)
-        assert full is not None
         cut = data.draw(st.integers(min_value=0, max_value=len(forward)))
-        info = flow_shard_info(forward[:cut])
-        if info is not None:
-            assert info[0] == full[0]
+        (full, short), stats = partition_homes([forward, forward[:cut]], 16)
+        assert stats.unhashable_frames or short == full
 
     @given(flow_frames())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_stun_flag_agrees_with_full_parser(self, pair):
         forward, _ = pair
-        info = flow_shard_info(forward)
-        assert info is not None
+        _, stats = partition_homes([forward], 4)
+        replicated = stats.hints_replicated == 3
+        assert replicated or stats.hints_replicated == 0
         parsed = parse_frame(forward)
         genuine = (
             parsed.udp is not None
@@ -147,9 +144,9 @@ class TestFlowShardInfoProperties:
             and is_stun(parsed.payload)
         )
         if genuine:
-            assert info[1], "fast path must never miss a genuine STUN packet"
-        if info[1]:
-            # The fast check is deliberately more permissive than the full
+            assert replicated, "the partitioner must never miss a genuine STUN packet"
+        if replicated:
+            # The cookie test is deliberately more permissive than the full
             # parser (magic cookie at the right offset on the STUN port);
             # verify everything it claims about the frame actually holds.
             assert parsed.udp is not None

@@ -11,7 +11,7 @@ included.
 
 import pytest
 
-from tests.conftest import assert_matches_oracle, feed_batches, scalar_oracle
+from tests.conftest import assert_matches_oracle, feed_batches, scalar_oracle, simulated
 from tests.golden_utils import golden_config, summarize_result
 from repro.core import AnalysisSession, AnalyzerConfig, ZoomAnalyzer
 from repro.net.packet import CapturedPacket
@@ -92,7 +92,7 @@ class TestIngestionEquivalence:
     def test_golden_scenario_sim_vs_roundtrip(self, tmp_path, monkeypatch):
         """The strongest meeting fixture we have (congestion, screen share,
         off-campus participant); every frame is Zoom's."""
-        captures = MeetingSimulator(golden_config()).run().captures
+        captures = simulated(golden_config()).captures
         counters = _in_memory_is_analysed_exactly_as_a_file(captures, tmp_path, monkeypatch)
         assert counters["prefilter.dropped"] == 0
 
