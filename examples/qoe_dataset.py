@@ -16,7 +16,7 @@ import argparse
 import csv
 from pathlib import Path
 
-from repro.analysis.export import FEATURE_COLUMNS, feature_rows
+from repro.analysis.export import FEATURE_COLUMNS, feature_rows, stream_id
 from repro.core import ZoomAnalyzer
 from repro.core.metrics.stalls import detect_stalls
 from repro.simulation.campus import CampusTraceConfig, generate_campus_trace
@@ -58,12 +58,8 @@ def main() -> None:
     for stream in analysis.media_streams():
         metrics = analysis.metrics_for(stream.key)
         for event in detect_stalls(metrics.frame_delay.samples):
-            stream_id = (
-                f"{stream.five_tuple[0]}:{stream.five_tuple[1]}-"
-                f"{stream.five_tuple[2]}:{stream.five_tuple[3]}-{stream.ssrc:#x}"
-            )
             for second in range(int(event.start), int(event.start + event.duration) + 1):
-                stall_seconds.add((stream_id, second))
+                stall_seconds.add((stream_id(stream), second))
 
     columns = list(FEATURE_COLUMNS) + ["label_congested", "label_stalled"]
     labeled_positive = 0

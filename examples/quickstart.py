@@ -11,6 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro.analysis.tables import format_table
 from repro.core import ZoomAnalyzer
+from repro.net.ip import ip_to_str
 from repro.simulation import (
     CongestionEvent,
     MeetingConfig,
@@ -101,7 +102,8 @@ def main() -> None:
             continue
         where = "outside" if asymmetry > 0 else "inside"
         print(
-            f"TCP proxy {client} ↔ {server}: latency dominated {where} the campus "
+            f"TCP proxy {ip_to_str(client)} ↔ {ip_to_str(server)}: "
+            f"latency dominated {where} the campus "
             f"(asymmetry {1000 * asymmetry:+.1f} ms)"
         )
         break

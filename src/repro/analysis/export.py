@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 from repro.core.pipeline import AnalysisResult
+from repro.net.ip import ip_to_str
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.metrics.binning import TimeBinner
@@ -65,6 +66,12 @@ def latency_index(result: AnalysisResult) -> LatencyIndex:
     return index
 
 
+def stream_id(stream: "MediaStream") -> str:
+    """``src:port-dst:port-ssrc`` — a stream's flow key rendered as text."""
+    src, src_port, dst, dst_port, _proto = stream.five_tuple
+    return f"{ip_to_str(src)}:{src_port}-{ip_to_str(dst)}:{dst_port}-{stream.ssrc:#x}"
+
+
 def stream_feature_rows(
     stream: "MediaStream",
     metrics: "StreamMetrics",
@@ -96,10 +103,7 @@ def stream_feature_rows(
         if sample.retransmission_suspected:
             bucket["suspected_retx"].append(1.0)
     report = metrics.loss.report()
-    stream_id = (
-        f"{stream.five_tuple[0]}:{stream.five_tuple[1]}-"
-        f"{stream.five_tuple[2]}:{stream.five_tuple[3]}-{stream.ssrc:#x}"
-    )
+    identity = stream_id(stream)
     rows: list[dict[str, object]] = []
     for second in sorted(per_second):
         bucket = per_second[second]
@@ -107,7 +111,7 @@ def stream_feature_rows(
         rtts = rtt_index.get((stream.ssrc, second), [])
         rows.append(
             {
-                "stream_id": stream_id,
+                "stream_id": identity,
                 "ssrc": stream.ssrc,
                 "media_type": stream.media_type,
                 "second": second,

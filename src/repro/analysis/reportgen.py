@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.tables import format_table
 from repro.core.meetings import Meeting
 from repro.core.pipeline import AnalysisResult
+from repro.net.ip import ip_to_str
 from repro.zoom.constants import ZoomMediaType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -152,7 +153,7 @@ def build_stream_report(
         duplicates += report.duplicates
         reordered += report.reordered
         lost += report.lost
-        stalls += len(metrics.stall_events())
+        stalls += metrics.stall_count
     ordered_sizes = sorted(sizes)
     return StreamReport(
         ssrc=ssrc,
@@ -241,7 +242,7 @@ def meeting_report(result: AnalysisResult, meeting: Meeting) -> MeetingReport:
         meeting_id=meeting.meeting_id,
         duration=meeting.duration,
         participant_estimate=meeting.participant_estimate(),
-        client_ips=tuple(sorted(meeting.client_ips)),
+        client_ips=tuple(sorted(ip_to_str(ip) for ip in meeting.client_ips)),
     )
     for uid in sorted(meeting.stream_uids):
         stream = _stream_report(result, meeting, uid)

@@ -14,8 +14,12 @@ def format_table(
     """Render rows as an aligned monospace table.
 
     Floats are formatted with ``float_format``; everything else with
-    ``str``.  Columns are right-aligned except the first.
+    ``str``.  Columns are right-aligned except the first.  No columns (an
+    empty query result) render as the empty table, ``""``.
     """
+    if not headers:
+        return ""
+
     def _cell(value: object) -> str:
         if isinstance(value, float):
             return float_format.format(value)

@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.net.ethernet import EthernetHeader
-from repro.net.ip import IPv4Header, ip_from_str, ip_to_str
+from repro.net.ip import IPv4Header, ip_from_str
 from repro.net.packet import CapturedPacket
 
 
@@ -106,8 +106,8 @@ class Anonymizer:
         if self.strip_payload:
             body = body[: _transport_header_len(ip.protocol, bytes(body))]
         new_ip = IPv4Header(
-            src=ip_from_str(self.anonymize_ip(ip_to_str(ip.src))),
-            dst=ip_from_str(self.anonymize_ip(ip_to_str(ip.dst))),
+            src=ip_from_str(self.anonymize_ip(ip.src_str)),
+            dst=ip_from_str(self.anonymize_ip(ip.dst_str)),
             protocol=ip.protocol,
             total_length=IPv4Header.HEADER_LEN + len(body),
             ttl=ip.ttl,

@@ -112,14 +112,14 @@ class P4CaptureModel:
     # ------------------------------------------------------------- internals
 
     def _match(self, parsed: ParsedPacket) -> bool:
-        ip = parsed.ipv4 or parsed.ipv6
-        src_campus = ip is not None and self.campus_matcher.contains(ip.src)
-        dst_campus = ip is not None and self.campus_matcher.contains(ip.dst)
+        src, dst = parsed.src, parsed.dst
+        src_campus = src is not None and self.campus_matcher.contains(src)
+        dst_campus = dst is not None and self.campus_matcher.contains(dst)
         if not src_campus and not dst_campus:
             self.counters.no_campus_endpoint += 1
             return False
         # Stage: Zoom IP match (stateless pass for server traffic).
-        if self.zoom_matcher.contains(ip.src) or self.zoom_matcher.contains(ip.dst):
+        if self.zoom_matcher.contains(src) or self.zoom_matcher.contains(dst):
             self.counters.zoom_ip_matched += 1
             # Stage: STUN learn.
             if (

@@ -25,6 +25,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.core.streams import RTPPacketRecord
+from repro.net.ip import ip_to_str
 from repro.zoom.constants import VIDEO_SAMPLING_RATE, RTPPayloadType
 
 FIXED_POINT_BITS = 16
@@ -51,7 +52,7 @@ def _bucket(key: bytes, size: int) -> int:
 def stream_key_bytes(record: RTPPacketRecord) -> bytes:
     src_ip, src_port, dst_ip, dst_port, _proto = record.five_tuple
     return (
-        f"{src_ip}:{src_port}>{dst_ip}:{dst_port}".encode()
+        f"{ip_to_str(src_ip)}:{src_port}>{ip_to_str(dst_ip)}:{dst_port}".encode()
         + record.ssrc.to_bytes(4, "big")
     )
 

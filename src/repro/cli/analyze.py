@@ -124,16 +124,15 @@ def run(args: argparse.Namespace) -> int:
     rows = []
     for stream in streams:
         metrics = result.metrics_for(stream.key)
-        fps = metrics.framerate_delivered.samples
         row = (
             f"{stream.ssrc:#x}",
             stream.media_type_name,
             "p2p" if stream.is_p2p else ("up" if stream.to_server else "down"),
             stream.packets,
-            (sum(s.fps for s in fps) / len(fps)) if fps else float("nan"),
+            metrics.framerate_delivered.mean_fps,
             metrics.jitter.jitter * 1000,
             metrics.loss.report().duplicates,
-            len(metrics.stall_events()),
+            metrics.stall_count,
         )
         rows.append((stream.protocol,) + row if multi else row)
     headers = ["ssrc", "media", "dir", "pkts", "mean fps", "jitter ms", "dups", "stalls"]

@@ -21,6 +21,7 @@ def run(args: argparse.Namespace) -> int:
 
     from repro.core.entropy import analyze_flow, find_rtp_signature
     from repro.core.offset_finder import discover_offsets
+    from repro.net.ip import ip_to_str
     from repro.net.source import open_capture_source
 
     flows: dict = defaultdict(list)
@@ -31,7 +32,8 @@ def run(args: argparse.Namespace) -> int:
         print("no UDP flows in capture", file=sys.stderr)
         return 1
     flow_key, payloads = max(flows.items(), key=lambda kv: len(kv[1]))
-    print(f"busiest flow: {flow_key[0]}:{flow_key[1]} -> {flow_key[2]}:{flow_key[3]} "
+    print(f"busiest flow: {ip_to_str(flow_key[0])}:{flow_key[1]} -> "
+          f"{ip_to_str(flow_key[2])}:{flow_key[3]} "
           f"({len(payloads)} packets)")
     reports = analyze_flow(payloads, max_offset=args.max_offset)
     rows = [

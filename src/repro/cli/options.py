@@ -154,6 +154,8 @@ def print_records(records: list[dict], fmt: str) -> None:
     from repro.store import flatten_records
 
     columns, rows = flatten_records(records)
+    if fmt == "csv" and not columns:
+        return  # an empty result: nothing, not a blank header row
     cells = [
         tuple("" if row.get(c) is None else row.get(c) for c in columns)
         for row in rows

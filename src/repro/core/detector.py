@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.net.ip import PrefixTable
+from repro.net.ip import PrefixTable, ip_to_str
 from repro.net.packet import ParsedPacket
 from repro.rtp.stun import STUN_PORT, is_stun
 from repro.zoom.constants import SERVER_MEDIA_PORT, SERVER_TLS_PORT, ZOOM_SERVER_SUBNETS
@@ -46,12 +46,13 @@ class ZoomClass(enum.Enum):
         return self in (ZoomClass.SERVER_MEDIA, ZoomClass.P2P_MEDIA)
 
 
-#: An ``(ip string, port)`` endpoint — the :class:`StunTracker` key.
-Endpoint = tuple[str, int]
+#: A ``(wire-form address, port)`` endpoint — what a frame teaches a
+#: :class:`StunTracker`, which keys it as ``(addr << 16) | port``.
+Endpoint = tuple[int, int]
 
-#: ``lookup(ip, port, now)`` — one view of a :class:`StunTracker`
+#: ``lookup(addr, port, now)`` — one view of a :class:`StunTracker`
 #: (:meth:`~StunTracker.touch` or :meth:`~StunTracker.peek`).
-EndpointLookup = Callable[[str, int, float], bool]
+EndpointLookup = Callable[[int, int, float], bool]
 
 
 #: The one prefix table (public name kept): Zoom and campus membership for
@@ -79,18 +80,23 @@ class StunTracker:
     expire after ``timeout`` seconds; port reuse beyond the timeout is the
     false-positive source the paper discusses, and false positives are
     filtered downstream by checking the Zoom packet format.
+
+    Addresses arrive in wire form (:mod:`repro.net.ip`) and bindings are
+    keyed ``(addr << 16) | port`` — the integers the batch prefilter's
+    pass-set and the capture rules hold, so folding one into the other is a
+    set union.
     """
 
     timeout: float = 120.0
-    _bindings: dict[tuple[str, int], float] = field(default_factory=dict)
+    _bindings: dict[int, float] = field(default_factory=dict)
     bindings_learned: int = 0
 
-    def learn(self, client_ip: str, client_port: int, now: float) -> None:
+    def learn(self, client_ip: int, client_port: int, now: float) -> None:
         """Record a client endpoint observed in a Zoom STUN exchange."""
-        self._bindings[(client_ip, client_port)] = now
+        self._bindings[(client_ip << 16) | client_port] = now
         self.bindings_learned += 1
 
-    def lookup(self, ip: str, port: int, now: float, *, refresh: bool = False) -> bool:
+    def lookup(self, ip: int, port: int, now: float, *, refresh: bool = False) -> bool:
         """Whether (ip, port) was STUN-registered within the timeout.
 
         With ``refresh=True`` a successful lookup re-arms the binding at
@@ -101,28 +107,29 @@ class StunTracker:
         flowing but stops being classified — while server streams (matched
         statelessly by subnet) can never go stale this way.
         """
-        learned = self._bindings.get((ip, port))
+        key = (ip << 16) | port
+        learned = self._bindings.get(key)
         if learned is None:
             return False
         if now - learned > self.timeout:
-            del self._bindings[(ip, port)]
+            del self._bindings[key]
             return False
         if refresh and now > learned:
-            self._bindings[(ip, port)] = now
+            self._bindings[key] = now
         return True
 
-    def touch(self, ip: str, port: int, now: float) -> bool:
+    def touch(self, ip: int, port: int, now: float) -> bool:
         """The refreshing :meth:`lookup` — the view ``classify`` decides with."""
         return self.lookup(ip, port, now, refresh=True)
 
-    def peek(self, ip: str, port: int, now: float) -> bool:
+    def peek(self, ip: int, port: int, now: float) -> bool:
         """:meth:`lookup` without side effects: no expiry delete, no refresh.
 
         The view the registry's conflict probe (``would_claim``) and the
         shard hint (``observe_stun``) decide with: re-evaluating a packet
         must not perturb tracker state.
         """
-        learned = self._bindings.get((ip, port))
+        learned = self._bindings.get((ip << 16) | port)
         return learned is not None and now - learned <= self.timeout
 
     def purge(self, now: float) -> int:
@@ -143,18 +150,18 @@ class StunTracker:
         return len(stale)
 
     def active_bindings(self, now: float) -> list[StunBinding]:
-        """Unexpired endpoints (for inspection/diagnostics)."""
+        """Unexpired endpoints, rendered (for inspection/diagnostics)."""
         return [
-            StunBinding(ip, port, learned)
-            for (ip, port), learned in self._bindings.items()
+            StunBinding(ip_to_str(key >> 16), key & 0xFFFF, learned)
+            for key, learned in self._bindings.items()
             if now - learned <= self.timeout
         ]
 
     def __len__(self) -> int:
         return len(self._bindings)
 
-    def endpoints(self) -> list[tuple[str, int]]:
-        """Every currently-tracked (ip, port) key, expiry ignored.
+    def endpoints(self) -> list[int]:
+        """Every currently-tracked ``(addr << 16) | port`` key, expiry ignored.
 
         The batch prefilter folds these into its never-expiring pass-set;
         lazily-expired keys are deliberately included, since a frame whose
@@ -245,35 +252,35 @@ class ZoomTrafficDetector:
         so only the *idle* timeout ends it, as for server streams —
         :meth:`StunTracker.peek` leaves it alone.
         """
-        ip = packet.ipv4 or packet.ipv6
-        if ip is None:
+        src = packet.src
+        if src is None:
             return ZoomClass.NOT_ZOOM, ()
-        udp = packet.udp
-        src_is_zoom = self.matcher.contains(ip.src)
-        if src_is_zoom or self.matcher.contains(ip.dst):
-            if udp is not None:
-                ports = (udp.src_port, udp.dst_port)
-                if STUN_PORT in ports and is_stun(packet.payload):
+        dst = packet.dst
+        src_port = packet.src_port
+        udp = packet.is_udp
+        contains = self.matcher.contains
+        src_is_zoom = contains(src)
+        if src_is_zoom or contains(dst):
+            if udp:
+                dst_port = packet.dst_port
+                if (src_port == STUN_PORT or dst_port == STUN_PORT) and is_stun(
+                    packet.payload
+                ):
                     if src_is_zoom:
-                        return ZoomClass.SERVER_STUN, ((packet.dst_ip, udp.dst_port),)
-                    return ZoomClass.SERVER_STUN, ((packet.src_ip, udp.src_port),)
-                if SERVER_MEDIA_PORT in ports:
+                        return ZoomClass.SERVER_STUN, ((dst, dst_port),)
+                    return ZoomClass.SERVER_STUN, ((src, src_port),)
+                if src_port == SERVER_MEDIA_PORT or dst_port == SERVER_MEDIA_PORT:
                     return ZoomClass.SERVER_MEDIA, ()
-            elif packet.tcp is not None and SERVER_TLS_PORT in (
-                packet.tcp.src_port,
-                packet.tcp.dst_port,
-            ):
+            elif packet.is_tcp and SERVER_TLS_PORT in (src_port, packet.dst_port):
                 return ZoomClass.SERVER_TLS, ()
             return ZoomClass.SERVER_OTHER, ()
-        if udp is not None:
+        if udp:
             now = packet.timestamp
             campus = self.campus_matcher
-            if (campus is None or campus.contains(ip.src)) and lookup(
-                packet.src_ip, udp.src_port, now
-            ):
+            if (campus is None or campus.contains(src)) and lookup(src, src_port, now):
                 return ZoomClass.P2P_MEDIA, ()
-            if (campus is None or campus.contains(ip.dst)) and lookup(
-                packet.dst_ip, udp.dst_port, now
+            if (campus is None or campus.contains(dst)) and lookup(
+                dst, packet.dst_port, now
             ):
                 return ZoomClass.P2P_MEDIA, ()
         return ZoomClass.NOT_ZOOM, ()

@@ -54,15 +54,17 @@ class Meeting:
         stream_keys: All (5-tuple, SSRC) streams assigned to this meeting.
         stream_uids: Unique stream ids from step 1 (one per media stream,
             however many network copies it had).
-        client_ips / client_endpoints: Client-side addresses observed.
+        client_ips / client_endpoints: Client-side addresses observed, in
+            the flow key's wire form (render with
+            :func:`repro.net.ip.ip_to_str`).
         first_time / last_time: Activity bounds.
     """
 
     meeting_id: int
     stream_keys: set[StreamKey] = field(default_factory=set)
     stream_uids: set[int] = field(default_factory=set)
-    client_ips: set[str] = field(default_factory=set)
-    client_endpoints: set[tuple[str, int]] = field(default_factory=set)
+    client_ips: set[int] = field(default_factory=set)
+    client_endpoints: set[tuple[int, int]] = field(default_factory=set)
     first_time: float = float("inf")
     last_time: float = float("-inf")
     uid_media_types: dict[int, int] = field(default_factory=dict)
@@ -133,8 +135,8 @@ class MeetingGrouper:
         self._meetings: dict[int, Meeting] = {}
         self._meeting_alias: dict[int, int] = {}
         self._by_uid: dict[int, int] = {}
-        self._by_client_ip: dict[str, int] = {}
-        self._by_client_endpoint: dict[tuple[str, int], int] = {}
+        self._by_client_ip: dict[int, int] = {}
+        self._by_client_endpoint: dict[tuple[int, int], int] = {}
         self.merges = 0
 
     # --------------------------------------------------------------- step 1
@@ -246,7 +248,7 @@ class MeetingGrouper:
 
     # -------------------------------------------------------------- internal
 
-    def _client_endpoints(self, stream: MediaStream) -> list[tuple[str, int]]:
+    def _client_endpoints(self, stream: MediaStream) -> list[tuple[int, int]]:
         src_ip, src_port, dst_ip, dst_port, _proto = stream.five_tuple
         if stream.to_server is True:
             return [(src_ip, src_port)]

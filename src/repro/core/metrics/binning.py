@@ -37,7 +37,10 @@ class TimeBinner:
 
     def add(self, time: float, value: float = 1.0) -> None:
         """Add one sample at ``time``."""
-        slot = self._bins.setdefault(int(time // self.width), _Bin())
+        index = int(time // self.width)
+        slot = self._bins.get(index)
+        if slot is None:
+            slot = self._bins[index] = _Bin()
         slot.total += value
         slot.count += 1
 

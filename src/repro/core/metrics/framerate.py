@@ -48,6 +48,9 @@ class FrameRateMethod1:
         self.window = window
         self._completions: deque[float] = deque()
         self.samples: list[FrameRateSample] = []
+        #: Running ``sum(sample.fps)`` in sample order, so the mean over a
+        #: stream's lifetime is a read, not a pass over ``samples``.
+        self.fps_total = 0.0
 
     def observe(self, frame: CompletedFrame) -> FrameRateSample:
         """Fold in one completed frame; returns the updated rate sample."""
@@ -56,7 +59,13 @@ class FrameRateMethod1:
         self._expire(now)
         sample = FrameRateSample(time=now, fps=len(self._completions) / self.window)
         self.samples.append(sample)
+        self.fps_total += sample.fps
         return sample
+
+    @property
+    def mean_fps(self) -> float:
+        """Mean of every sample so far (NaN before the first frame)."""
+        return self.fps_total / len(self.samples) if self.samples else float("nan")
 
     def rate_at(self, now: float) -> float:
         """The delivered frame rate at an arbitrary instant."""

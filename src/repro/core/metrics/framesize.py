@@ -9,6 +9,8 @@ rate this gives a far better picture-quality proxy than throughput.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 
 from repro.core.metrics.frames import CompletedFrame
@@ -34,7 +36,10 @@ class FrameSizeCollector:
     def __init__(self, keyframe_factor: float = 2.5) -> None:
         self.keyframe_factor = keyframe_factor
         self.samples: list[FrameSizeSample] = []
-        self._running: list[int] = []
+        # The trailing 256 frame sizes twice: in arrival order (what leaves
+        # the window next) and sorted (where the median is a read).
+        self._running: deque[int] = deque()
+        self._ordered: list[int] = []
 
     def observe(self, frame: CompletedFrame) -> FrameSizeSample:
         """Fold in one completed frame."""
@@ -47,14 +52,15 @@ class FrameSizeCollector:
         )
         self.samples.append(sample)
         self._running.append(frame.payload_bytes)
+        insort(self._ordered, frame.payload_bytes)
         if len(self._running) > 256:
-            del self._running[0]
+            del self._ordered[bisect_left(self._ordered, self._running.popleft())]
         return sample
 
     def _median(self) -> float | None:
-        if len(self._running) < 8:
+        ordered = self._ordered
+        if len(ordered) < 8:
             return None
-        ordered = sorted(self._running)
         middle = len(ordered) // 2
         if len(ordered) % 2:
             return float(ordered[middle])

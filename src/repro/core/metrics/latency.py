@@ -107,8 +107,8 @@ class TCPRTTEstimator:
     """Method 2: RTT from one TCP control connection's seq/ack dynamics.
 
     Args:
-        client_ip: The campus-side endpoint.
-        server_ip: The Zoom server endpoint.
+        client_ip: The campus-side endpoint (wire-form address).
+        server_ip: The Zoom server endpoint (wire-form address).
 
     Outgoing (client→server) data segments are timestamped by the sequence
     number they run up to; a returning segment acknowledging that point
@@ -119,7 +119,7 @@ class TCPRTTEstimator:
     """
 
     def __init__(
-        self, client_ip: str, server_ip: str, *, max_rtt: float = 3.0, max_pending: int = 4096
+        self, client_ip: int, server_ip: int, *, max_rtt: float = 3.0, max_pending: int = 4096
     ) -> None:
         self.client_ip = client_ip
         self.server_ip = server_ip
@@ -132,13 +132,13 @@ class TCPRTTEstimator:
 
     def observe(self, packet: ParsedPacket) -> LatencySample | None:
         """Fold in one TCP packet of this connection."""
-        if packet.tcp is None:
-            return None
-        outbound = packet.src_ip == self.client_ip and packet.dst_ip == self.server_ip
-        inbound = packet.src_ip == self.server_ip and packet.dst_ip == self.client_ip
+        outbound = packet.src == self.client_ip and packet.dst == self.server_ip
+        inbound = packet.src == self.server_ip and packet.dst == self.client_ip
         if not outbound and not inbound:
             return None
         tcp = packet.tcp
+        if tcp is None:
+            return None
         payload_len = len(packet.payload)
         sample: LatencySample | None = None
         if outbound:

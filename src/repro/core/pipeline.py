@@ -22,7 +22,7 @@ import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.config import AnalyzerConfig
 from repro.core.detector import ZoomTrafficDetector
@@ -36,12 +36,11 @@ from repro.core.metrics.framesize import FrameSizeCollector
 from repro.core.metrics.jitter import FrameJitterEstimator
 from repro.core.metrics.latency import RTPLatencyMatcher, TCPRTTEstimator
 from repro.core.metrics.loss import StreamLossTracker
-from repro.core.metrics.stalls import StallEvent, detect_stalls
+from repro.core.metrics.stalls import StallDetector, StallEvent, detect_stalls
 from repro.core.metrics.sync import SenderReportCollector, SyncSink
 from repro.core.rolling import FinalizedStream, IdleEviction
 from repro.core.stages import (
     AssembleStage,
-    BatchContext,
     ClassifyStage,
     DecodeStage,
     MetricsStage,
@@ -50,7 +49,7 @@ from repro.core.stages import (
     ZoomDemuxStage,
 )
 from repro.core.streams import MediaStream, RTPPacketRecord, StreamKey, StreamTable
-from repro.net.batch import FrameBatch
+from repro.net.batch import FrameBatch, decode_columns
 from repro.net.packet import ParsedPacket
 from repro.protocols import ZoomPlugin, build_registry, protocol_counter_seeds
 from repro.telemetry.registry import Telemetry, TelemetrySnapshot
@@ -62,6 +61,7 @@ from repro.zoom.constants import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.batch import PrefilterVerdict
     from repro.net.source import SourceLike
 
 #: Batch-path counters pre-seeded to zero on every telemetry-enabled run.
@@ -84,6 +84,7 @@ class StreamMetrics:
     jitter: FrameJitterEstimator
     loss: StreamLossTracker
     frame_delay: FrameDelayAnalyzer
+    stalls: StallDetector
 
     @classmethod
     def for_media_type(cls, media_type: int) -> "StreamMetrics":
@@ -100,6 +101,7 @@ class StreamMetrics:
             jitter=FrameJitterEstimator(sampling),
             loss=StreamLossTracker(),
             frame_delay=FrameDelayAnalyzer(sampling),
+            stalls=StallDetector(),
         )
 
     def observe(self, record: RTPPacketRecord) -> None:
@@ -111,10 +113,17 @@ class StreamMetrics:
             self.framerate_delivered.observe(frame)
             self.framerate_encoder.observe(frame)
             self.framesize.observe(frame)
-            self.frame_delay.observe(frame)
+            self.stalls.observe(self.frame_delay.observe(frame))
+
+    @property
+    def stall_count(self) -> int:
+        """``len(stall_events())`` at the default buffer depth, as a read:
+        the stalls that ended plus the one still open."""
+        return len(self.stalls.events) + self.stalls.currently_stalled
 
     def stall_events(self, *, buffer_depth: float = 0.200) -> list[StallEvent]:
-        """Predicted playback stalls for this stream (§5.5 future work)."""
+        """Predicted playback stalls for this stream (§5.5 future work),
+        replayed over the frame-delay samples at any buffer depth."""
         return detect_stalls(self.frame_delay.samples, buffer_depth=buffer_depth)
 
 
@@ -130,7 +139,8 @@ class AnalysisResult:
         stream_metrics: Estimators per stream key.
         bitrate: Flow/stream/media-type binned byte counters.
         rtp_latency: Method-1 latency matcher with all samples.
-        tcp_rtt: Method-2 estimators, keyed by (client IP, server IP).
+        tcp_rtt: Method-2 estimators, keyed by (client, server) wire-form
+            addresses.
         encap_packets / encap_bytes: Zoom media-encapsulation type counters
             over UDP media-classified packets — the data behind Table 2.
             Keys are media-type values or :data:`~repro.zoom.constants.ENCAP_OTHER`.
@@ -154,7 +164,7 @@ class AnalysisResult:
     stream_metrics: dict[StreamKey, StreamMetrics] = field(default_factory=dict)
     bitrate: BitrateMeter = field(default_factory=BitrateMeter)
     rtp_latency: RTPLatencyMatcher = field(default_factory=RTPLatencyMatcher)
-    tcp_rtt: dict[tuple[str, str], TCPRTTEstimator] = field(default_factory=dict)
+    tcp_rtt: dict[tuple[int, int], TCPRTTEstimator] = field(default_factory=dict)
     sync: SenderReportCollector = field(default_factory=SenderReportCollector)
     encap_packets: Counter[EncapKey] = field(default_factory=Counter)
     encap_bytes: Counter[EncapKey] = field(default_factory=Counter)
@@ -344,16 +354,16 @@ class ZoomAnalyzer:
         self.stages: tuple[Stage, ...] = (
             self._decode_stage,
             self._classify_stage,
-            ZoomDemuxStage(self.result, self.bus, self.plugins),
+            ZoomDemuxStage(self.result, self.bus),
             self._assemble,
             MetricsStage(self.result, self.bus),
         )
-        # Instrument names resolved once — the per-packet path must not
-        # build strings.
-        self._instrumented_stages: tuple[tuple[Stage, str, str], ...] = tuple(
-            (stage, f"pipeline.stop.{stage.name}", f"stage.time.{stage.name}")
-            for stage in self.stages
-        )
+        # Where a packet that passed ``n`` stages ended, and the sampled
+        # timer of each stage — names resolved once, not per packet.
+        self._outcome_counters = tuple(
+            f"pipeline.stop.{stage.name}" for stage in self.stages
+        ) + ("pipeline.completed",)
+        self._stage_timers = tuple(f"stage.time.{stage.name}" for stage in self.stages)
         self._packet_seq = 0
         self.bus.register(BitrateSink(self.result.bitrate))
         self.bus.register(SyncSink(self.result.sync))
@@ -416,9 +426,7 @@ class ZoomAnalyzer:
         batch, against its last timestamp.
         """
         tel = self._telemetry
-        bctx = BatchContext(batch)
-        self._decode_stage.process_batch(bctx)
-        verdict = self._classify_stage.process_batch(bctx)
+        verdict = self._classify_stage.process_batch(batch, decode_columns(batch))
         self._decode_stage.account_dropped(verdict)
         if tel.enabled:
             tel.count("pipeline.batch.batches")
@@ -429,22 +437,7 @@ class ZoomAnalyzer:
                 # Every dropped frame would have stopped at the classify
                 # stage.
                 tel.count("pipeline.stop.classify", verdict.dropped)
-        materialize = batch.materialize
-        hints = verdict.hint_indexes
-        if hints:
-            position = 0
-            limit = len(hints)
-            for index in verdict.survivors:
-                while position < limit and hints[position] < index:
-                    self.hint_stun(materialize(hints[position]))
-                    position += 1
-                self._run(PacketContext(parsed=materialize(index)))
-            while position < limit:
-                self.hint_stun(materialize(hints[position]))
-                position += 1
-        else:
-            for index in verdict.survivors:
-                self._run(PacketContext(parsed=materialize(index)))
+        self._run(batch, verdict)
         if self.eviction is not None and len(batch):
             self.eviction.after_batch(batch.last_timestamp)
 
@@ -487,29 +480,81 @@ class ZoomAnalyzer:
 
     # ------------------------------------------------------------- internals
 
-    def _run(self, ctx: PacketContext) -> None:
+    def _run(self, batch: FrameBatch, verdict: "PrefilterVerdict") -> None:
+        """Materialize one batch's survivors and walk each through the stages.
+
+        Per-packet bookkeeping stays in locals: where each packet ended, its
+        class and claimant are tallied here and reach the registry once per
+        batch, and the five ``process`` methods are bound once.  One packet
+        in ``Telemetry.TIMING_SAMPLE`` takes the wall-time-sampled walk
+        instead, so instrumentation stays within the <=5% overhead budget.
+        """
         tel = self._telemetry
-        if not tel.enabled:
-            for stage in self.stages:
-                if not stage.process(ctx):
-                    return
-            return
-        # One counter increment per packet records where it stopped; per-stage
-        # in/out throughput is derived from those at report time.  Wall time
-        # is sampled (1 in Telemetry.TIMING_SAMPLE packets) so instrumentation
-        # stays within the <=5% overhead budget.
-        self._packet_seq += 1
-        if self._packet_seq & Telemetry.TIMING_MASK:
-            for stage, stop_name, _ in self._instrumented_stages:
-                if not stage.process(ctx):
-                    tel.count(stop_name)
-                    return
-        else:
-            for stage, stop_name, time_name in self._instrumented_stages:
-                start = perf_counter()
-                advanced = stage.process(ctx)
-                tel.add_time(time_name, perf_counter() - start)
-                if not advanced:
-                    tel.count(stop_name)
-                    return
-        tel.count("pipeline.completed")
+        enabled = tel.enabled
+        decode, classify, demux, assemble, metrics = (
+            stage.process for stage in self.stages
+        )
+        materialize = batch.materialize
+        indexes: Sequence[int] = verdict.survivors
+        hints = frozenset(verdict.hint_indexes)
+        if hints:
+            indexes = sorted(indexes + verdict.hint_indexes)
+        seq = self._packet_seq
+        timing_mask = Telemetry.TIMING_MASK
+        tally: dict[tuple, list[int]] = {}
+        for index in indexes:
+            parsed = materialize(index)
+            if hints and index in hints:
+                self.hint_stun(parsed)
+                continue
+            ctx = PacketContext(parsed)
+            seq += 1
+            if enabled and not seq & timing_mask:
+                passed = self._run_timed(ctx)
+            elif not decode(ctx):
+                passed = 0
+            elif not classify(ctx):
+                passed = 1
+            elif not demux(ctx):
+                passed = 2
+            elif not assemble(ctx):
+                passed = 3
+            elif not metrics(ctx):
+                passed = 4
+            else:
+                passed = 5
+            if enabled:
+                key = (ctx.klass, ctx.protocol, passed)
+                entry = tally.get(key)
+                if entry is None:
+                    tally[key] = [1, len(parsed.raw)]
+                else:
+                    entry[0] += 1
+                    entry[1] += len(parsed.raw)
+        self._packet_seq = seq
+        for (klass, protocol, passed), (packets, size) in tally.items():
+            tel.count(self._outcome_counters[passed], packets)
+            if klass is None:  # stopped before classification
+                continue
+            tel.count(f"classify.class.{klass.value}", packets)
+            tel.count(f"classify.bytes.{klass.value}", size)
+            if protocol is not None:
+                tel.count(f"protocols.claimed.{protocol}", packets)
+                if passed >= 2:
+                    tel.count("demux.media_class_packets", packets)
+                if passed >= 3:
+                    tel.count(f"protocols.media.{protocol}", packets)
+
+    def _run_timed(self, ctx: PacketContext) -> int:
+        """Walk one packet with per-stage wall time; returns how many stages
+        it passed."""
+        add_time = self._telemetry.add_time
+        passed = 0
+        for stage, timer in zip(self.stages, self._stage_timers):
+            start = perf_counter()
+            advanced = stage.process(ctx)
+            add_time(timer, perf_counter() - start)
+            if not advanced:
+                break
+            passed += 1
+        return passed

@@ -28,9 +28,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import AnalysisResult, StreamMetrics, ZoomAnalyzer
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FinalizedStream:
-    """Everything retained about a stream at eviction time."""
+    """Everything retained about a stream at eviction time.
+
+    One is also built for every stream active in a closing window
+    (:func:`live_stream_snapshots`), so it is a plain slotted record: a
+    frozen dataclass pays one ``object.__setattr__`` call per field.
+    """
 
     key: StreamKey
     ssrc: int
@@ -59,41 +64,48 @@ def summarize_stream(
     ``finalize=True`` closes out the loss trackers (eviction path);
     ``finalize=False`` reads them non-destructively (live snapshots).
     """
-    frames = metrics.assembler.completed_count if metrics else 0
-    fps_samples = metrics.framerate_delivered.samples if metrics else []
-    loss = metrics.loss.report(finalize=finalize) if metrics else None
+    if metrics is None:
+        frames = duplicates = lost = stalls = 0
+        mean_fps = jitter_ms = float("nan")
+    else:
+        loss = metrics.loss.report(finalize=finalize)
+        frames = metrics.assembler.completed_count
+        duplicates, lost = loss.duplicates, loss.lost
+        stalls = metrics.stall_count
+        mean_fps = metrics.framerate_delivered.mean_fps
+        jitter_ms = metrics.jitter.jitter * 1000
     return FinalizedStream(
         key=stream.key,
-        ssrc=stream.ssrc,
+        ssrc=stream.key[1],
         media_type=stream.media_type,
         first_time=stream.first_time,
         last_time=stream.last_time,
         packets=stream.packets,
         bytes=stream.bytes,
         frames_completed=frames,
-        mean_fps=(
-            sum(s.fps for s in fps_samples) / len(fps_samples)
-            if fps_samples
-            else float("nan")
-        ),
-        jitter_ms=(metrics.jitter.jitter * 1000 if metrics else float("nan")),
-        duplicates=loss.duplicates if loss else 0,
-        lost=loss.lost if loss else 0,
-        stall_count=len(metrics.stall_events()) if metrics else 0,
+        mean_fps=mean_fps,
+        jitter_ms=jitter_ms,
+        duplicates=duplicates,
+        lost=lost,
+        stall_count=stalls,
         protocol=stream.protocol,
     )
 
 
-def live_stream_snapshots(result: "AnalysisResult") -> list[FinalizedStream]:
-    """Point-in-time summaries of every still-open stream.
+def live_stream_snapshots(
+    result: "AnalysisResult", *, start: float = float("-inf"), end: float = float("inf")
+) -> list[FinalizedStream]:
+    """Point-in-time summaries of every still-open stream active in
+    ``[start, end)`` (by default, all of them).
 
     The same shape eviction produces, but without finalizing anything —
-    the windowed aggregator uses these to report on streams that span an
-    open window, and a dashboard can poll them for a live table.
+    the windowed aggregator uses these to report on streams that span a
+    closing window, and a dashboard can poll them for a live table.
     """
     return [
         summarize_stream(stream, result.stream_metrics.get(stream.key))
-        for stream in result.streams.streams()
+        for stream in result.streams
+        if stream.first_time < end and stream.last_time >= start
     ]
 
 

@@ -2,7 +2,7 @@
 
 :class:`~repro.core.pipeline.ZoomAnalyzer` composes these stages in order:
 
-1. :class:`DecodeStage` — raw frame → :class:`ParsedPacket`, input totals;
+1. :class:`DecodeStage` — input totals (survivors arrive materialized);
 2. :class:`ClassifyStage` — §4.1 Zoom detection, TLS-RTT and STUN side exits;
 3. :class:`ZoomDemuxStage` — §4.2 proprietary decode, Table-2/3 counters,
    RTCP routing, direction resolution → :class:`RTPPacketRecord`;
@@ -11,12 +11,13 @@
 5. :class:`MetricsStage` — §5 per-stream estimators and latency matching.
 
 Each stage implements the tiny :class:`Stage` protocol over a shared
-:class:`PacketContext`; custom pipelines can insert, replace, or remove
-stages without touching the others.
+:class:`PacketContext`; the analyzer's survivor loop binds the five
+``process`` methods once per batch and tallies per-packet telemetry from
+the context (:meth:`~repro.core.pipeline.ZoomAnalyzer._run`).
 """
 
 from repro.core.stages.assemble import AssembleStage
-from repro.core.stages.base import BatchContext, PacketContext, Stage
+from repro.core.stages.base import PacketContext, Stage
 from repro.core.stages.classify import ClassifyStage
 from repro.core.stages.decode import DecodeStage
 from repro.core.stages.demux import ZoomDemuxStage
@@ -24,7 +25,6 @@ from repro.core.stages.metrics import MetricsStage
 
 __all__ = [
     "AssembleStage",
-    "BatchContext",
     "ClassifyStage",
     "DecodeStage",
     "MetricsStage",

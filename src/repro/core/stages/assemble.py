@@ -38,11 +38,9 @@ class AssembleStage:
         record = ctx.record
         assert record is not None
         stream = result.streams.observe(record)
-        ctx.stream = stream
         key = record.stream_key
         if key not in self._known_streams:
             self._known_streams.add(key)
-            ctx.stream_is_new = True
             self._telemetry.count("assemble.stream_opened")
             meeting_id = result.grouper.observe_new_stream(stream, result.streams)
             if meeting_id not in self._known_meetings:
@@ -71,6 +69,3 @@ class AssembleStage:
             self._known_streams.discard(key)
             return True
         return False
-
-    def known_stream_count(self) -> int:
-        return len(self._known_streams)

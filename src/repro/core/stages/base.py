@@ -15,15 +15,17 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 from repro.net.packet import FiveTuple, ParsedPacket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.streams import MediaStream, RTPPacketRecord
-    from repro.net.batch import FrameBatch, HeaderColumns
+    from repro.core.streams import RTPPacketRecord
     from repro.protocols.base import ProtocolClass, ProtocolPlugin
-    from repro.zoom.packets import ZoomPacket
 
 
-@dataclass
+@dataclass(init=False)
 class PacketContext:
     """Mutable per-packet state shared by the stages.
+
+    Only ``parsed`` is stored at construction; a field no stage has filled
+    in yet reads its class-level default, so a packet that stops early pays
+    for nothing it did not reach.
 
     Attributes (filled in as the packet advances):
         parsed: L2–L4 decode of the frame (set at construction).
@@ -32,10 +34,7 @@ class PacketContext:
         plugin: The plugin that claimed the packet (classify stage).
         protocol: The claimant's registry name (classify stage).
         five_tuple: Flow key of a media-class UDP packet (classify stage).
-        zoom: Decoded Zoom payload (demux stage, Zoom plugin only).
         record: Normalized RTP packet record (demux stage).
-        stream: The media stream the record belongs to (assembly stage).
-        stream_is_new: Whether assembly created the stream for this packet.
     """
 
     parsed: ParsedPacket
@@ -43,25 +42,10 @@ class PacketContext:
     plugin: "ProtocolPlugin | None" = None
     protocol: str | None = None
     five_tuple: FiveTuple | None = None
-    zoom: "ZoomPacket | None" = None
     record: "RTPPacketRecord | None" = None
-    stream: "MediaStream | None" = None
-    stream_is_new: bool = False
 
-
-@dataclass
-class BatchContext:
-    """Per-batch state for the vectorized fast path.
-
-    One is created per :class:`~repro.net.batch.FrameBatch`; the decode
-    stage fills in the columnar header slices, the classify stage runs the
-    compiled prefilter over them.  Only the indices surviving the prefilter
-    are materialized into :class:`PacketContext`s and fed through the
-    ordinary scalar stages.
-    """
-
-    batch: "FrameBatch"
-    columns: "HeaderColumns | None" = None
+    def __init__(self, parsed: ParsedPacket) -> None:
+        self.parsed = parsed
 
 
 @runtime_checkable

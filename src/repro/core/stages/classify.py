@@ -20,12 +20,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.detector import ZoomClass
-from repro.core.stages.base import BatchContext, PacketContext
+from repro.core.stages.base import PacketContext
 from repro.net.batch import BatchPrefilter, PrefilterVerdict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.events import EventBus
     from repro.core.pipeline import AnalysisResult
+    from repro.net.batch import FrameBatch, HeaderColumns
     from repro.protocols.base import ProtocolPlugin
 
 
@@ -46,21 +47,6 @@ class ClassifyStage:
         self._plugins: tuple["ProtocolPlugin", ...] = tuple(
             sorted(plugins, key=lambda plugin: (plugin.priority, plugin.name))
         )
-        # Per-class (packet counter, byte counter) names and per-plugin
-        # claim counters, resolved once — the per-packet path must not
-        # build strings.
-        self._class_counters = {
-            klass: (f"classify.class.{klass.value}", f"classify.bytes.{klass.value}")
-            for plugin in self._plugins
-            for klass in plugin.classes
-        }
-        self._class_counters.setdefault(
-            ZoomClass.NOT_ZOOM,
-            ("classify.class.not_zoom", "classify.bytes.not_zoom"),
-        )
-        self._claim_counters = {
-            plugin.name: f"protocols.claimed.{plugin.name}" for plugin in self._plugins
-        }
         self._multi = len(self._plugins) > 1
 
     @property
@@ -68,9 +54,12 @@ class ClassifyStage:
         return self._plugins
 
     def process(self, ctx: PacketContext) -> bool:
-        result = self._result
+        """Set ``ctx.klass`` and, on a claim, ``ctx.plugin``/``ctx.protocol``.
+
+        The per-class and per-claimant telemetry counters are tallied from
+        those fields by the pipeline's survivor loop, once per batch.
+        """
         parsed = ctx.parsed
-        assert parsed is not None
         claimant = None
         claim_index = 0
         klass = None
@@ -88,19 +77,15 @@ class ClassifyStage:
         if klass is None:
             klass = ZoomClass.NOT_ZOOM
         ctx.klass = klass
-        tel = self._telemetry
-        if tel.enabled:
-            packet_counter, byte_counter = self._class_counters[klass]
-            tel.count(packet_counter)
-            tel.count(byte_counter, len(parsed.raw))
         if claimant is None:
             return False
         ctx.plugin = claimant
         ctx.protocol = claimant.name
+        result = self._result
         result.packets_zoom += 1
-        if tel.enabled:
-            tel.count(self._claim_counters[claimant.name])
-            if self._multi:
+        if self._multi:
+            tel = self._telemetry
+            if tel.enabled:
                 for other in self._plugins[claim_index + 1 :]:
                     if other.would_claim(parsed):
                         tel.count("protocols.conflicts")
@@ -108,7 +93,9 @@ class ClassifyStage:
 
     # ------------------------------------------------------------ batch path
 
-    def process_batch(self, bctx: BatchContext) -> PrefilterVerdict:
+    def process_batch(
+        self, batch: "FrameBatch", columns: "HeaderColumns"
+    ) -> PrefilterVerdict:
         """Run the compiled prefilter over one batch's header columns.
 
         The prefilter compiles the **union** of the enabled plugins'
@@ -119,8 +106,6 @@ class ClassifyStage:
         values :meth:`process` would have produced.  Survivors and hint
         frames come back as index lists for lazy materialization.
         """
-        result = self._result
-        assert bctx.columns is not None
         prefilter = self._prefilter
         if prefilter is None:
             prefilter = self._prefilter = BatchPrefilter.from_plugins(self._plugins)
@@ -129,13 +114,12 @@ class ClassifyStage:
         for plugin in self._plugins:
             for tracker in plugin.stun_trackers:
                 prefilter.sync_stun(tracker)
-        verdict = prefilter.apply(bctx.batch, bctx.columns)
+        verdict = prefilter.apply(batch, columns)
         if verdict.dropped:
             for plugin in self._plugins:
                 plugin.account_unclaimed_batch(verdict.dropped)
             tel = self._telemetry
             if tel.enabled:
-                packet_counter, byte_counter = self._class_counters[ZoomClass.NOT_ZOOM]
-                tel.count(packet_counter, verdict.dropped)
-                tel.count(byte_counter, verdict.dropped_bytes)
+                tel.count("classify.class.not_zoom", verdict.dropped)
+                tel.count("classify.bytes.not_zoom", verdict.dropped_bytes)
         return verdict

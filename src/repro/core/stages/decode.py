@@ -1,11 +1,10 @@
-"""Decode stage: columnar batch decode, plus input totals."""
+"""Decode stage: input totals for survivors and, in bulk, for dropped frames."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.stages.base import BatchContext, PacketContext
-from repro.net.batch import decode_columns
+from repro.core.stages.base import PacketContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.events import EventBus
@@ -19,7 +18,9 @@ class DecodeStage:
     Per-packet contexts arrive already parsed (the materialized survivors
     of a batch); they are counted here, and prefilter-dropped frames are
     counted in bulk, so ``packets_total`` and ``bytes_total`` cover every
-    frame of the batch.
+    frame of the batch.  A survivor always has an Ethernet header — the
+    prefilter drops, and :meth:`account_dropped` counts, every frame
+    without one — so no survivor is a parse failure.
     """
 
     name = "decode"
@@ -29,18 +30,10 @@ class DecodeStage:
         self._telemetry = result.telemetry
 
     def process(self, ctx: PacketContext) -> bool:
-        self._result.packets_total += 1
-        self._result.bytes_total += len(ctx.parsed.raw)
-        tel = self._telemetry
-        if tel.enabled and ctx.parsed.ethernet is None:
-            tel.count("decode.parse_failures")
+        result = self._result
+        result.packets_total += 1
+        result.bytes_total += len(ctx.parsed.raw)
         return True
-
-    # ------------------------------------------------------------ batch path
-
-    def process_batch(self, bctx: BatchContext) -> None:
-        """Columnar header slicing for a whole batch; no per-frame objects."""
-        bctx.columns = decode_columns(bctx.batch)
 
     def account_dropped(self, verdict: "PrefilterVerdict") -> None:
         """Bulk accounting for prefilter-dropped frames.

@@ -15,7 +15,7 @@ with the default registry the dispatch *is* the Zoom demux.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.events import FlowBytesObserved
 from repro.core.stages.base import PacketContext
@@ -23,7 +23,6 @@ from repro.core.stages.base import PacketContext
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.events import EventBus
     from repro.core.pipeline import AnalysisResult
-    from repro.protocols.base import ProtocolPlugin
 
 
 class ZoomDemuxStage:
@@ -31,27 +30,13 @@ class ZoomDemuxStage:
 
     name = "zoom-demux"
 
-    def __init__(
-        self,
-        result: "AnalysisResult",
-        bus: "EventBus",
-        plugins: Sequence["ProtocolPlugin"] = (),
-    ) -> None:
+    def __init__(self, result: "AnalysisResult", bus: "EventBus") -> None:
         self._result = result
         self._bus = bus
         self._telemetry = result.telemetry
-        self._media_counters = {
-            plugin.name: f"protocols.media.{plugin.name}" for plugin in plugins
-        }
 
     def process(self, ctx: PacketContext) -> bool:
         parsed = ctx.parsed
-        plugin = ctx.plugin
-        assert parsed is not None and ctx.five_tuple is not None
-        assert plugin is not None
-        tel = self._telemetry
-        if tel.enabled:
-            tel.count("demux.media_class_packets")
         self._bus.emit(
             FlowBytesObserved(
                 timestamp=parsed.timestamp,
@@ -59,12 +44,4 @@ class ZoomDemuxStage:
                 payload_len=len(parsed.payload),
             )
         )
-        advanced = plugin.dissect(ctx, self._result, self._bus, tel)
-        if advanced and tel.enabled:
-            counter = self._media_counters.get(plugin.name)
-            if counter is None:
-                counter = self._media_counters[plugin.name] = (
-                    f"protocols.media.{plugin.name}"
-                )
-            tel.count(counter)
-        return advanced
+        return ctx.plugin.dissect(ctx, self._result, self._bus, self._telemetry)

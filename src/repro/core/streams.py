@@ -29,7 +29,8 @@ class RTPPacketRecord:
 
     Attributes:
         timestamp: Monitor capture time (s).
-        five_tuple: (src_ip, src_port, dst_ip, dst_port, proto).
+        five_tuple: (src, src_port, dst, dst_port, proto), addresses in
+            wire form — an opaque key to everything but the text renderers.
         ssrc / payload_type / sequence / rtp_timestamp / marker: RTP fields.
         media_type: Zoom media-encapsulation type (13/15/16).
         payload_len: RTP payload bytes (the encrypted media).
@@ -63,11 +64,11 @@ class RTPPacketRecord:
         return (self.five_tuple, self.ssrc)
 
     @property
-    def src(self) -> tuple[str, int]:
+    def src(self) -> tuple[int, int]:
         return (self.five_tuple[0], self.five_tuple[1])
 
     @property
-    def dst(self) -> tuple[str, int]:
+    def dst(self) -> tuple[int, int]:
         return (self.five_tuple[2], self.five_tuple[3])
 
 

@@ -20,10 +20,10 @@ of this).  This module is the software analogue of that prefilter, and
 * :class:`BatchPrefilter` — compiled from the same match-action rules the
   capture model uses (Zoom server ranges + STUN-learned endpoints); drops
   frames that are *provably* NOT_ZOOM before any ``ParsedPacket`` exists.
-  Surviving indices are lazily materialized through the unchanged
-  :func:`~repro.net.packet.parse_frame`, so every downstream stage, golden
-  snapshot, and metric is exactly what feeding every frame through them
-  would give.
+  Surviving indices are lazily materialized (:meth:`FrameBatch.materialize`)
+  into exactly the packet :func:`~repro.net.packet.parse_frame` would
+  build, so every downstream stage, golden snapshot, and metric is exactly
+  what feeding every frame through them would give.
 
 Correctness contract of the prefilter (see DESIGN.md §4.3): a frame may be
 dropped only if feeding it through the per-packet stages would (a) classify
@@ -42,7 +42,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.net.ip import PrefixTable, ipv4_str_to_u32
+from repro.net.ip import IPV6_FLAG, PrefixTable
 from repro.net.packet import ParsedPacket, parse_frame
 from repro.zoom.constants import STUN_SERVER_PORT
 
@@ -74,6 +74,13 @@ _STUN_COOKIE = b"\x21\x12\xa4\x42"
 _UNPACK_ADDRS = struct.Struct("!II").unpack_from  # IPv4 src, dst
 _UNPACK_PORTS = struct.Struct("!HH").unpack_from  # transport src, dst
 
+#: From byte 12 of an untagged Ethernet / option-less IPv4 / UDP frame:
+#: ethertype, the six leading IPv4 header words (version+IHL+TOS, total
+#: length, id, flags+fragment, TTL+protocol, checksum), src, dst, then the
+#: UDP ports and length.
+_UNPACK_UDP4 = struct.Struct("!HHHHHHHIIHHH").unpack_from
+_UDP4_PAYLOAD = 14 + 20 + 8
+
 
 @dataclass(slots=True)
 class FrameBatch:
@@ -103,8 +110,40 @@ class FrameBatch:
         return bytes(self.buffer[start : start + self.caplens[index]])
 
     def materialize(self, index: int) -> ParsedPacket:
-        """Lazily dissect frame ``index`` via the unchanged scalar parser."""
-        return parse_frame(self.frame(index), self.timestamps[index])
+        """The :class:`ParsedPacket` of frame ``index``, each byte read once.
+
+        An untagged-Ethernet / option-less-IPv4 / UDP frame — what nearly
+        every survivor is — is built from one ``unpack_from`` over its fixed
+        offsets with every check the layered parser makes (header checksum,
+        ``total_length``/UDP-length trims); its header objects stay lazy.
+        Any other shape goes through :func:`~repro.net.packet.parse_frame`.
+        """
+        raw = self.frame(index)
+        if len(raw) >= _UDP4_PAYLOAD:
+            words = _UNPACK_UDP4(raw, 12)
+            (ethertype, version_tos, total_length, _, _, ttl_proto, _,
+             src, dst, src_port, dst_port, udp_length) = words
+            if (
+                ethertype == _ETHERTYPE_IPV4
+                and version_tos >> 8 == 0x45
+                and ttl_proto & 0xFF == _PROTO_UDP
+                and total_length >= 28
+                and udp_length >= 8
+                # One's-complement sum of the header is all-ones: a u32 is
+                # congruent to the sum of its halves modulo 0xFFFF.
+                and sum(words[1:9]) % 0xFFFF == 0
+            ):
+                return ParsedPacket(
+                    self.timestamps[index],
+                    raw,
+                    raw[_UDP4_PAYLOAD : min(14 + total_length, 34 + udp_length)],
+                    src,
+                    dst,
+                    src_port,
+                    dst_port,
+                    _PROTO_UDP,
+                )
+        return parse_frame(raw, self.timestamps[index])
 
     def iter_frames(self) -> Iterator[tuple]:
         """Yield ``(frame_bytes, timestamp)`` pairs without copying."""
@@ -399,10 +438,10 @@ class BatchPrefilter:
         if learned == self._synced_learns.get(key):
             return
         self._synced_learns[key] = learned
-        for ip, port in tracker.endpoints():
-            ip_u32 = ipv4_str_to_u32(ip)
-            if ip_u32 is not None:
-                self.note_endpoint(ip_u32, port)
+        # Tracker keys are this set's own ``(addr << 16) | port`` integers;
+        # the rules are IPv4, so IPv6 endpoints stay out of it.
+        limit = IPV6_FLAG << 16
+        self._endpoints.update(e for e in tracker.endpoints() if e < limit)
 
     # --------------------------------------------------------------- apply
 

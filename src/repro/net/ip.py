@@ -20,9 +20,36 @@ class IPProtocol(enum.IntEnum):
     ICMPV6 = 58
 
 
-def ip_to_str(packed: bytes) -> str:
-    """Render a packed 4- or 16-byte IP address as a string."""
-    return str(ipaddress.ip_address(packed))
+#: Wire-form addresses (what crosses the packet path): an IPv4 address is
+#: its host-order u32 — the value ``HeaderColumns.src``/``dst`` and the
+#: prefilter's ``(addr << 16) | port`` endpoint keys already hold — and an
+#: IPv6 address is its 128-bit value with this bit set on top, so a v4
+#: address and its ``::a.b.c.d`` twin never compare equal.
+IPV6_FLAG = 1 << 128
+
+
+def addr_from_packed(packed: bytes) -> int:
+    """A packed 4- or 16-byte address in wire form."""
+    value = int.from_bytes(packed, "big")
+    return value if len(packed) == 4 else value | IPV6_FLAG
+
+
+def addr_from_str(text: str) -> int:
+    """A dotted-quad or IPv6 string in wire form (configuration, tests)."""
+    return addr_from_packed(ip_from_str(text))
+
+
+def ip_to_str(addr: int | str) -> str:
+    """Render a wire-form address — called only where text leaves the system.
+
+    An already rendered string passes through: flow keys are opaque to the
+    analyzer, so a hand-built record may carry text.
+    """
+    if isinstance(addr, str):
+        return addr
+    if addr < IPV6_FLAG:
+        return f"{addr >> 24}.{addr >> 16 & 255}.{addr >> 8 & 255}.{addr & 255}"
+    return str(ipaddress.IPv6Address(addr ^ IPV6_FLAG))
 
 
 def ip_from_str(text: str) -> bytes:
@@ -31,7 +58,10 @@ def ip_from_str(text: str) -> bytes:
 
 
 def ipv4_str_to_u32(ip: str) -> int | None:
-    """A dotted quad as a host-order u32; ``None`` for anything else."""
+    """A dotted quad as a host-order u32; ``None`` for anything else.
+
+    Behind the configuration-time string entry points only
+    (``CaptureRules.from_networks``/``from_model``)."""
     parts = ip.split(".")
     if len(parts) != 4:
         return None
@@ -47,10 +77,11 @@ class PrefixTable:
 
     The one prefix-membership implementation: the detector, the campus
     gate, the P4 capture model, the batch prefilter and the cBPF compiler
-    all read :attr:`v4` (host-order u32 pairs) / :attr:`v6` (128-bit pairs)
-    of the same table.  Per-packet callers ask :meth:`contains` with the
-    packed address a decoded header already holds; the string forms exist
-    for configuration-time and interactive use.
+    all read :attr:`v4` (host-order u32 pairs) / :attr:`v6` (wire-form
+    pairs, :data:`IPV6_FLAG` set in both halves) of the same table.
+    Per-packet callers ask :meth:`contains` with the wire-form address the
+    packet already carries; the string forms exist for configuration-time
+    and interactive use.
     """
 
     __slots__ = ("v4", "v6")
@@ -60,22 +91,24 @@ class PrefixTable:
         v6: list[tuple[int, int]] = []
         for cidr in cidrs:
             net = ipaddress.ip_network(cidr)
-            pairs = v4 if net.version == 4 else v6
-            pairs.append((int(net.network_address), int(net.netmask)))
+            network, netmask = int(net.network_address), int(net.netmask)
+            if net.version == 4:
+                v4.append((network, netmask))
+            else:
+                v6.append((network | IPV6_FLAG, netmask | IPV6_FLAG))
         self.v4 = tuple(v4)
         self.v6 = tuple(v6)
 
-    def contains(self, packed: bytes) -> bool:
-        """Whether a packed 4- or 16-byte address falls in any prefix."""
-        value = int.from_bytes(packed, "big")
-        for net, mask in self.v4 if len(packed) == 4 else self.v6:
-            if value & mask == net:
+    def contains(self, addr: int) -> bool:
+        """Whether a wire-form address falls in any prefix."""
+        for net, mask in self.v4 if addr < IPV6_FLAG else self.v6:
+            if addr & mask == net:
                 return True
         return False
 
     def __contains__(self, ip: str) -> bool:
         try:
-            return self.contains(ip_from_str(ip))
+            return self.contains(addr_from_str(ip))
         except ValueError:
             return False
 
@@ -124,11 +157,11 @@ class IPv4Header:
 
     @property
     def src_str(self) -> str:
-        return ip_to_str(self.src)
+        return ip_to_str(addr_from_packed(self.src))
 
     @property
     def dst_str(self) -> str:
-        return ip_to_str(self.dst)
+        return ip_to_str(addr_from_packed(self.dst))
 
     @property
     def payload_length(self) -> int:
@@ -228,14 +261,6 @@ class IPv6Header:
             raise ValueError("IPv6 addresses must be 16 packed bytes")
         if not 0 <= self.flow_label <= 0xFFFFF:
             raise ValueError(f"flow label out of range: {self.flow_label}")
-
-    @property
-    def src_str(self) -> str:
-        return ip_to_str(self.src)
-
-    @property
-    def dst_str(self) -> str:
-        return ip_to_str(self.dst)
 
     def serialize(self) -> bytes:
         """Encode to wire format."""

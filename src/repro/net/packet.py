@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.net.ethernet import EtherType, EthernetHeader
-from repro.net.ip import IPProtocol, IPv4Header, IPv6Header
+from repro.net.ip import IPProtocol, IPv4Header, IPv6Header, addr_from_packed, ip_to_str
 from repro.net.tcp import TCPHeader
 from repro.net.udp import UDPHeader
 
-FiveTuple = tuple[str, int, str, int, int]
-"""(src_ip, src_port, dst_ip, dst_port, protocol) — the flow key used everywhere."""
+FiveTuple = tuple[int, int, int, int, int]
+"""(src, src_port, dst, dst_port, protocol) — the flow key used everywhere,
+addresses in wire form (:data:`repro.net.ip.IPV6_FLAG`)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,104 +28,137 @@ class CapturedPacket:
     data: bytes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ParsedPacket:
-    """A decoded frame: L2 through L4 headers plus the transport payload.
+    """A decoded frame: what the packet path reads, plus lazy header views.
 
-    Any of the header attributes may be ``None`` when the corresponding layer
-    is absent or not understood (e.g. an ARP frame has no ``ipv4``).
+    The stored fields are all the analyzer's stages consult; any of them is
+    ``None`` when the corresponding layer is absent or did not decode (an
+    ARP frame has no ``src``).  The ``ethernet``/``ipv4``/``ipv6``/``udp``/
+    ``tcp`` header objects are views decoded from ``raw`` on first access.
 
     Attributes:
         timestamp: Capture time in seconds.
-        ethernet: Decoded Ethernet header.
-        ipv4 / ipv6: Decoded IP header (at most one is set).
-        udp / tcp: Decoded transport header (at most one is set).
-        payload: Transport payload bytes (b"" when no transport layer).
         raw: The original frame bytes.
+        payload: Transport payload bytes (b"" when no transport layer).
+        src / dst: Wire-form IP addresses (:mod:`repro.net.ip`).
+        src_port / dst_port: Ports of the decoded UDP or TCP header.
+        proto: ``UDP``/``TCP`` when that header decoded, else the IP
+            header's protocol number.
     """
 
     timestamp: float
-    ethernet: Optional[EthernetHeader]
-    ipv4: Optional[IPv4Header]
-    ipv6: Optional[IPv6Header]
-    udp: Optional[UDPHeader]
-    tcp: Optional[TCPHeader]
-    payload: bytes
     raw: bytes
+    payload: bytes = b""
+    src: Optional[int] = None
+    dst: Optional[int] = None
+    src_port: Optional[int] = None
+    dst_port: Optional[int] = None
+    proto: Optional[int] = None
+    _headers: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def _header(self, layer: int):
+        headers = self._headers
+        if headers is None:
+            headers = self._headers = _decode_layers(self.raw)[:5]
+        return headers[layer]
+
+    @property
+    def ethernet(self) -> EthernetHeader | None:
+        return self._header(0)
+
+    @property
+    def ipv4(self) -> IPv4Header | None:
+        return self._header(1)
+
+    @property
+    def ipv6(self) -> IPv6Header | None:
+        return self._header(2)
+
+    @property
+    def udp(self) -> UDPHeader | None:
+        return self._header(3)
+
+    @property
+    def tcp(self) -> TCPHeader | None:
+        return self._header(4)
 
     @property
     def src_ip(self) -> str | None:
-        if self.ipv4 is not None:
-            return self.ipv4.src_str
-        if self.ipv6 is not None:
-            return self.ipv6.src_str
-        return None
+        return None if self.src is None else ip_to_str(self.src)
 
     @property
     def dst_ip(self) -> str | None:
-        if self.ipv4 is not None:
-            return self.ipv4.dst_str
-        if self.ipv6 is not None:
-            return self.ipv6.dst_str
-        return None
-
-    @property
-    def src_port(self) -> int | None:
-        transport = self.udp or self.tcp
-        return transport.src_port if transport is not None else None
-
-    @property
-    def dst_port(self) -> int | None:
-        transport = self.udp or self.tcp
-        return transport.dst_port if transport is not None else None
+        return None if self.dst is None else ip_to_str(self.dst)
 
     @property
     def protocol(self) -> int | None:
-        if self.udp is not None:
-            return IPProtocol.UDP
-        if self.tcp is not None:
-            return IPProtocol.TCP
-        if self.ipv4 is not None:
-            return self.ipv4.protocol
-        if self.ipv6 is not None:
-            return self.ipv6.next_header
-        return None
+        return self.proto
 
     @property
     def five_tuple(self) -> FiveTuple | None:
-        """The (src_ip, src_port, dst_ip, dst_port, proto) key, or ``None``."""
-        if self.src_ip is None or self.src_port is None:
+        """The (src, src_port, dst, dst_port, proto) key, or ``None``."""
+        if self.src is None or self.src_port is None:
             return None
-        return (self.src_ip, self.src_port, self.dst_ip, self.dst_port, self.protocol)
+        return (self.src, self.src_port, self.dst, self.dst_port, self.proto)
 
     @property
     def is_udp(self) -> bool:
-        return self.udp is not None
+        return self.proto == IPProtocol.UDP and self.src_port is not None
 
     @property
     def is_tcp(self) -> bool:
-        return self.tcp is not None
+        return self.proto == IPProtocol.TCP and self.src_port is not None
 
 
 def parse_frame(data: bytes, timestamp: float = 0.0) -> ParsedPacket:
-    """Decode an Ethernet frame down to the transport payload.
+    """Decode an Ethernet frame down to the transport payload, layer by layer.
 
+    The scalar reference: :meth:`repro.net.batch.FrameBatch.materialize`
+    builds the common shape without it and falls back to it for the rest.
     Unknown or malformed upper layers degrade gracefully: the frame is still
     returned with the layers that did decode and the remaining bytes exposed
     as ``payload``.
     """
-    ethernet = None
+    ethernet, ipv4, ipv6, udp, tcp, payload = _decode_layers(data)
+    ip = ipv4 or ipv6
+    if ip is None:
+        return ParsedPacket(
+            timestamp, data, payload, _headers=(ethernet, None, None, None, None)
+        )
+    transport = udp or tcp
+    if transport is None:
+        src_port = dst_port = None
+        proto = ipv4.protocol if ipv4 is not None else ipv6.next_header
+    else:
+        src_port, dst_port = transport.src_port, transport.dst_port
+        proto = int(IPProtocol.UDP if udp is not None else IPProtocol.TCP)
+    return ParsedPacket(
+        timestamp,
+        data,
+        payload,
+        addr_from_packed(ip.src),
+        addr_from_packed(ip.dst),
+        src_port,
+        dst_port,
+        proto,
+        (ethernet, ipv4, ipv6, udp, tcp),
+    )
+
+
+def _decode_layers(data: bytes) -> tuple:
+    """``(ethernet, ipv4, ipv6, udp, tcp, payload)`` of one frame."""
     ipv4 = None
     ipv6 = None
     udp = None
     tcp = None
-    payload = b""
     try:
         ethernet, offset = EthernetHeader.parse(data)
     except ValueError:
-        return ParsedPacket(timestamp, None, None, None, None, None, b"", data)
+        return None, None, None, None, None, b""
 
     remaining = data[offset:]
+    payload = remaining
     try:
         if ethernet.ethertype == EtherType.IPV4:
             ipv4, ip_len = IPv4Header.parse(remaining)
@@ -136,13 +170,10 @@ def parse_frame(data: bytes, timestamp: float = 0.0) -> ParsedPacket:
             ipv6, ip_len = IPv6Header.parse(remaining)
             body = remaining[ip_len : ip_len + ipv6.payload_length]
             udp, tcp, payload = _parse_transport(ipv6.next_header, body)
-        else:
-            payload = remaining
     except ValueError:
         # Leave whatever decoded so far; expose the rest as opaque payload.
-        payload = remaining
-
-    return ParsedPacket(timestamp, ethernet, ipv4, ipv6, udp, tcp, payload, data)
+        pass
+    return ethernet, ipv4, ipv6, udp, tcp, payload
 
 
 def _parse_transport(

@@ -12,10 +12,11 @@ consumes.  What a new plugin writes:
    suffix), a ``claimed`` property and an ``is_media`` property
    (``ZoomClass``, ``RtpClass``).
 2. **One decision tree** — :meth:`ProtocolPlugin.decide` states the
-   detection rules once, side-effect free: given a parsed packet and a
-   ``lookup(ip, port, now)`` view of the plugin's endpoint tracker
-   (:attr:`ProtocolPlugin.stun`) it returns the packet's class and the
-   endpoints the packet teaches.  Everything that *applies* a decision is
+   detection rules once, side-effect free: given a parsed packet — its
+   stored ``src/dst/src_port/dst_port/proto/payload`` fields, addresses in
+   wire form, never a header object — and a ``lookup(addr, port, now)``
+   view of the plugin's endpoint tracker (:attr:`ProtocolPlugin.stun`) it
+   returns the packet's class and the endpoints the packet teaches.  Everything that *applies* a decision is
    derived here from that one tree: :meth:`~ProtocolPlugin.classify`
    (decide with the refreshing lookup, then learn and count),
    the conflict probe :meth:`~ProtocolPlugin.would_claim` (decide with
@@ -25,8 +26,10 @@ consumes.  What a new plugin writes:
 3. **Dissection** — :meth:`~ProtocolPlugin.on_claimed` (non-media side
    channels; decides whether the packet continues) and
    :meth:`~ProtocolPlugin.dissect`, which decodes a claimed media packet
-   into a record tagged with :attr:`~ProtocolPlugin.name`, or ends it in
-   the shared :func:`observe_rtcp` / :func:`undecoded` accounting.
+   into a record tagged with :attr:`~ProtocolPlugin.name` — its RTP fields
+   from the one shared walk, :func:`repro.rtp.rtp.walk_rtp_header` — or
+   ends it in the shared :func:`observe_rtcp` / :func:`undecoded`
+   accounting.
 
 The prefilter hints — :attr:`~ProtocolPlugin.prefilter_networks`,
 :attr:`~ProtocolPlugin.sniff_all_stun` and the tracker — let

@@ -39,7 +39,7 @@ from repro.core.detector import StunTracker
 from repro.core.streams import RTPPacketRecord
 from repro.protocols.base import ProtocolPlugin, observe_rtcp, undecoded
 from repro.rtp.rtcp import parse_rtcp_compound
-from repro.rtp.rtp import RTP_VERSION, RTPHeader, looks_like_rtp
+from repro.rtp.rtp import RTP_VERSION, looks_like_rtp, walk_rtp_header
 from repro.rtp.stun import is_stun
 from repro.zoom.constants import ZoomMediaType
 
@@ -113,12 +113,11 @@ class RtpPlugin(ProtocolPlugin):
     # ------------------------------------------------------------- detection
 
     def decide(self, parsed: "ParsedPacket", lookup):
-        udp = parsed.udp
-        if udp is None:
+        if not parsed.is_udp:
             return None, ()
         payload = parsed.payload
-        src = (parsed.src_ip, udp.src_port)
-        dst = (parsed.dst_ip, udp.dst_port)
+        src = (parsed.src, parsed.src_port)
+        dst = (parsed.dst, parsed.dst_port)
         if is_stun(payload):
             # Either end may be the monitored side: the frame teaches both.
             return RtpClass.RTP_STUN, (src, dst)
@@ -163,18 +162,18 @@ class RtpPlugin(ProtocolPlugin):
                 bus,
                 telemetry,
             )
-        try:
-            header, payload_offset = RTPHeader.parse(payload)
-        except ValueError:
+        walked = walk_rtp_header(payload)
+        if walked is None:
             return undecoded(len(payload), result, telemetry)
-        if header.payload_type in self._audio_payload_types:
+        payload_type, marker, sequence, rtp_timestamp, ssrc, payload_offset = walked
+        if payload_type in self._audio_payload_types:
             media_type = int(ZoomMediaType.AUDIO)
         else:
             media_type = int(ZoomMediaType.VIDEO)
         # Marker-synthesized frame fields (module docstring): exact frame
         # timing, lower-bound frame sizes, zero per-flow assembler state.
-        if media_type == ZoomMediaType.VIDEO and header.marker:
-            frame_sequence = header.sequence
+        if media_type == ZoomMediaType.VIDEO and marker:
+            frame_sequence = sequence
             packets_in_frame = 1
         else:
             frame_sequence = 0
@@ -182,11 +181,11 @@ class RtpPlugin(ProtocolPlugin):
         record = RTPPacketRecord(
             timestamp=parsed.timestamp,
             five_tuple=ctx.five_tuple,
-            ssrc=header.ssrc,
-            payload_type=header.payload_type,
-            sequence=header.sequence,
-            rtp_timestamp=header.timestamp,
-            marker=header.marker,
+            ssrc=ssrc,
+            payload_type=payload_type,
+            sequence=sequence,
+            rtp_timestamp=rtp_timestamp,
+            marker=marker,
             media_type=media_type,
             payload_len=len(payload) - payload_offset,
             udp_payload_len=len(payload),
@@ -220,18 +219,14 @@ class RtpPlugin(ProtocolPlugin):
                     f"  {type(report).__name__} ssrc=0x{report.ssrc:08x}"
                 )
             return "\n".join(lines) + "\n"
-        try:
-            header, payload_offset = RTPHeader.parse(payload)
-        except ValueError:
+        walked = walk_rtp_header(payload)
+        if walked is None:
             return "undecodable payload\n"
-        media = (
-            "audio"
-            if header.payload_type in self._audio_payload_types
-            else "video"
-        )
+        payload_type, marker, sequence, rtp_timestamp, ssrc, payload_offset = walked
+        media = "audio" if payload_type in self._audio_payload_types else "video"
         return (
-            f"Real-Time Transport Protocol pt={header.payload_type} ({media}) "
-            f"ssrc=0x{header.ssrc:08x} seq={header.sequence} "
-            f"ts={header.timestamp} marker={int(header.marker)} "
+            f"Real-Time Transport Protocol pt={payload_type} ({media}) "
+            f"ssrc=0x{ssrc:08x} seq={sequence} "
+            f"ts={rtp_timestamp} marker={int(marker)} "
             f"payload={len(payload) - payload_offset}B\n"
         )

@@ -16,8 +16,11 @@ from repro.core.metrics.latency import TCPRTTEstimator
 from repro.core.streams import RTPPacketRecord
 from repro.protocols.base import ProtocolPlugin, observe_rtcp, undecoded
 from repro.zoom.constants import SERVER_MEDIA_PORT
-from repro.zoom.packets import parse_zoom_payload
+from repro.zoom.packets import decode_media, parse_zoom_payload
 from repro.zoom.sfu_encap import Direction
+
+_FROM_SFU = int(Direction.FROM_SFU)
+_TO_SFU = int(Direction.TO_SFU)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import AnalyzerConfig
@@ -99,62 +102,77 @@ class ZoomPlugin(ProtocolPlugin):
         parsed = ctx.parsed
         assert parsed is not None and ctx.five_tuple is not None
         from_server = ctx.klass is ZoomClass.SERVER_MEDIA
-        zoom = parse_zoom_payload(parsed.payload, from_server=from_server)
-        ctx.zoom = zoom
-        size = len(parsed.payload)
-        if zoom.media is None or not (zoom.is_media or zoom.is_rtcp):
-            return undecoded(size, result, telemetry)
-        media_type = zoom.media.media_type
-        if zoom.is_rtcp:
+        payload = parsed.payload
+        size = len(payload)
+        media = decode_media(payload, from_server)
+        if media is None:
+            # RTCP, control and undecodable packets: the general decoder.
+            zoom = parse_zoom_payload(payload, from_server=from_server)
+            if zoom.media is None or not zoom.is_rtcp:
+                return undecoded(size, result, telemetry)
             return observe_rtcp(
-                zoom.rtcp, media_type, size, parsed.timestamp, result, bus, telemetry
+                zoom.rtcp,
+                zoom.media.media_type,
+                size,
+                parsed.timestamp,
+                result,
+                bus,
+                telemetry,
             )
+        (
+            media_type,
+            direction,
+            frame_sequence,
+            packets_in_frame,
+            payload_type,
+            marker,
+            sequence,
+            rtp_timestamp,
+            ssrc,
+            payload_len,
+        ) = media
         result.encap_packets[media_type] += 1
         result.encap_bytes[media_type] += size
-        assert zoom.rtp is not None
         to_server: bool | None
-        if zoom.is_p2p:
+        if direction is None:
             to_server = None
-        elif zoom.sfu is not None and zoom.sfu.direction == Direction.FROM_SFU:
+        elif direction == _FROM_SFU:
             to_server = False
-        elif zoom.sfu is not None and zoom.sfu.direction == Direction.TO_SFU:
+        elif direction == _TO_SFU:
             to_server = True
         else:
             # Fall back on the well-known server port.
             to_server = parsed.dst_port == SERVER_MEDIA_PORT
-        record = RTPPacketRecord(
+        ctx.record = RTPPacketRecord(
             timestamp=parsed.timestamp,
             five_tuple=ctx.five_tuple,
-            ssrc=zoom.rtp.ssrc,
-            payload_type=zoom.rtp.payload_type,
-            sequence=zoom.rtp.sequence,
-            rtp_timestamp=zoom.rtp.timestamp,
-            marker=zoom.rtp.marker,
+            ssrc=ssrc,
+            payload_type=payload_type,
+            sequence=sequence,
+            rtp_timestamp=rtp_timestamp,
+            marker=marker,
             media_type=media_type,
-            payload_len=len(zoom.rtp_payload),
+            payload_len=payload_len,
             udp_payload_len=size,
-            frame_sequence=zoom.media.frame_sequence,
-            packets_in_frame=zoom.media.packets_in_frame,
-            is_p2p=zoom.is_p2p,
+            frame_sequence=frame_sequence,
+            packets_in_frame=packets_in_frame,
+            is_p2p=direction is None,
             to_server=to_server,
         )
-        result.payload_type_packets[(media_type, record.payload_type)] += 1
-        result.payload_type_bytes[(media_type, record.payload_type)] += record.payload_len
-        ctx.record = record
+        result.payload_type_packets[(media_type, payload_type)] += 1
+        result.payload_type_bytes[(media_type, payload_type)] += payload_len
         return True
 
     def _observe_tcp(self, parsed: "ParsedPacket", result: "AnalysisResult") -> None:
-        ip = parsed.ipv4 or parsed.ipv6
-        if ip is None:
+        if parsed.src is None:
             return
-        if self.detector.matcher.contains(ip.src):
-            client_ip, server_ip = parsed.dst_ip, parsed.src_ip
+        if self.detector.matcher.contains(parsed.src):
+            key = (parsed.dst, parsed.src)
         else:
-            client_ip, server_ip = parsed.src_ip, parsed.dst_ip
-        key = (client_ip, server_ip)
+            key = (parsed.src, parsed.dst)
         estimator = result.tcp_rtt.get(key)
         if estimator is None:
-            estimator = result.tcp_rtt[key] = TCPRTTEstimator(client_ip, server_ip)
+            estimator = result.tcp_rtt[key] = TCPRTTEstimator(*key)
         estimator.observe(parsed)
 
     # ------------------------------------------------------------------- CLI

@@ -12,6 +12,35 @@ from dataclasses import dataclass, field
 
 RTP_VERSION = 2
 
+_UNPACK_FIXED = struct.Struct("!BBHII").unpack_from
+
+
+def walk_rtp_header(data: bytes, offset: int = 0) -> tuple | None:
+    """The one RTP fixed-header walk, over ``data[offset:]``.
+
+    Checks the version bits and that the CSRC list and any header extension
+    fit in the buffer.  Returns ``(payload_type, marker, sequence,
+    timestamp, ssrc, end)`` — ``end`` is where the RTP payload starts — or
+    ``None`` when the bytes are not an RTP header.  Payload types 72-76
+    collide with RTCP packet types 200-204 once the marker bit is masked
+    off; whether to accept them is the caller's rule.
+    """
+    size = len(data)
+    end = offset + 12
+    if size < end:
+        return None
+    first, second, sequence, timestamp, ssrc = _UNPACK_FIXED(data, offset)
+    if first >> 6 != RTP_VERSION:
+        return None
+    end += 4 * (first & 0x0F)
+    if first & 0x10:
+        if size < end + 4:
+            return None
+        end += 4 + 4 * ((data[end + 2] << 8) | data[end + 3])
+    if size < end:
+        return None
+    return second & 0x7F, second >= 0x80, sequence, timestamp, ssrc, end
+
 
 @dataclass(frozen=True, slots=True)
 class RTPHeader:
@@ -88,68 +117,38 @@ class RTPHeader:
     @classmethod
     def parse(cls, data: bytes) -> tuple["RTPHeader", int]:
         """Decode from wire format; returns the header and payload offset."""
-        if len(data) < cls.FIXED_LEN:
-            raise ValueError(f"buffer too short for RTP: {len(data)} bytes")
-        first, second, sequence, timestamp, ssrc = struct.unpack_from("!BBHII", data, 0)
-        version = first >> 6
-        if version != RTP_VERSION:
-            raise ValueError(f"not RTP (version={version})")
-        padding = bool(first & 0x20)
-        has_extension = bool(first & 0x10)
-        csrc_count = first & 0x0F
-        marker = bool(second & 0x80)
-        payload_type = second & 0x7F
-        offset = cls.FIXED_LEN
-        if len(data) < offset + 4 * csrc_count:
-            raise ValueError("buffer too short for CSRC list")
-        csrcs = tuple(
-            struct.unpack_from("!I", data, offset + 4 * i)[0] for i in range(csrc_count)
-        )
-        offset += 4 * csrc_count
+        walked = walk_rtp_header(data)
+        if walked is None:
+            raise ValueError(f"not an RTP header ({len(data)} bytes)")
+        payload_type, marker, sequence, timestamp, ssrc, end = walked
+        first = data[0]
+        csrc_end = cls.FIXED_LEN + 4 * (first & 0x0F)
+        csrcs = struct.unpack_from(f"!{first & 0x0F}I", data, cls.FIXED_LEN)
         extension_profile: int | None = None
         extension_data = b""
-        if has_extension:
-            if len(data) < offset + 4:
-                raise ValueError("buffer too short for RTP extension header")
-            extension_profile, ext_words = struct.unpack_from("!HH", data, offset)
-            offset += 4
-            if len(data) < offset + 4 * ext_words:
-                raise ValueError("buffer too short for RTP extension body")
-            extension_data = bytes(data[offset : offset + 4 * ext_words])
-            offset += 4 * ext_words
+        if first & 0x10:
+            (extension_profile,) = struct.unpack_from("!H", data, csrc_end)
+            extension_data = bytes(data[csrc_end + 4 : end])
         header = cls(
             payload_type=payload_type,
             sequence=sequence,
             timestamp=timestamp,
             ssrc=ssrc,
             marker=marker,
-            padding=padding,
+            padding=bool(first & 0x20),
             csrcs=csrcs,
             extension_profile=extension_profile,
             extension_data=extension_data,
         )
-        return header, offset
+        return header, end
 
 
 def looks_like_rtp(data: bytes) -> bool:
     """Cheap plausibility check used when scanning for RTP at unknown offsets.
 
-    Verifies the version bits, that the CSRC list and any extension fit in the
-    buffer, and that the payload type is not in the RTCP packet-type range
-    (72-76 map to RTCP types 200-204 when the marker bit is set).
+    :func:`walk_rtp_header` succeeds and the payload type is not in the
+    RTCP packet-type range (72-76 map to RTCP types 200-204 when the marker
+    bit is set).
     """
-    if len(data) < RTPHeader.FIXED_LEN:
-        return False
-    if data[0] >> 6 != RTP_VERSION:
-        return False
-    payload_type = data[1] & 0x7F
-    if 72 <= payload_type <= 76:
-        return False
-    csrc_count = data[0] & 0x0F
-    needed = RTPHeader.FIXED_LEN + 4 * csrc_count
-    if bool(data[0] & 0x10):
-        if len(data) < needed + 4:
-            return False
-        (ext_words,) = struct.unpack_from("!H", data, needed + 2)
-        needed += 4 + 4 * ext_words
-    return len(data) >= needed
+    walked = walk_rtp_header(data)
+    return walked is not None and not 72 <= walked[0] <= 76

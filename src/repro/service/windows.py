@@ -371,7 +371,7 @@ class WindowAggregator(AnalysisSink):
         """
         overlapping: dict[int, list[FinalizedStream]] = {}
         candidates = self._evicted_summaries + live_stream_snapshots(
-            self._analyzer.result
+            self._analyzer.result, start=window.start, end=window.end
         )
         for summary in candidates:
             if summary.first_time < window.end and summary.last_time >= window.start:

@@ -24,6 +24,7 @@ import math
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.rolling import summarize_stream
+from repro.net.ip import ip_to_str
 from repro.service.windows import WindowRecord, media_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,9 +68,9 @@ def stream_record(summary: "FinalizedStream") -> dict:
         "ssrc": summary.ssrc,
         "media": media_name(summary.media_type),
         "media_type": summary.media_type,
-        "src": five_tuple[0],
+        "src": ip_to_str(five_tuple[0]),
         "sport": five_tuple[1],
-        "dst": five_tuple[2],
+        "dst": ip_to_str(five_tuple[2]),
         "dport": five_tuple[3],
         "packets": summary.packets,
         "bytes": summary.bytes,

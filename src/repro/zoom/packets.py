@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.rtp.rtcp import RTCPPacket, parse_rtcp_compound
-from repro.rtp.rtp import RTPHeader, looks_like_rtp
-from repro.zoom.constants import ZoomMediaType
+from repro.rtp.rtp import RTPHeader, looks_like_rtp, walk_rtp_header
+from repro.zoom.constants import MEDIA_ENCAP_LEN, SFU_ENCAP_LEN, ZoomMediaType
 from repro.zoom.media_encap import MediaEncap
 from repro.zoom.sfu_encap import SfuEncap
 
@@ -130,6 +130,66 @@ def build_control_payload(
     return payload
 
 
+#: ``(encapsulation length, carries frame fields)`` of the RTP-carrying types.
+_RTP_ENCAP = {
+    int(media_type): (
+        MEDIA_ENCAP_LEN[media_type],
+        MediaEncap(int(media_type)).has_frame_fields,
+    )
+    for media_type in ZoomMediaType
+    if media_type.is_rtp
+}
+
+
+def decode_media(payload: bytes, from_server: bool) -> tuple | None:
+    """One pass over an RTP media payload — the packet path's decoder.
+
+    Returns ``(media_type, direction, frame_sequence, packets_in_frame,
+    payload_type, marker, sequence, rtp_timestamp, ssrc, rtp_payload_len)``
+    — ``direction`` is the SFU direction byte, ``None`` on a P2P flow — read
+    straight off Figure 7's offsets with no intermediate objects, or ``None``
+    for everything :attr:`ZoomPacket.is_media` is false for (RTCP, control,
+    truncated or malformed packets), which :func:`parse_zoom_payload`
+    decodes.  The two are pinned equal by a property test.
+    """
+    size = len(payload)
+    if from_server:
+        if size <= SFU_ENCAP_LEN or payload[0] != SfuEncap.TYPE_MEDIA:
+            return None
+        offset = SFU_ENCAP_LEN
+        direction = payload[7]
+    else:
+        if not size:
+            return None
+        offset = 0
+        direction = None
+    media_type = payload[offset]
+    encap = _RTP_ENCAP.get(media_type)
+    if encap is None or size < offset + encap[0]:
+        return None
+    walked = walk_rtp_header(payload, offset + encap[0])
+    if walked is None or 72 <= walked[0] <= 76:
+        return None
+    payload_type, marker, sequence, rtp_timestamp, ssrc, end = walked
+    if encap[1]:
+        frame_sequence = (payload[offset + 21] << 8) | payload[offset + 22]
+        packets_in_frame = payload[offset + 23]
+    else:
+        frame_sequence = packets_in_frame = 0
+    return (
+        media_type,
+        direction,
+        frame_sequence,
+        packets_in_frame,
+        payload_type,
+        marker,
+        sequence,
+        rtp_timestamp,
+        ssrc,
+        size - end,
+    )
+
+
 def parse_zoom_payload(
     payload: bytes, *, from_server: bool | None = None
 ) -> ZoomPacket:
@@ -185,8 +245,5 @@ def _parse_media_layers(
     if media.is_rtcp:
         reports = tuple(parse_rtcp_compound(inner))
         return ZoomPacket(sfu, media, None, reports, b"", payload)
-    # Control packet or unrecognized type: keep the media layer only if it is
-    # one of the known types; otherwise expose nothing beyond the raw bytes.
-    if media.is_rtp:
-        return ZoomPacket(sfu, media, None, (), b"", payload)
+    # Control packet, unrecognized type, or an RTP type without RTP inside.
     return ZoomPacket(sfu, media, None, (), b"", payload)

@@ -331,3 +331,17 @@ class TestAnalyzeLive:
         ])
         assert code == 0
         assert "metrics: http://127.0.0.1:" in capsys.readouterr().out
+
+
+class TestQuery:
+    @pytest.mark.parametrize("fmt, printed", [("table", "\n"), ("csv", ""), ("json", "")])
+    def test_empty_result_is_an_empty_table(self, meeting_pcap, tmp_path, capsys, fmt, printed):
+        """A query matching nothing exits 0 with an empty rendering (it
+        used to raise IndexError in ``format_table``)."""
+        store = tmp_path / "store"
+        assert main(["backfill", str(store), str(meeting_pcap)]) == 0
+        capsys.readouterr()
+        assert main(["query", str(store), "--start", "1e9", "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == printed
+        assert captured.err.startswith("0 records")

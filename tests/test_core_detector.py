@@ -11,8 +11,10 @@ from repro.core.detector import (
 from repro.core.config import AnalyzerConfig
 from repro.core.pipeline import ZoomAnalyzer
 from repro.net.batch import BatchPrefilter
-from repro.net.ip import ip_from_str
+from repro.net.ethernet import EtherType, EthernetHeader
+from repro.net.ip import IPv6Header, addr_from_str, ip_from_str
 from repro.net.packet import build_tcp_frame, build_udp_frame, parse_frame
+from repro.net.udp import UDPHeader
 from repro.rtp.stun import StunMessage
 
 ZOOM = "170.114.10.5"
@@ -60,36 +62,62 @@ class TestSubnetMatcher:
             ("203.0.113.7/32", "203.0.113.7", "203.0.113.8"),
             ("2001:db8::/32", "2001:db8:ffff::1", "::ffff:170.114.0.1"),
             ("170.114.0.0/16", "170.114.255.255", "170.114.1"),  # malformed: no match
+            ("170.114.0.0/16", "170.114.0.1", "::170.114.0.1"),  # the v4 address's v6 twin
         ],
     )
     def test_string_and_packed_forms_agree(self, subnet, inside, outside):
         matcher = ZoomSubnetMatcher([subnet])
-        assert inside in matcher and matcher.contains(ip_from_str(inside))
+        assert inside in matcher and matcher.contains(addr_from_str(inside))
         assert outside not in matcher and not matcher.matches(outside)
+        if outside == "::" + inside:
+            # Same low 32 bits, same ports: still two flows and two endpoints.
+            v4 = _udp(inside, 5000, ZOOM, 8801)
+            datagram = UDPHeader(5000, 8801, 9).serialize() + b"x"
+            v6 = parse_frame(
+                EthernetHeader(ethertype=EtherType.IPV6).serialize()
+                + IPv6Header(
+                    src=ip_from_str(outside),
+                    dst=ip_from_str("::" + ZOOM),
+                    next_header=17,
+                    payload_length=len(datagram),
+                ).serialize()
+                + datagram
+            )
+            assert v6.src & 0xFFFFFFFF == v4.src and v6.src_ip == "::aa72:1"
+            assert (v4.five_tuple, 7) != (v6.five_tuple, 7)  # stream keys
+            tracker = StunTracker()
+            tracker.learn(v4.src, 5000, now=0.0)
+            assert tracker.peek(v4.src, 5000, now=1.0)
+            assert not tracker.peek(v6.src, 5000, now=1.0)
+            tracker.learn(v6.src, 5000, now=0.0)
+            assert len(tracker) == 2
+            prefilter = BatchPrefilter([subnet])
+            prefilter.sync_stun(tracker)  # IPv4 rules: only the v4 key joins
+            assert prefilter.endpoint_keys == {(v4.src << 16) | 5000}
 
 
 class TestStunTracker:
     def test_learn_and_lookup(self):
         tracker = StunTracker(timeout=10.0)
-        tracker.learn(CLIENT, 52001, now=5.0)
-        assert tracker.lookup(CLIENT, 52001, now=7.0)
-        assert not tracker.lookup(CLIENT, 52002, now=7.0)
+        tracker.learn(addr_from_str(CLIENT), 52001, now=5.0)
+        assert tracker.lookup(addr_from_str(CLIENT), 52001, now=7.0)
+        assert not tracker.lookup(addr_from_str(CLIENT), 52002, now=7.0)
 
     def test_timeout_expiry(self):
         tracker = StunTracker(timeout=10.0)
-        tracker.learn(CLIENT, 52001, now=5.0)
-        assert not tracker.lookup(CLIENT, 52001, now=16.0)
+        tracker.learn(addr_from_str(CLIENT), 52001, now=5.0)
+        assert not tracker.lookup(addr_from_str(CLIENT), 52001, now=16.0)
 
     def test_relearn_refreshes(self):
         tracker = StunTracker(timeout=10.0)
-        tracker.learn(CLIENT, 52001, now=0.0)
-        tracker.learn(CLIENT, 52001, now=9.0)
-        assert tracker.lookup(CLIENT, 52001, now=15.0)
+        tracker.learn(addr_from_str(CLIENT), 52001, now=0.0)
+        tracker.learn(addr_from_str(CLIENT), 52001, now=9.0)
+        assert tracker.lookup(addr_from_str(CLIENT), 52001, now=15.0)
 
     def test_active_bindings(self):
         tracker = StunTracker(timeout=10.0)
-        tracker.learn(CLIENT, 1, now=0.0)
-        tracker.learn(CLIENT, 2, now=8.0)
+        tracker.learn(addr_from_str(CLIENT), 1, now=0.0)
+        tracker.learn(addr_from_str(CLIENT), 2, now=8.0)
         active = tracker.active_bindings(now=11.0)
         assert [(b.client_ip, b.client_port) for b in active] == [(CLIENT, 2)]
 
@@ -116,14 +144,14 @@ class TestDetector:
     def test_stun_classified_and_learned(self):
         detector = ZoomTrafficDetector()
         assert detector.classify(_stun_request(CLIENT, 52001)) is ZoomClass.SERVER_STUN
-        assert detector.stun.lookup(CLIENT, 52001, now=1.0)
+        assert detector.stun.lookup(addr_from_str(CLIENT), 52001, now=1.0)
 
     def test_stun_response_learns_client(self):
         detector = ZoomTrafficDetector()
         payload = StunMessage.binding_response(b"abcdefghijkl", CLIENT, 52001).serialize()
         packet = parse_frame(build_udp_frame(ZC, 3478, CLIENT, 52001, payload), 0.5)
         assert detector.classify(packet) is ZoomClass.SERVER_STUN
-        assert detector.stun.lookup(CLIENT, 52001, now=1.0)
+        assert detector.stun.lookup(addr_from_str(CLIENT), 52001, now=1.0)
 
     def test_p2p_detection_after_stun(self):
         """The §4.1 sequence: STUN exchange, then a P2P flow from the same

@@ -17,6 +17,7 @@ from repro.dataplane import (
 )
 from repro.dataplane.compiler import CaptureRules, compile_cbpf
 from repro.net.batch import BatchPrefilter
+from repro.net.ip import addr_from_str
 from repro.net.packet import CapturedPacket, build_udp_frame
 from repro.net.pcap import PcapWriter
 from repro.rtp.stun import StunMessage
@@ -122,7 +123,7 @@ class TestDataplaneFilter:
         dp = DataplaneFilter(BatchPrefilter([ZOOM_NET]), stun_trackers=[tracker])
         dp.compile()
         assert not dp.needs_recompile()
-        tracker.learn(CAMPUS, 50001, now=1.0)
+        tracker.learn(addr_from_str(CAMPUS), 50001, now=1.0)
         dp.sync()
         assert dp.needs_recompile()
         program = dp.compile()

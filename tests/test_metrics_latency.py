@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.metrics.latency import RTPLatencyMatcher, TCPRTTEstimator
 from repro.core.streams import RTPPacketRecord
+from repro.net.ip import addr_from_str
 from repro.net.packet import build_tcp_frame, parse_frame
 from repro.net.tcp import TCPFlags
 
@@ -104,6 +105,9 @@ class TestTCPEstimator:
     CLIENT = "10.8.1.2"
     SERVER = "170.114.10.5"
 
+    def _estimator(self):
+        return TCPRTTEstimator(addr_from_str(self.CLIENT), addr_from_str(self.SERVER))
+
     def _packet(self, src, sport, dst, dport, *, seq, ack, flags, payload=b"", t=0.0):
         return parse_frame(
             build_tcp_frame(src, sport, dst, dport, seq=seq, ack=ack, flags=flags, payload=payload),
@@ -111,7 +115,7 @@ class TestTCPEstimator:
         )
 
     def test_server_side_rtt(self):
-        estimator = TCPRTTEstimator(self.CLIENT, self.SERVER)
+        estimator = self._estimator()
         estimator.observe(self._packet(
             self.CLIENT, 40000, self.SERVER, 443,
             seq=1000, ack=0, flags=TCPFlags.ACK | TCPFlags.PSH, payload=b"x" * 50, t=1.0,
@@ -125,7 +129,7 @@ class TestTCPEstimator:
         assert len(estimator.server_samples) == 1
 
     def test_client_side_rtt(self):
-        estimator = TCPRTTEstimator(self.CLIENT, self.SERVER)
+        estimator = self._estimator()
         estimator.observe(self._packet(
             self.SERVER, 443, self.CLIENT, 40000,
             seq=5000, ack=0, flags=TCPFlags.ACK | TCPFlags.PSH, payload=b"y" * 30, t=2.0,
@@ -139,14 +143,14 @@ class TestTCPEstimator:
         assert len(estimator.client_samples) == 1
 
     def test_unrelated_flow_ignored(self):
-        estimator = TCPRTTEstimator(self.CLIENT, self.SERVER)
+        estimator = self._estimator()
         packet = self._packet("9.9.9.9", 1, "8.8.8.8", 2, seq=0, ack=0, flags=TCPFlags.ACK)
         assert estimator.observe(packet) is None
 
     def test_retransmission_not_resampled(self):
         """Karn's algorithm: the retransmitted segment keeps the original
         send time, so an ambiguous RTT sample is avoided by not updating."""
-        estimator = TCPRTTEstimator(self.CLIENT, self.SERVER)
+        estimator = self._estimator()
         first = self._packet(self.CLIENT, 40000, self.SERVER, 443,
                              seq=1000, ack=0, flags=TCPFlags.ACK, payload=b"x" * 50, t=1.0)
         estimator.observe(first)
@@ -159,7 +163,7 @@ class TestTCPEstimator:
         assert sample.rtt == pytest.approx(0.6)
 
     def test_asymmetry_localizes_congestion(self):
-        estimator = TCPRTTEstimator(self.CLIENT, self.SERVER)
+        estimator = self._estimator()
         estimator.observe(self._packet(self.CLIENT, 1, self.SERVER, 443,
                                        seq=0, ack=0, flags=TCPFlags.ACK, payload=b"x", t=1.0))
         estimator.observe(self._packet(self.SERVER, 443, self.CLIENT, 1,
@@ -172,5 +176,5 @@ class TestTCPEstimator:
         assert estimator.asymmetry() == pytest.approx(0.038, abs=1e-6)
 
     def test_asymmetry_needs_both_sides(self):
-        estimator = TCPRTTEstimator(self.CLIENT, self.SERVER)
+        estimator = self._estimator()
         assert estimator.asymmetry() is None

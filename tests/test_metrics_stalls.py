@@ -89,6 +89,13 @@ class TestStallDetector:
                 t += 1 / 30.0
         events = detect_stalls(stream)
         assert len(events) == 2
+        # Fed one sample at a time, the count a live summary reads
+        # (finished stalls + the open one) is the replay's at every prefix.
+        detector = StallDetector()
+        for seen, s in enumerate(stream, start=1):
+            detector.observe(s)
+            count = len(detector.events) + detector.currently_stalled
+            assert count == len(detect_stalls(stream[:seen]))
 
 
 class TestEndToEnd:
@@ -99,6 +106,12 @@ class TestEndToEnd:
         for stream in analyzed_sfu.media_streams():
             metrics = analyzed_sfu.metrics_for(stream.key)
             events = metrics.stall_events()
+            # The incrementally fed detector and running total read what the
+            # replay and the re-sum compute.
+            assert metrics.stall_count == len(events)
+            fps = [sample.fps for sample in metrics.framerate_delivered.samples]
+            if fps:
+                assert metrics.framerate_delivered.mean_fps == sum(fps) / len(fps)
             for event in events:
                 assert event.duration >= 0
                 assert event.start >= stream.first_time

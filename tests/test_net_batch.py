@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import AnalyzerConfig, ZoomAnalyzer
 from repro.net.batch import BatchPrefilter, FrameBatchBuilder, decode_columns
+from repro.net.checksum import internet_checksum
 from repro.net.packet import CapturedPacket, build_udp_frame, parse_frame
 from repro.net.pcap import MAGIC_MICROS, MAGIC_NANOS, PcapReader, PcapWriter
 from repro.net.pcapng import PcapngReader, PcapngWriter
@@ -233,19 +234,72 @@ class TestPcapngReadBatches:
 # ------------------------------------------------- property: lazy materialize
 
 
+def _ipv4_bytes(proto, body, *, options=b"", total_length=None, bad_checksum=False):
+    """An IPv4 datagram with any IHL, any ``total_length`` and a header
+    checksum that verifies unless ``bad_checksum``."""
+    header_len = 20 + len(options)
+    total = header_len + len(body) if total_length is None else total_length
+    header = bytearray(
+        struct.pack("!BBHHHBBH4s4s", 0x40 | header_len // 4, 0, total, 7, 0x4000,
+                    64, proto, 0, b"\x0a\x08\x01\x02", b"\xaa\x72\x0a\x05") + options
+    )
+    struct.pack_into("!H", header, 10, internet_checksum(bytes(header)) ^ bad_checksum)
+    return bytes(header) + body
+
+
+@st.composite
+def _frames(draw):
+    """An untagged / option-less IPv4 / UDP frame — the shape ``materialize``
+    builds from fixed offsets — with one deviation: a length field off in
+    either direction or a snaplen cut (still that shape, trimmed), or
+    something only the layered parser takes (VLAN tag, IPv4 options, failing
+    checksum, IPv6, TCP, ARP, garbage)."""
+    deviation = draw(st.sampled_from([
+        "none", "total_length", "udp_length", "snaplen", "vlan", "options",
+        "checksum", "ipv6", "tcp", "arp", "garbage",
+    ]))
+    if deviation == "garbage":
+        return draw(st.binary(max_size=120))
+    payload = draw(st.binary(max_size=40))
+    udp_length = 8 + len(payload)
+    if deviation == "udp_length":
+        udp_length = draw(st.integers(0, 80))
+    l4 = struct.pack("!HHHH", 50000, 8801, udp_length, 0) + payload
+    if deviation == "tcp":
+        l4 = struct.pack("!HHIIBBHHH", 40000, 443, 1, 2, 0x50, 0x18, 512, 0, 0) + payload
+    proto = 6 if deviation == "tcp" else 17
+    if deviation == "ipv6":
+        l3 = struct.pack("!IHBB", 6 << 28, len(l4), proto, 64) + bytes(range(32)) + l4
+    else:
+        l3 = _ipv4_bytes(
+            proto,
+            l4,
+            options=b"\x01" * draw(st.sampled_from([4, 40])) if deviation == "options" else b"",
+            total_length=draw(st.integers(0, 100)) if deviation == "total_length" else None,
+            bad_checksum=deviation == "checksum",
+        )
+    ethertype = struct.pack("!H", {"ipv6": 0x86DD, "arp": 0x0806}.get(deviation, 0x0800))
+    if deviation == "vlan":
+        ethertype = struct.pack("!HH", 0x8100, 5) + ethertype
+    frame = b"\x02" * 6 + b"\x04" * 6 + ethertype + l3
+    if deviation == "snaplen":
+        # Anywhere, and one byte either side of each layer's end.
+        layer_ends = st.sampled_from([13, 14, 15, 33, 34, 35, 41, 42, 43])
+        frame = frame[: draw(st.one_of(st.integers(0, len(frame)), layer_ends))]
+    return frame
+
+
 @given(
     st.lists(
-        st.tuples(
-            st.floats(min_value=0, max_value=1e6, allow_nan=False),
-            st.binary(min_size=0, max_size=120),
-        ),
+        st.tuples(st.floats(min_value=0, max_value=1e6, allow_nan=False), _frames()),
         max_size=20,
     )
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_lazy_materialization_is_byte_identical(items):
-    """read_batches → materialize is ``parse_frame`` of what was written,
-    field for field, including truncated/malformed frames."""
+    """read_batches → materialize is ``parse_frame`` of what was written —
+    every stored field, each lazily decoded header object and the flow key —
+    whether the packet was built from fixed offsets or by the layered parser."""
     packets = [CapturedPacket(t, d) for t, d in items]
     for writer_cls, reader_cls, written in (
         (PcapWriter, PcapReader, _written),
@@ -257,7 +311,12 @@ def test_lazy_materialization_is_byte_identical(items):
         batched = []
         for batch in reader_cls(buffer).read_batches():
             batched.extend(batch.materialize(i) for i in range(len(batch)))
-        assert batched == [parse_frame(data, ts) for data, ts in written(packets)]
+        expected = [parse_frame(data, ts) for data, ts in written(packets)]
+        assert batched == expected
+        for got, want in zip(batched, expected):
+            assert got.five_tuple == want.five_tuple
+            for layer in ("ethernet", "ipv4", "ipv6", "udp", "tcp"):
+                assert getattr(got, layer) == getattr(want, layer)
 
 
 # ----------------------------------------------------------- prefilter rules

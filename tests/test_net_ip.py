@@ -5,7 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.checksum import internet_checksum
-from repro.net.ip import IPProtocol, IPv4Header, IPv6Header, ip_from_str, ip_to_str
+from repro.net.ip import (
+    IPProtocol,
+    IPv4Header,
+    IPv6Header,
+    addr_from_packed,
+    addr_from_str,
+    ip_from_str,
+    ip_to_str,
+)
 
 SRC4 = ip_from_str("10.8.1.2")
 DST4 = ip_from_str("170.114.10.5")
@@ -144,5 +152,8 @@ def test_v6_flow_label_range():
 
 
 def test_ip_string_roundtrip():
-    assert ip_to_str(ip_from_str("192.0.2.7")) == "192.0.2.7"
-    assert ip_to_str(ip_from_str("2001:db8::5")) == "2001:db8::5"
+    for text in ("192.0.2.7", "0.0.0.0", "255.255.255.255", "2001:db8::5"):
+        assert ip_to_str(addr_from_str(text)) == text
+        assert addr_from_packed(ip_from_str(text)) == addr_from_str(text)
+    assert addr_from_str("::192.0.2.7") != addr_from_str("192.0.2.7")
+    assert ip_to_str("192.0.2.7") == "192.0.2.7"  # rendered text passes through

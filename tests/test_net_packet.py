@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.ethernet import EtherType, EthernetHeader
+from repro.net.ip import addr_from_str, ip_to_str
 from repro.net.packet import build_tcp_frame, build_udp_frame, parse_frame
 from repro.net.tcp import TCPFlags
 
@@ -22,7 +23,11 @@ def test_udp_frame_roundtrip():
 def test_udp_five_tuple():
     frame = build_udp_frame("10.8.1.2", 50000, "170.114.10.5", 8801, b"x")
     parsed = parse_frame(frame)
-    assert parsed.five_tuple == ("10.8.1.2", 50000, "170.114.10.5", 8801, 17)
+    src, src_port, dst, dst_port, proto = parsed.five_tuple
+    assert (ip_to_str(src), src_port, ip_to_str(dst), dst_port, proto) == (
+        "10.8.1.2", 50000, "170.114.10.5", 8801, 17
+    )
+    assert (src, dst) == (addr_from_str("10.8.1.2"), addr_from_str("170.114.10.5"))
     assert parsed.protocol == 17
 
 

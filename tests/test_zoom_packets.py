@@ -1,15 +1,23 @@
 """Tests for complete Zoom UDP payload composition and parsing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rtp.rtcp import RTCPSdes, RTCPSenderReport
 from repro.rtp.rtp import RTPHeader
-from repro.zoom.constants import RTP_OFFSET_P2P, RTP_OFFSET_SERVER, ZoomMediaType
+from repro.zoom.constants import (
+    MEDIA_ENCAP_LEN,
+    RTP_OFFSET_P2P,
+    RTP_OFFSET_SERVER,
+    ZoomMediaType,
+)
 from repro.zoom.media_encap import MediaEncap
 from repro.zoom.packets import (
     build_control_payload,
     build_media_payload,
     build_rtcp_payload,
+    decode_media,
     parse_zoom_payload,
 )
 from repro.zoom.sfu_encap import Direction, SfuEncap
@@ -165,3 +173,79 @@ class TestRobustness:
         assert "VIDEO" in description and "SFU" in description
         p2p_payload = build_media_payload(media=_video_media(), rtp=_rtp(), rtp_payload=b"x")
         assert "P2P" in parse_zoom_payload(p2p_payload).describe()
+
+
+# ------------------------------------- property: flat decoder ≡ object tree
+
+
+@st.composite
+def _payloads(draw):
+    """``(payload, from_server)``: a well-formed media payload of any RTP
+    shape (CSRCs, padding and marker bits, a header extension of 0-3 words,
+    payload types either side of the RTCP range) with at most one deviation —
+    wrong SFU type, a non-RTP media type, the media encapsulation one byte
+    short or long, RTP version 1, a payload type in 72-76, an extension word
+    count that overruns, a cut anywhere — or arbitrary bytes."""
+    from_server = draw(st.booleans())
+    deviation = draw(st.sampled_from([
+        "none", "none", "bytes", "sfu_type", "media_type", "encap_len", "version",
+        "rtcp_range", "extension_overrun", "cut", "wrong_side",
+    ]))
+    if deviation == "bytes":
+        return draw(st.binary(max_size=96)), from_server
+    media_type = draw(st.sampled_from([13, 15, 16]))
+    if deviation == "media_type":
+        media_type = draw(st.sampled_from([33, 34, 7, 0, 255]))
+    encap_len = MEDIA_ENCAP_LEN.get(media_type, 8)
+    if deviation == "encap_len":
+        encap_len += draw(st.sampled_from([-1, 1]))
+    encap = bytes([media_type]) + draw(st.binary(min_size=encap_len - 1, max_size=encap_len - 1))
+    csrcs = draw(st.sampled_from([0, 0, 1, 15]))
+    extension = draw(st.sampled_from([None, None, 0, 1, 3]))
+    if deviation == "extension_overrun":
+        extension = draw(st.sampled_from([4, 0xFFFF]))
+    first = (
+        (1 if deviation == "version" else 2) << 6
+        | draw(st.sampled_from([0, 0x20]))
+        | (0 if extension is None else 0x10)
+        | csrcs
+    )
+    payload_type = draw(st.sampled_from([72, 74, 76] if deviation == "rtcp_range" else [98, 110, 71, 77]))
+    rtp = bytes([first, draw(st.sampled_from([0, 0x80])) | payload_type])
+    rtp += draw(st.binary(min_size=10, max_size=10)) + bytes(4 * csrcs)
+    if extension is not None:
+        rtp += b"\xbe\xde" + extension.to_bytes(2, "big") + bytes(4 * min(extension, 3))
+    rtp += draw(st.binary(max_size=24))
+    sfu_type = draw(st.sampled_from([0, 1, 6])) if deviation == "sfu_type" else 5
+    sfu = bytes([sfu_type]) + draw(st.binary(min_size=7, max_size=7))
+    payload = (sfu if from_server != (deviation == "wrong_side") else b"") + encap + rtp
+    if deviation == "cut":
+        payload = payload[: draw(st.integers(0, len(payload)))]
+    return payload, from_server
+
+
+@given(_payloads())
+@settings(max_examples=600, deadline=None)
+def test_flat_decoder_equals_the_object_tree(case):
+    """``decode_media`` (the packet path) returns exactly the fields read off
+    ``parse_zoom_payload``'s tree, and ``None`` exactly when the tree says
+    the payload is not RTP media."""
+    payload, from_server = case
+    zoom = parse_zoom_payload(payload, from_server=from_server)
+    flat = decode_media(payload, from_server)
+    if not zoom.is_media:
+        assert flat is None
+        return
+    assert flat == (
+        zoom.media.media_type,
+        None if zoom.sfu is None else zoom.sfu.direction,
+        zoom.media.frame_sequence,
+        zoom.media.packets_in_frame,
+        zoom.rtp.payload_type,
+        zoom.rtp.marker,
+        zoom.rtp.sequence,
+        zoom.rtp.timestamp,
+        zoom.rtp.ssrc,
+        len(zoom.rtp_payload),
+    )
+    assert (zoom.sfu is not None) == from_server
