@@ -119,10 +119,6 @@ class Anonymizer:
             packet.timestamp, ether.serialize() + new_ip.serialize() + bytes(body)
         )
 
-    @property
-    def addresses_mapped(self) -> int:
-        return len(self._ip_map)
-
 
 def _transport_header_len(protocol: int, body: bytes) -> int:
     if protocol == 17:

@@ -31,7 +31,11 @@ def run(args: argparse.Namespace) -> int:
         anonymizer=anonymizer,
     )
     with open_capture_source(args.input) as source, PcapWriter(args.output) as writer:
-        captured = (CapturedPacket(p.timestamp, p.raw) for p in source)
+        captured = (
+            CapturedPacket(ts, bytes(raw))
+            for batch in source.frame_batches()
+            for raw, ts in batch.iter_frames()
+        )
         for packet in model.process(captured):
             writer.write(packet)
         written = writer.packets_written

@@ -59,7 +59,6 @@ class FrameJitterEstimator:
         self._fec_payload_type = fec_payload_type
         self._last_arrival: float | None = None
         self._last_timestamp: int | None = None
-        self._seen_timestamps: set[int] = set()
         self._jitter = 0.0
         self.samples: list[JitterSample] = []
 
@@ -78,12 +77,10 @@ class FrameJitterEstimator:
         if record.payload_type == self._fec_payload_type:
             return None
         timestamp = record.rtp_timestamp
-        if timestamp in self._seen_timestamps:
-            return None  # later packet of a frame already seen, or retransmit
-        self._seen_timestamps.add(timestamp)
-        if len(self._seen_timestamps) > 4096:
-            # Bounded memory: forget ancient timestamps.
-            self._seen_timestamps = set(list(self._seen_timestamps)[-1024:])
+        if timestamp == self._last_timestamp:
+            # Later packet of the current frame.  Anything older — a
+            # retransmit or a late first packet — fails the increment check.
+            return None
         if self._last_arrival is None or self._last_timestamp is None:
             self._last_arrival = record.timestamp
             self._last_timestamp = timestamp

@@ -33,22 +33,6 @@ class SequenceStats:
     unfilled_gaps: int = 0
     highest_advanced: int = 0
 
-    @property
-    def estimated_loss(self) -> int:
-        """Sequence numbers never seen (lost before *and* after retries)."""
-        return self.unfilled_gaps
-
-    @property
-    def estimated_retransmissions(self) -> int:
-        """Lower bound: duplicates certainly crossed the monitor twice."""
-        return self.duplicates
-
-    @property
-    def reorder_or_upstream_retransmit(self) -> int:
-        """Late-filled gaps: reordering or upstream-loss retransmission —
-        indistinguishable cases (§5.5)."""
-        return self.late_fills
-
 
 class SequenceTracker:
     """Per-substream sequence-number bookkeeping with a bounded window.
@@ -124,7 +108,6 @@ class SequenceTracker:
     def _trim(self) -> None:
         if self._highest is None:
             return
-        horizon = (self._highest - self.window) % SEQUENCE_MODULUS
         # Expire missing entries older than the window.
         expired = [
             seq
@@ -140,7 +123,6 @@ class SequenceTracker:
                 for seq in self._seen_recent
                 if (self._highest - seq) % SEQUENCE_MODULUS <= 2 * self.window
             }
-        del horizon
 
 
 @dataclass

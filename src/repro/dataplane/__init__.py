@@ -3,21 +3,19 @@
 The paper's measurement system programs a Tofino switch to pre-filter
 campus traffic down to Zoom flows before the servers ever see a packet
 (§6.1).  This package is the software analogue for commodity Linux boxes,
-with the same three-tier split:
+with the same split — one coarse filter in front of one exact one:
 
 * **kernel tier** — :mod:`repro.dataplane.compiler` turns
   :class:`CaptureRules` (Zoom subnets, STUN-learned P2P endpoints,
   optional campus gating) into a classic-BPF program that
   :class:`AFPacketSocket` attaches via ``SO_ATTACH_FILTER``; background
   frames die in the kernel.
-* **raw-bytes tier** — :class:`RawFrameFilter` makes the identical
-  decision straight off frame bytes, pre-:class:`FrameBatch`, for frames
-  the kernel program conservatively passed (or when no kernel is
-  involved).
-* **columnar tier** — the existing
-  :class:`~repro.net.batch.BatchPrefilter`, which remains the single
-  rule *store* the other two tiers wrap and compile from, so a STUN
-  binding learned at any tier widens all three.
+* **userspace tier** — the columnar
+  :class:`~repro.net.batch.BatchPrefilter` (``decode_columns`` +
+  ``apply``) decides for whatever the kernel passed; it is also the
+  single rule *store* the kernel program is compiled from, so a STUN
+  binding it learns widens both.  :class:`RawFrameFilter` applies that
+  decision to a batch and compacts it to the survivors.
 
 :mod:`repro.dataplane.cbpf` carries the instruction encoding, a small
 assembler, and a reference interpreter (:func:`run_cbpf`) with kernel
@@ -45,7 +43,7 @@ from repro.dataplane.live import (
     SimulatedPacketSocket,
     open_packet_socket,
 )
-from repro.dataplane.rawfilter import RawFilterStats, RawFrameFilter
+from repro.dataplane.rawfilter import RawFrameFilter
 
 #: Counters pre-seeded by the service daemon in interface mode so the
 #: Prometheus endpoint exposes stable zero-valued series before the first
@@ -72,7 +70,6 @@ __all__ = [
     "DEFAULT_MAX_ENDPOINTS",
     "DataplaneFilter",
     "LiveInterfaceSource",
-    "RawFilterStats",
     "RawFrameFilter",
     "SIM_INTERFACE_PREFIX",
     "SimulatedPacketSocket",

@@ -1,15 +1,16 @@
 """Compile the capture model's match-action rules into cBPF bytecode.
 
 One rule set, three executors: the columnar
-:class:`~repro.net.batch.BatchPrefilter` (tier 1, post-decode), the
-:class:`~repro.dataplane.rawfilter.RawFrameFilter` (tier 0.5, pre-decode),
-and the cBPF program emitted here (tier 0, in-kernel).  The compiler's
-contract is *decision equivalence* with the prefilter it was snapshotted
-from: for any frame, the program's accept/drop verdict equals
-``BatchPrefilter.apply``'s pass/drop verdict given the same networks and
-endpoint set — the Hypothesis suite in ``tests/test_dataplane_properties``
-enforces this frame-by-frame, including mid-stream STUN fold-ins (cBPF is
-stateless, so a fold-in is a recompile; see ``DataplaneFilter``).
+:class:`~repro.net.batch.BatchPrefilter` (the one userspace decision,
+post-decode), the cBPF program emitted here (in-kernel), and — in campus
+mode — the :class:`~repro.capture.p4_model.P4CaptureModel` it mirrors.
+The compiler's contract is *decision equivalence* with the prefilter it
+was snapshotted from: for any frame, the program's accept/drop verdict
+equals ``BatchPrefilter.apply``'s pass/drop verdict given the same
+networks and endpoint set — the Hypothesis suite in
+``tests/test_dataplane_properties`` enforces this frame-by-frame,
+including mid-stream STUN fold-ins (cBPF is stateless, so a fold-in is a
+recompile; see ``DataplaneFilter``).
 
 Two compile modes share the emitter:
 

@@ -26,9 +26,10 @@ The filtering story is layered (§6.1's Tofino, in software):
 
 1. the cBPF program drops provable background **in the kernel** (or the
    simulated ring) — those frames never reach Python;
-2. the raw-bytes :class:`~repro.dataplane.rawfilter.RawFrameFilter` drops
-   the rest pre-batch — sharing rule state with the prefilter, it also
-   *sniffs* STUN cookies, which is how new P2P endpoints are learned;
+2. each received chunk is packed into a batch and compacted to the
+   columnar :class:`~repro.net.batch.BatchPrefilter`'s survivors
+   (:class:`~repro.dataplane.rawfilter.RawFrameFilter`) — the prefilter
+   also *sniffs* STUN cookies, which is how new P2P endpoints are learned;
 3. when the shared endpoint set has grown (its own sniff or a detector
    tracker fold-in), the source recompiles and re-attaches the kernel
    program at the next poll boundary — the dynamic-rules loop the paper's
@@ -79,11 +80,11 @@ _SO_DETACH_FILTER = 27
 
 
 class DataplaneFilter:
-    """One rule state driving all three filter tiers.
+    """One rule state driving both filter tiers.
 
-    Owns the :class:`BatchPrefilter` (the columnar tier and the rule
-    *store*), wraps it in a :class:`RawFrameFilter` (the pre-decode
-    tier), and compiles cBPF snapshots of it on demand (the kernel tier).
+    Owns the :class:`BatchPrefilter` (the userspace decision and the rule
+    *store*), wraps it in a :class:`RawFrameFilter` (batch compaction),
+    and compiles cBPF snapshots of it on demand (the kernel tier).
     ``needs_recompile`` is a cheap growth check — the pass-set never
     shrinks, so a size delta is exactly "the rules changed".
     """
@@ -208,9 +209,6 @@ class SimulatedPacketSocket:
             return False
         self._ring.append((timestamp, frame))
         return True
-
-    def mark_eof(self) -> None:
-        self._replay_done = True
 
     def _refill(self) -> None:
         if self._replay_done:
@@ -357,11 +355,12 @@ class LiveInterfaceSource(PacketSourceBase):
     (simulated replay) — a NIC-backed source never exhausts and belongs
     under the service runner.
 
-    Per poll: receive up to ``max_frames_per_poll`` frames, drop through
-    the raw-bytes tier (tier 0.5; the kernel program already dropped tier
-    0), pack survivors into :class:`FrameBatch` buffers, fold kernel drop
-    deltas into telemetry, and — when the rule state grew — recompile and
-    re-attach the kernel program for the *next* frames.
+    Per poll: receive up to ``max_frames_per_poll`` frames, pack each
+    received chunk into a :class:`FrameBatch` and compact it to the
+    prefilter's survivors (the kernel program already dropped what it
+    could), fold kernel drop deltas into telemetry, and — when the rule
+    state grew — recompile and re-attach the kernel program for the
+    *next* frames.
     """
 
     def __init__(
@@ -420,32 +419,28 @@ class LiveInterfaceSource(PacketSourceBase):
         tel.count("dataplane.polls")
         self.maybe_recompile()
         remaining = self._max_frames_per_poll
-        frames_per_batch = self._batch_size
         raw = self.dataplane.raw if self.dataplane is not None else None
         builder = FrameBatchBuilder()
         received = 0
         filtered = 0
         filtered_bytes = 0
         while remaining > 0:
-            frames = self.socket.recv_batch(min(remaining, frames_per_batch))
+            frames = self.socket.recv_batch(min(remaining, self._batch_size))
             if not frames:
                 break
             remaining -= len(frames)
             received += len(frames)
             for timestamp, frame in frames:
-                if raw is not None and not raw.match(frame):
-                    filtered += 1
-                    filtered_bytes += len(frame)
-                    continue
                 builder.append(frame, timestamp)
-                if len(builder) >= frames_per_batch:
-                    yield self._emit(builder.build())
-            if len(builder):
+            batch = builder.build()
+            if raw is not None:
+                batch, verdict = raw.filter_batch(batch)
+                filtered += verdict.dropped
+                filtered_bytes += verdict.dropped_bytes
+            if len(batch):
                 # Hand off at recv-chunk granularity: the analysis thread
                 # should not wait for a full-size batch on a quiet link.
-                yield self._emit(builder.build())
-        if len(builder):
-            yield self._emit(builder.build())
+                yield self._emit(batch)
         if received:
             tel.count("dataplane.frames", received)
         if filtered:

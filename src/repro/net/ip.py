@@ -112,9 +112,6 @@ class PrefixTable:
         except ValueError:
             return False
 
-    def matches(self, ip: str | None) -> bool:
-        return ip is not None and ip in self
-
 
 @dataclass(frozen=True, slots=True)
 class IPv4Header:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -13,6 +14,16 @@ from repro.net.udp import UDPHeader
 FiveTuple = tuple[int, int, int, int, int]
 """(src, src_port, dst, dst_port, protocol) — the flow key used everywhere,
 addresses in wire form (:data:`repro.net.ip.IPV6_FLAG`)."""
+
+_ETHERTYPE_IPV4 = int(EtherType.IPV4)
+_PROTO_UDP = int(IPProtocol.UDP)
+
+#: From byte 12 of an untagged Ethernet / option-less IPv4 / UDP frame:
+#: ethertype, the six leading IPv4 header words (version+IHL+TOS, total
+#: length, id, flags+fragment, TTL+protocol, checksum), src, dst, then the
+#: UDP ports and length.
+_UNPACK_UDP4 = struct.Struct("!HHHHHHHIIHHH").unpack_from
+_UDP4_PAYLOAD = 14 + 20 + 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,13 +123,47 @@ class ParsedPacket:
 
 
 def parse_frame(data: bytes, timestamp: float = 0.0) -> ParsedPacket:
-    """Decode an Ethernet frame down to the transport payload, layer by layer.
+    """Decode an Ethernet frame down to the transport payload.
 
-    The scalar reference: :meth:`repro.net.batch.FrameBatch.materialize`
-    builds the common shape without it and falls back to it for the rest.
-    Unknown or malformed upper layers degrade gracefully: the frame is still
-    returned with the layers that did decode and the remaining bytes exposed
-    as ``payload``.
+    An untagged-Ethernet / option-less-IPv4 / UDP frame — what nearly every
+    analyzed packet is — is built from one ``unpack_from`` over its fixed
+    offsets with every check the layered parser makes (header checksum,
+    ``total_length``/UDP-length trims); its header objects stay lazy.  Any
+    other shape goes through :func:`_parse_layered`.
+    """
+    if len(data) >= _UDP4_PAYLOAD:
+        words = _UNPACK_UDP4(data, 12)
+        (ethertype, version_tos, total_length, _, _, ttl_proto, _,
+         src, dst, src_port, dst_port, udp_length) = words
+        if (
+            ethertype == _ETHERTYPE_IPV4
+            and version_tos >> 8 == 0x45
+            and ttl_proto & 0xFF == _PROTO_UDP
+            and total_length >= 28
+            and udp_length >= 8
+            # One's-complement sum of the header is all-ones: a u32 is
+            # congruent to the sum of its halves modulo 0xFFFF.
+            and sum(words[1:9]) % 0xFFFF == 0
+        ):
+            return ParsedPacket(
+                timestamp,
+                data,
+                data[_UDP4_PAYLOAD : min(14 + total_length, 34 + udp_length)],
+                src,
+                dst,
+                src_port,
+                dst_port,
+                _PROTO_UDP,
+            )
+    return _parse_layered(data, timestamp)
+
+
+def _parse_layered(data: bytes, timestamp: float) -> ParsedPacket:
+    """:func:`parse_frame` layer by layer through the header classes.
+
+    The reference every shape can take.  Unknown or malformed upper layers
+    degrade gracefully: the frame is still returned with the layers that did
+    decode and the remaining bytes exposed as ``payload``.
     """
     ethernet, ipv4, ipv6, udp, tcp, payload = _decode_layers(data)
     ip = ipv4 or ipv6

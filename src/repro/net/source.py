@@ -160,7 +160,7 @@ class PacketSourceBase:
             yield self._emit(builder.build())
 
     def __iter__(self) -> Iterator[ParsedPacket]:
-        """Materialize every batch frame (inspection, ``repro filter``)."""
+        """Materialize every batch frame (inspection, ``repro dissect``)."""
         for batch in self.frame_batches():
             for index in range(len(batch)):
                 yield batch.materialize(index)

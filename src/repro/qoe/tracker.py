@@ -364,10 +364,6 @@ class MeetingQoeTracker(AnalysisSink):
 
     # --------------------------------------------------------------- queries
 
-    def transitions_for(self, meeting_id: int) -> list[QoeTransition]:
-        """This meeting's transition sequence, in occurrence order."""
-        return [t for mid, t in self.transitions if mid == meeting_id]
-
     def fleet_summary(self) -> dict[str, int]:
         """Meeting count per QoE state name, for health output.
 
@@ -390,7 +386,3 @@ class MeetingQoeTracker(AnalysisSink):
             if meeting_id in active and machine.state > worst:
                 worst = machine.state
         return worst
-
-    def meeting_states(self) -> dict[int, QoeState]:
-        """Current machine state per meeting id (including merged-away ids)."""
-        return {mid: machine.state for mid, machine in self.machines.items()}

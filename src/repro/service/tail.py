@@ -81,10 +81,6 @@ class CaptureDirectoryTailer:
                 continue
             yield from self._drain_file(path)
 
-    def resume_positions(self) -> dict[Path, CaptureResume]:
-        """Snapshot of per-file read positions (for inspection/tests)."""
-        return dict(self._positions)
-
     # ------------------------------------------------------------- internals
 
     def _drain_file(self, path: Path) -> Iterator[FrameBatch]:

@@ -152,10 +152,6 @@ class ZoomClientModel:
             )
         return self._streams[media_type]
 
-    @property
-    def active_streams(self) -> tuple[_StreamState, ...]:
-        return tuple(self._streams.values())
-
     def _encrypted(self, length: int) -> bytes:
         """Pseudo-encrypted payload bytes (uniform random)."""
         return self._rng.randbytes(max(length, 1))

@@ -46,7 +46,6 @@ class TestSubnetMatcher:
     def test_invalid_ip(self):
         matcher = ZoomSubnetMatcher(["170.114.0.0/16"])
         assert "not-an-ip" not in matcher
-        assert not matcher.matches(None)
 
     def test_ipv6_subnet(self):
         matcher = ZoomSubnetMatcher(["2001:db8::/32"])
@@ -68,7 +67,7 @@ class TestSubnetMatcher:
     def test_string_and_packed_forms_agree(self, subnet, inside, outside):
         matcher = ZoomSubnetMatcher([subnet])
         assert inside in matcher and matcher.contains(addr_from_str(inside))
-        assert outside not in matcher and not matcher.matches(outside)
+        assert outside not in matcher
         if outside == "::" + inside:
             # Same low 32 bits, same ports: still two flows and two endpoints.
             v4 = _udp(inside, 5000, ZOOM, 8801)

@@ -164,6 +164,26 @@ class TestLiveInterfaceSource:
         assert source.exhausted
         assert source.socket.filtered == 60
 
+    def test_userspace_tier_drops_what_no_kernel_program_did(self, tmp_path):
+        """No program attached: every frame reaches userspace, the prefilter
+        drops the background, one batch per received chunk (64, 64, 64, 8)."""
+        trace = tmp_path / "t.pcap"
+        write_trace(trace, border_frames(200))
+        telemetry = Telemetry()
+        source = LiveInterfaceSource(
+            SimulatedPacketSocket.replay(trace, chunk=64), attach_filter=False,
+            dataplane=DataplaneFilter(BatchPrefilter([ZOOM_NET])), telemetry=telemetry,
+        )
+        batches = list(source.frame_batches())
+        assert [len(b) for b in batches] == [16, 16, 16, 2]
+        emitted = [bytes(f) for b in batches for f, _ in b.iter_frames()]
+        assert emitted == [frame for _, frame in border_frames(200)[::4]]
+        assert (source.packets_emitted, source.frames_filtered) == (50, 150)
+        counter = telemetry.snapshot().counter
+        assert counter("dataplane.filtered") == 150
+        assert counter("dataplane.filtered_bytes") == 150 * len(background_frame(0))
+        assert counter("dataplane.recompiles") == 0
+
     def test_kernel_stats_fold_into_telemetry(self, tmp_path):
         trace = tmp_path / "t.pcap"
         write_trace(trace, pure_zoom_frames(100))

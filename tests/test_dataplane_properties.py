@@ -1,13 +1,13 @@
-"""Hypothesis equivalence properties across the three dataplane tiers.
+"""Hypothesis equivalence properties across the dataplane's executors.
 
 The software dataplane's core claim is *decision equivalence*: for any
-frame, the compiled cBPF program (run through the reference interpreter),
-the raw-bytes :class:`RawFrameFilter`, and the columnar
-:class:`BatchPrefilter` must agree on accept vs drop — and in campus
-mode, the cBPF program must agree with the stateful
+frame, the compiled cBPF program (run through the reference interpreter)
+and the columnar :class:`BatchPrefilter` must agree on accept vs drop —
+and in campus mode, the cBPF program must agree with the stateful
 :class:`P4CaptureModel` decision tree it was snapshotted from.
+:class:`RawFrameFilter` only compacts a batch to the prefilter's verdict.
 
-cBPF is stateless while the Python tiers learn STUN endpoints mid-stream,
+cBPF is stateless while the prefilter learns STUN endpoints mid-stream,
 so the properties recompile the program from the current rule state
 *before every frame* — exactly what :class:`DataplaneFilter` does at poll
 boundaries — which also exercises the fold-in path under arbitrary
@@ -100,57 +100,46 @@ def _single_frame_batch(frame):
 class TestPrefilterEquivalence:
     @given(rules_config(), st.lists(frame_spec(), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
-    def test_cbpf_and_raw_match_columnar_decision(self, config, frames):
-        """cBPF ≡ RawFrameFilter ≡ BatchPrefilter, frame by frame.
+    def test_cbpf_matches_columnar_decision(self, config, frames):
+        """cBPF ≡ BatchPrefilter, frame by frame.
 
-        Two independent prefilters start in identical state; the columnar
-        one decides via decode+apply, the raw one via `match`, and a cBPF
-        program recompiled from the pre-frame state decides in the
-        "kernel".  All three verdicts must agree for every frame, and the
-        two stateful tiers must learn identical endpoint sets.
+        The columnar prefilter decides via decode+apply, and a cBPF
+        program recompiled from its pre-frame state decides in the
+        "kernel"; the verdicts must agree for every frame.
         """
         sniff_all, seed_endpoints = config
         columnar = BatchPrefilter([ZOOM_NET], sniff_all_stun=sniff_all)
-        shadow = BatchPrefilter([ZOOM_NET], sniff_all_stun=sniff_all)
         _seed(columnar, seed_endpoints)
-        _seed(shadow, seed_endpoints)
-        raw = RawFrameFilter(shadow)
         for frame in frames:
             program = compile_cbpf(CaptureRules.from_prefilter(columnar))
             kernel_pass = run_cbpf(program, frame) != 0
             batch = _single_frame_batch(frame)
             verdict = columnar.apply(batch, decode_columns(batch))
-            columnar_pass = bool(verdict.survivors)
-            raw_pass = raw.match(frame)
-            assert raw_pass == columnar_pass, frame.hex()
-            assert kernel_pass == columnar_pass, (frame.hex(), program.dump())
-            assert shadow.endpoint_keys == columnar.endpoint_keys
+            assert kernel_pass == bool(verdict.survivors), (frame.hex(), program.dump())
 
-    @given(rules_config(), st.lists(frame_spec(), min_size=1, max_size=16))
+    @given(rules_config(), st.lists(st.tuples(frame_spec(), st.booleans()), max_size=16))
     @settings(max_examples=40, deadline=None)
     def test_filter_batch_matches_columnar_survivors(self, config, frames):
-        """Batch-level raw filtering keeps exactly the columnar survivors."""
+        """A compacted batch holds exactly the columnar survivors and hint
+        frames, in order, over the original buffer."""
         sniff_all, seed_endpoints = config
         columnar = BatchPrefilter([ZOOM_NET], sniff_all_stun=sniff_all)
         shadow = BatchPrefilter([ZOOM_NET], sniff_all_stun=sniff_all)
         _seed(columnar, seed_endpoints)
         _seed(shadow, seed_endpoints)
         builder = FrameBatchBuilder()
-        for i, frame in enumerate(frames):
-            builder.append(frame, float(i))
+        for i, (frame, hint) in enumerate(frames):
+            builder.append(frame, float(i), hint=hint)
         batch = builder.build()
-        verdict = columnar.apply(batch, decode_columns(batch))
-        survivors, stats = RawFrameFilter(shadow).filter_batch(batch)
-        expected = [
-            (batch.caplens[i], batch.timestamps[i]) for i in verdict.survivors
-        ]
-        got = list(zip(survivors.caplens, survivors.timestamps))
-        assert got == expected
-        assert stats.passed == len(verdict.survivors)
-        assert stats.dropped == verdict.dropped
-        assert stats.dropped_bytes == verdict.dropped_bytes
-        assert stats.parse_failures == verdict.parse_failures
-        assert shadow.endpoint_keys == columnar.endpoint_keys
+        expected = columnar.apply(batch, decode_columns(batch))
+        survivors, verdict = RawFrameFilter(shadow).filter_batch(batch)
+        assert verdict == expected and shadow.endpoint_keys == columnar.endpoint_keys
+        kept = sorted(expected.survivors + expected.hint_indexes)
+        assert survivors.buffer is batch.buffer
+        assert list(map(survivors.frame, range(len(kept)))) == list(map(batch.frame, kept))
+        assert list(survivors.timestamps) == [float(i) for i in kept]
+        assert survivors.total_caplen == sum(batch.caplens[i] for i in kept)
+        assert list(survivors.hints or [0] * len(kept)) == [frames[i][1] for i in kept]
 
 
 @st.composite

@@ -78,6 +78,16 @@ def test_burst_packets_of_same_frame_ignored():
     assert estimator.jitter == pytest.approx(0.0, abs=1e-9)
 
 
+def test_long_stream_keeps_the_current_frame():
+    """6,000 frames of 3 packets: one sample per frame pair, none spurious."""
+    estimator = FrameJitterEstimator(90_000)
+    for i in range(18_000):
+        frame, j = divmod(i, 3)
+        estimator.observe(packet(i, frame * 3000, 1.0 + frame / 30.0 + j * 0.0005))
+    assert len(estimator.samples) == 5999
+    assert max(s.transit_difference for s in estimator.samples) < 1e-9
+
+
 def test_fec_ignored():
     estimator = FrameJitterEstimator(90_000)
     estimator.observe(packet(0, 0, 1.0))

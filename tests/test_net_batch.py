@@ -13,13 +13,13 @@ import io
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalyzerConfig, ZoomAnalyzer
 from repro.net.batch import BatchPrefilter, FrameBatchBuilder, decode_columns
 from repro.net.checksum import internet_checksum
-from repro.net.packet import CapturedPacket, build_udp_frame, parse_frame
+from repro.net.packet import CapturedPacket, _parse_layered, build_udp_frame, parse_frame
 from repro.net.pcap import MAGIC_MICROS, MAGIC_NANOS, PcapReader, PcapWriter
 from repro.net.pcapng import PcapngReader, PcapngWriter
 from repro.rtp.stun import StunMessage
@@ -247,9 +247,19 @@ def _ipv4_bytes(proto, body, *, options=b"", total_length=None, bad_checksum=Fal
     return bytes(header) + body
 
 
+#: Length edges random draws reach only now and then, pinned: the IPv4
+#: ``total_length`` or the UDP length cutting a datagram's 12 payload bytes
+#: short, and a UDP length under the header's own 8 bytes.
+_LENGTH_EDGES = [
+    (1.0, b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00" + _ipv4_bytes(
+        17, struct.pack("!HHHH", 50000, 8801, udp_length, 0) + bytes(12), total_length=total))
+    for udp_length, total in ((20, 32), (12, None), (4, None))
+]
+
+
 @st.composite
 def _frames(draw):
-    """An untagged / option-less IPv4 / UDP frame — the shape ``materialize``
+    """An untagged / option-less IPv4 / UDP frame — the shape ``parse_frame``
     builds from fixed offsets — with one deviation: a length field off in
     either direction or a snaplen cut (still that shape, trimmed), or
     something only the layered parser takes (VLAN tag, IPv4 options, failing
@@ -295,11 +305,12 @@ def _frames(draw):
         max_size=20,
     )
 )
+@example(_LENGTH_EDGES)
 @settings(max_examples=120, deadline=None)
 def test_lazy_materialization_is_byte_identical(items):
-    """read_batches → materialize is ``parse_frame`` of what was written —
-    every stored field, each lazily decoded header object and the flow key —
-    whether the packet was built from fixed offsets or by the layered parser."""
+    """read_batches → materialize equals the layered walk over what was written
+    — every stored field, each lazily decoded header object and the flow key —
+    on the fixed-offset shape and on every shape ``parse_frame`` hands on."""
     packets = [CapturedPacket(t, d) for t, d in items]
     for writer_cls, reader_cls, written in (
         (PcapWriter, PcapReader, _written),
@@ -311,7 +322,7 @@ def test_lazy_materialization_is_byte_identical(items):
         batched = []
         for batch in reader_cls(buffer).read_batches():
             batched.extend(batch.materialize(i) for i in range(len(batch)))
-        expected = [parse_frame(data, ts) for data, ts in written(packets)]
+        expected = [_parse_layered(data, ts) for data, ts in written(packets)]
         assert batched == expected
         for got, want in zip(batched, expected):
             assert got.five_tuple == want.five_tuple
