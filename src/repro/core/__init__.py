@@ -37,9 +37,7 @@ from repro.core.events import (
     AnalysisEvent,
     AnalysisSink,
     EventBus,
-    FlowBytesObserved,
     MeetingFormed,
-    RTCPObserved,
     StreamEvicted,
     StreamOpened,
     StreamUpdated,
@@ -60,11 +58,9 @@ __all__ = [
     "FleetNodeConfig",
     "EventBus",
     "FinalizedStream",
-    "FlowBytesObserved",
     "MediaStream",
     "MeetingFormed",
     "ProtocolConfig",
-    "RTCPObserved",
     "RTPPacketRecord",
     "ServiceConfig",
     "ShardedAnalyzer",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.rtp.rtcp import RTCPReceiverReport, RTCPSdes, RTCPSenderReport
+from repro.rtp.rtcp import RTCPReceiverReport, RTCPSdes, RTCPSenderReport, walk_rtcp_compound
 from repro.zoom.constants import RTPPayloadType, ZoomMediaType
 from repro.zoom.packets import ZoomPacket, parse_zoom_payload
 from repro.zoom.sfu_encap import Direction, SfuEncap
@@ -253,11 +253,14 @@ def _dissect_rtp(root: DissectedField, packet: ZoomPacket, cursor: int) -> int:
     return cursor
 
 
-def _dissect_rtcp(root: DissectedField, packet: ZoomPacket, cursor: int) -> None:
-    for report in packet.rtcp:
+def _dissect_rtcp(root: DissectedField, packet: ZoomPacket, start: int) -> None:
+    # Node ranges come from the compound's own length words, so a non-empty
+    # SDES or a skipped BYE/APP before a report cannot shift it.
+    for offset, length, report in walk_rtcp_compound(packet.raw[start:]):
+        cursor = start + offset
         if isinstance(report, RTCPSenderReport):
             node = DissectedField(
-                "rtcp.sr", cursor, 28, None, "RTCP Sender Report"
+                "rtcp.sr", cursor, length, None, "RTCP Sender Report"
             )
             node.add(DissectedField("rtcp.ssrc", cursor + 4, 4, report.ssrc, f"{report.ssrc:#010x}"))
             node.add(
@@ -280,17 +283,13 @@ def _dissect_rtcp(root: DissectedField, packet: ZoomPacket, cursor: int) -> None
                 )
             )
             root.add(node)
-            cursor += 28 + 24 * len(report.report_blocks)
         elif isinstance(report, RTCPSdes):
             display = "RTCP Source Description" + (" (empty)" if report.is_empty else "")
-            node = DissectedField("rtcp.sdes", cursor, 12, None, display)
+            node = DissectedField("rtcp.sdes", cursor, length, None, display)
             node.add(DissectedField("rtcp.sdes.ssrc", cursor + 4, 4, report.ssrc, f"{report.ssrc:#010x}"))
             root.add(node)
-            cursor += 12
         elif isinstance(report, RTCPReceiverReport):
-            node = DissectedField("rtcp.rr", cursor, 8, None, "RTCP Receiver Report")
-            root.add(node)
-            cursor += 8 + 24 * len(report.report_blocks)
+            root.add(DissectedField("rtcp.rr", cursor, length, None, "RTCP Receiver Report"))
 
 
 def dissect_text(payload: bytes, *, from_server: bool | None = None) -> str:

@@ -1,17 +1,15 @@
 """Typed analysis events and the sink registry.
 
-The staged analyzer (:mod:`repro.core.stages`) communicates with everything
-downstream of the per-packet pipeline — rolling eviction, 1-second binning,
-ML feature export, report cards — through events published on an
-:class:`EventBus` rather than through consumers reaching into the analyzer's
-internals.  A subscriber sees the analyzer's lifecycle as it happens:
+The staged analyzer (:mod:`repro.core.stages`) tells the layers built on
+top of it — service windows, QoE scoring, rolling eviction — about its
+stream and meeting lifecycle through events published on an
+:class:`EventBus`, rather than those layers reaching into the analyzer's
+internals.  (The analyzer's own estimators, bit-rate binning and RTCP
+clock sync, are fed by direct calls from the stages.)  The bus carries:
 
-* :class:`FlowBytesObserved` — a media-class UDP packet's payload bytes,
-  before Zoom decoding (the flow-level view prior work measured);
 * :class:`StreamOpened` / :class:`StreamUpdated` — a media stream appeared /
-  received another decoded packet record;
+  received another decoded packet record (published by the assemble stage);
 * :class:`MeetingFormed` — the grouping heuristic opened a new meeting;
-* :class:`RTCPObserved` — one RTCP report was decoded;
 * :class:`StreamEvicted` — a stream was finalized and released via
   :meth:`repro.core.pipeline.ZoomAnalyzer.evict_stream`;
 * :class:`MeetingQoeChanged` — a meeting's QoE state machine transitioned
@@ -29,7 +27,6 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.meetings import Meeting
 from repro.core.streams import MediaStream, RTPPacketRecord
-from repro.net.packet import FiveTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.pipeline import StreamMetrics
@@ -41,14 +38,6 @@ class AnalysisEvent:
     """Base class: every event carries the capture time it happened at."""
 
     timestamp: float
-
-
-@dataclass(frozen=True, slots=True)
-class FlowBytesObserved(AnalysisEvent):
-    """A media-class UDP packet was seen on ``five_tuple`` (pre-decode)."""
-
-    five_tuple: FiveTuple
-    payload_len: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,13 +75,6 @@ class MeetingFormed(AnalysisEvent):
     """The grouping heuristic opened a new meeting."""
 
     meeting: Meeting
-
-
-@dataclass(frozen=True, slots=True)
-class RTCPObserved(AnalysisEvent):
-    """One RTCP report (SR / RR / SDES) was decoded from a Zoom packet."""
-
-    report: object
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,16 +149,12 @@ class AnalysisSink:
     """
 
     _DISPATCH: dict[str, type] = {
-        "on_flow_bytes": FlowBytesObserved,
         "on_stream_opened": StreamOpened,
         "on_stream_updated": StreamUpdated,
         "on_stream_evicted": StreamEvicted,
         "on_meeting_formed": MeetingFormed,
-        "on_rtcp": RTCPObserved,
         "on_qoe_changed": MeetingQoeChanged,
     }
-
-    def on_flow_bytes(self, event: FlowBytesObserved) -> None: ...
 
     def on_stream_opened(self, event: StreamOpened) -> None: ...
 
@@ -185,8 +163,6 @@ class AnalysisSink:
     def on_stream_evicted(self, event: StreamEvicted) -> None: ...
 
     def on_meeting_formed(self, event: MeetingFormed) -> None: ...
-
-    def on_rtcp(self, event: RTCPObserved) -> None: ...
 
     def on_qoe_changed(self, event: MeetingQoeChanged) -> None: ...
 

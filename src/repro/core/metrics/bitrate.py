@@ -10,23 +10,19 @@ payload bytes, attributed per SSRC and media type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.core.events import AnalysisSink
 from repro.core.metrics.binning import TimeBinner
 from repro.core.streams import RTPPacketRecord
 from repro.net.packet import FiveTuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.events import FlowBytesObserved, StreamOpened, StreamUpdated
 
 
 @dataclass
 class BitrateMeter:
     """Binned byte counters at flow, stream, and media-type granularity.
 
-    Feed every packet via :meth:`observe_flow_bytes` (all UDP payload bytes,
-    the flow-level view) and every decoded media packet via
+    The demux stage feeds every media-class UDP packet, before decoding,
+    to :meth:`observe_flow_bytes` (whole UDP payload, the flow-level view);
+    the metrics stage feeds every decoded media record to
     :meth:`observe_media` (RTP payload bytes only, the media view).
     """
 
@@ -95,24 +91,3 @@ class BitrateMeter:
                 if target is None:
                     target = mine[key] = TimeBinner(self.bin_width)
                 target.merge_from(binner)
-
-
-class BitrateSink(AnalysisSink):
-    """The 1-second binning layer as an event subscriber.
-
-    Feeds a :class:`BitrateMeter` from the analyzer's event stream: flow
-    bytes before decode, media bytes per decoded record — exactly what the
-    monolithic pipeline used to wire by direct calls.
-    """
-
-    def __init__(self, meter: BitrateMeter) -> None:
-        self.meter = meter
-
-    def on_flow_bytes(self, event: "FlowBytesObserved") -> None:
-        self.meter.observe_flow_bytes(event.five_tuple, event.timestamp, event.payload_len)
-
-    def on_stream_opened(self, event: "StreamOpened") -> None:
-        self.meter.observe_media(event.record)
-
-    def on_stream_updated(self, event: "StreamUpdated") -> None:
-        self.meter.observe_media(event.record)

@@ -13,13 +13,8 @@ analyses the paper leaves open.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.core.events import AnalysisSink
 from repro.rtp.rtcp import RTCPSenderReport
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.events import RTCPObserved
 
 RTP_TIMESTAMP_MODULUS = 1 << 32
 
@@ -53,7 +48,9 @@ class ClockMapping:
 class SenderReportCollector:
     """Accumulates RTCP sender reports and fits per-stream clock mappings.
 
-    Feed every :class:`RTCPSenderReport` the analyzer decodes; call
+    The demux stage's RTCP accounting
+    (:func:`repro.protocols.base.observe_rtcp`) feeds it every
+    :class:`RTCPSenderReport` the analyzer decodes; call
     :meth:`mapping` to get a stream's fitted :class:`ClockMapping`, or
     :meth:`skew` to compare two streams of the same sender.
     """
@@ -148,14 +145,3 @@ class SenderReportCollector:
             mine.sort(key=lambda entry: entry[1])
             if len(mine) > self.max_reports_per_stream:
                 del mine[: len(mine) - self.max_reports_per_stream]
-
-
-class SyncSink(AnalysisSink):
-    """Feeds a :class:`SenderReportCollector` from the analyzer event bus."""
-
-    def __init__(self, collector: SenderReportCollector) -> None:
-        self.collector = collector
-
-    def on_rtcp(self, event: "RTCPObserved") -> None:
-        if isinstance(event.report, RTCPSenderReport):
-            self.collector.observe(event.report)

@@ -3,9 +3,9 @@
 :class:`ZoomAnalyzer` composes the stages of the paper's methodology
 (Figure 6) from :mod:`repro.core.stages` — decode → classify (§4.1) →
 Zoom demux (§4.2) → stream/meeting assembly (§4.3) → per-stream metrics
-(§5) — and publishes lifecycle events on an
-:class:`~repro.core.events.EventBus` that the 1-second binning (§6.2),
-rolling eviction, ML export, and report-card layers subscribe to.
+(§5), bit-rate bins and RTCP clock sync included — and publishes stream
+and meeting lifecycle events on an :class:`~repro.core.events.EventBus`
+that rolling eviction, service windows and QoE scoring subscribe to.
 It runs fully streaming: one pass over the capture, bounded state per
 stream.  Raw frame bytes are held only for the packet in flight — a
 :class:`~repro.net.packet.ParsedPacket` keeps its frame while it moves
@@ -28,7 +28,7 @@ from repro.core.config import AnalyzerConfig
 from repro.core.detector import ZoomTrafficDetector
 from repro.core.events import EventBus, StreamEvicted
 from repro.core.meetings import Meeting, MeetingGrouper, group_streams
-from repro.core.metrics.bitrate import BitrateMeter, BitrateSink
+from repro.core.metrics.bitrate import BitrateMeter
 from repro.core.metrics.frame_delay import FrameDelayAnalyzer
 from repro.core.metrics.framerate import FrameRateMethod1, FrameRateMethod2
 from repro.core.metrics.frames import FrameAssembler
@@ -37,7 +37,7 @@ from repro.core.metrics.jitter import FrameJitterEstimator
 from repro.core.metrics.latency import RTPLatencyMatcher, TCPRTTEstimator
 from repro.core.metrics.loss import StreamLossTracker
 from repro.core.metrics.stalls import StallDetector, StallEvent, detect_stalls
-from repro.core.metrics.sync import SenderReportCollector, SyncSink
+from repro.core.metrics.sync import SenderReportCollector
 from repro.core.rolling import FinalizedStream, IdleEviction
 from repro.core.stages import (
     AssembleStage,
@@ -297,9 +297,6 @@ class ZoomAnalyzer:
         config: An :class:`~repro.core.config.AnalyzerConfig` carrying every
             option (subnets, STUN timeout, record retention, telemetry
             wiring, rolling eviction).  Defaults apply when omitted.
-        bus: Optional pre-wired :class:`~repro.core.events.EventBus`; one is
-            created (with the default bitrate-binning and RTCP-sync sinks)
-            when omitted.
         on_stream_finalized: Optional callback receiving each
             :class:`~repro.core.rolling.FinalizedStream` the rolling-mode
             eviction policy produces (ignored without ``config.rolling``).
@@ -316,18 +313,17 @@ class ZoomAnalyzer:
     ``config.rolling`` the analyzer owns an idle-eviction policy
     (:attr:`eviction`, see :mod:`repro.core.rolling`) consulted once per
     batch.  Subscribers (see :mod:`repro.core.events`) attach via
-    ``analyzer.bus``.
+    ``analyzer.bus``, which the analyzer creates.
     """
 
     def __init__(
         self,
         config: AnalyzerConfig | None = None,
         *,
-        bus: EventBus | None = None,
         on_stream_finalized: Callable[[FinalizedStream], None] | None = None,
     ) -> None:
         self.config = config = config if config is not None else AnalyzerConfig()
-        self.bus = bus if bus is not None else EventBus()
+        self.bus = EventBus()
         self.result = AnalysisResult()
         self.result.telemetry = config.make_telemetry()
         self._telemetry = self.result.telemetry
@@ -349,14 +345,14 @@ class ZoomAnalyzer:
             )
         self.result.streams = StreamTable(keep_records=config.keep_records)
         self._assemble = AssembleStage(self.result, self.bus)
-        self._decode_stage = DecodeStage(self.result, self.bus)
-        self._classify_stage = ClassifyStage(self.result, self.bus, self.plugins)
+        self._decode_stage = DecodeStage(self.result)
+        self._classify_stage = ClassifyStage(self.result, self.plugins)
         self.stages: tuple[Stage, ...] = (
             self._decode_stage,
             self._classify_stage,
-            ZoomDemuxStage(self.result, self.bus),
+            ZoomDemuxStage(self.result),
             self._assemble,
-            MetricsStage(self.result, self.bus),
+            MetricsStage(self.result),
         )
         # Where a packet that passed ``n`` stages ended, and the sampled
         # timer of each stage — names resolved once, not per packet.
@@ -365,8 +361,6 @@ class ZoomAnalyzer:
         ) + ("pipeline.completed",)
         self._stage_timers = tuple(f"stage.time.{stage.name}" for stage in self.stages)
         self._packet_seq = 0
-        self.bus.register(BitrateSink(self.result.bitrate))
-        self.bus.register(SyncSink(self.result.sync))
         #: The idle-eviction policy, present in rolling mode only.
         self.eviction: IdleEviction | None = (
             IdleEviction(self, on_stream_finalized) if config.rolling else None
@@ -446,10 +440,10 @@ class ZoomAnalyzer:
 
         Removes the stream from the table, detaches its metric estimators,
         and publishes :class:`~repro.core.events.StreamEvicted` carrying
-        both, so subscribers (rolling eviction, report cards, ML export)
-        can emit closing summaries.  Returns the evicted stream, or ``None``
-        if the key is unknown.  A later packet with the same key reopens the
-        stream from scratch.
+        both, so subscribers (rolling eviction, service windows, QoE
+        scoring) can emit closing summaries or drop per-stream state.
+        Returns the evicted stream, or ``None`` if the key is unknown.  A
+        later packet with the same key reopens the stream from scratch.
         """
         stream = self.result.streams.evict(key)
         if stream is None:

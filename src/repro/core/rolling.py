@@ -7,8 +7,8 @@ border tap.  With ``AnalyzerConfig(rolling=True)`` the analyzer owns an
 per :meth:`~repro.core.pipeline.ZoomAnalyzer.feed_batch`: streams idle
 longer than the rolling window are finalized through the public
 :meth:`~repro.core.pipeline.ZoomAnalyzer.evict_stream` API, which publishes
-a :class:`~repro.core.events.StreamEvicted` event the policy (and any other
-sink — report cards, ML export) subscribes to.  Meetings whose last stream
+a :class:`~repro.core.events.StreamEvicted` event the policy (and the
+service windows and QoE tracker) subscribes to.  Meetings whose last stream
 is gone follow, and long-lived shared state (the latency matcher's pending
 table, the STUN tracker) is already bounded by design.
 

@@ -52,9 +52,10 @@ class PacketContext:
 class Stage(Protocol):
     """One step of the analyzer pipeline.
 
-    Stages are constructed with references to the shared
-    :class:`~repro.core.pipeline.AnalysisResult` and
-    :class:`~repro.core.events.EventBus` and keep whatever per-run state
+    Stages are constructed with a reference to the shared
+    :class:`~repro.core.pipeline.AnalysisResult` (the assembly stage, the
+    one that publishes lifecycle events, also with the
+    :class:`~repro.core.events.EventBus`) and keep whatever per-run state
     they need (the assembly stage's known-stream set, for example).
     """
 

@@ -24,7 +24,6 @@ from repro.core.stages.base import PacketContext
 from repro.net.batch import BatchPrefilter, PrefilterVerdict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.events import EventBus
     from repro.core.pipeline import AnalysisResult
     from repro.net.batch import FrameBatch, HeaderColumns
     from repro.protocols.base import ProtocolPlugin
@@ -36,10 +35,7 @@ class ClassifyStage:
     name = "classify"
 
     def __init__(
-        self,
-        result: "AnalysisResult",
-        bus: "EventBus",
-        plugins: Sequence["ProtocolPlugin"],
+        self, result: "AnalysisResult", plugins: Sequence["ProtocolPlugin"]
     ) -> None:
         self._result = result
         self._telemetry = result.telemetry

@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING
 from repro.core.stages.base import PacketContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.events import EventBus
     from repro.core.pipeline import AnalysisResult
     from repro.net.batch import PrefilterVerdict
 
@@ -25,7 +24,7 @@ class DecodeStage:
 
     name = "decode"
 
-    def __init__(self, result: "AnalysisResult", bus: "EventBus") -> None:
+    def __init__(self, result: "AnalysisResult") -> None:
         self._result = result
         self._telemetry = result.telemetry
 

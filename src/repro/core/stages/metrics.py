@@ -1,10 +1,10 @@
-"""Metrics stage: per-stream §5 estimators and cross-stream latency matching.
+"""Metrics stage: per-stream §5 estimators, bit-rate bins, latency matching.
 
 Creates the :class:`~repro.core.pipeline.StreamMetrics` bundle lazily per
 stream key (so an evicted stream that resumes gets a fresh bundle) and
-routes every record through it plus the Method-1 latency matcher.  The
-1-second bitrate binning is *not* here: it subscribes to the event bus as
-:class:`~repro.core.metrics.bitrate.BitrateSink`.
+routes every record through it, the per-stream and per-media-type 1-second
+bit-rate bins (:meth:`~repro.core.metrics.bitrate.BitrateMeter.observe_media`)
+and the Method-1 latency matcher.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 from repro.core.stages.base import PacketContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.events import EventBus
     from repro.core.pipeline import AnalysisResult
 
 
@@ -23,8 +22,9 @@ class MetricsStage:
 
     name = "metrics"
 
-    def __init__(self, result: "AnalysisResult", bus: "EventBus") -> None:
+    def __init__(self, result: "AnalysisResult") -> None:
         self._result = result
+        self._observe_media = result.bitrate.observe_media
         # Deferred import: repro.core.pipeline imports this module at its top.
         from repro.core.pipeline import StreamMetrics
 
@@ -41,5 +41,6 @@ class MetricsStage:
                 record.media_type
             )
         metrics.observe(record)
+        self._observe_media(record)
         result.rtp_latency.observe(record)
         return True

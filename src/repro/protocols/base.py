@@ -43,13 +43,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.core.events import RTCPObserved
 from repro.rtp.rtcp import RTCPReceiverReport, RTCPSdes, RTCPSenderReport
 from repro.zoom.constants import ENCAP_OTHER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.detector import Endpoint, EndpointLookup, StunTracker
-    from repro.core.events import EventBus
     from repro.core.pipeline import AnalysisResult
     from repro.core.stages.base import PacketContext
     from repro.net.packet import ParsedPacket
@@ -158,17 +156,14 @@ class ProtocolPlugin:
     # ------------------------------------------------------------ dissection
 
     def dissect(
-        self,
-        ctx: "PacketContext",
-        result: "AnalysisResult",
-        bus: "EventBus",
-        telemetry: "Telemetry",
+        self, ctx: "PacketContext", result: "AnalysisResult", telemetry: "Telemetry"
     ) -> bool:
         """Decode one claimed media-class packet.
 
         Sets ``ctx.record`` and returns ``True`` to advance to assembly;
         returns ``False`` for RTCP/control/undecodable payloads after
-        doing their accounting (Table 2/3 counters, RTCP events).
+        doing their accounting (Table 2/3 counters, RTCP tallies and
+        clock sync).
         """
         raise NotImplementedError
 
@@ -202,26 +197,25 @@ def observe_rtcp(
     reports: Iterable,
     media_type: int,
     size: int,
-    timestamp: float,
     result: "AnalysisResult",
-    bus: "EventBus",
     telemetry: "Telemetry",
 ) -> bool:
-    """Account one RTCP packet (Table 2/3 counters, SR/SDES/RR tallies)
-    and publish its reports; returns ``False`` — RTCP ends here."""
+    """Account one RTCP packet (Table 2/3 counters, SR/SDES/RR tallies) and
+    feed its sender reports to the clock-sync collector (``result.sync``);
+    returns ``False`` — RTCP ends here."""
     result.encap_packets[media_type] += 1
     result.encap_bytes[media_type] += size
     telemetry.count("demux.rtcp")
     for report in reports:
         if isinstance(report, RTCPSenderReport):
             result.rtcp_sender_reports += 1
+            result.sync.observe(report)
         elif isinstance(report, RTCPSdes):
             if report.is_empty:
                 result.rtcp_sdes_empty += 1
         elif isinstance(report, RTCPReceiverReport):
             result.rtcp_receiver_reports += 1
             telemetry.count("demux.rtcp_receiver_reports")
-        bus.emit(RTCPObserved(timestamp=timestamp, report=report))
     return False
 
 

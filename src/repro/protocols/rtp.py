@@ -11,7 +11,7 @@ then decode standard RFC 3550 RTP/RTCP on those endpoints:
   ``RTP_STUN``; a later UDP frame touching a learned endpoint whose payload
   passes the RTP (or RTCP) format check is claimed as ``RTP_MEDIA``.
 * **Dissection** — RTCP compounds feed the same SR/SDES/RR accounting and
-  bus events as Zoom RTCP; RTP packets become
+  clock sync as Zoom RTCP; RTP packets become
   :class:`~repro.core.streams.RTPPacketRecord` with the payload type mapped
   onto the canonical media-type values (``AUDIO``/``VIDEO``) so the §5
   estimators, stream table, QoE tracker, service windows, and store records
@@ -45,7 +45,6 @@ from repro.zoom.constants import ZoomMediaType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import AnalyzerConfig
-    from repro.core.events import EventBus
     from repro.core.pipeline import AnalysisResult
     from repro.core.stages.base import PacketContext
     from repro.net.packet import ParsedPacket
@@ -140,11 +139,7 @@ class RtpPlugin(ProtocolPlugin):
     # ------------------------------------------------------------ dissection
 
     def dissect(
-        self,
-        ctx: "PacketContext",
-        result: "AnalysisResult",
-        bus: "EventBus",
-        telemetry: "Telemetry",
+        self, ctx: "PacketContext", result: "AnalysisResult", telemetry: "Telemetry"
     ) -> bool:
         parsed = ctx.parsed
         assert parsed is not None and ctx.five_tuple is not None
@@ -154,13 +149,7 @@ class RtpPlugin(ProtocolPlugin):
             if not reports:
                 return undecoded(len(payload), result, telemetry)
             return observe_rtcp(
-                reports,
-                int(ZoomMediaType.RTCP_SR),
-                len(payload),
-                parsed.timestamp,
-                result,
-                bus,
-                telemetry,
+                reports, int(ZoomMediaType.RTCP_SR), len(payload), result, telemetry
             )
         walked = walk_rtp_header(payload)
         if walked is None:

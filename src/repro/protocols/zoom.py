@@ -24,7 +24,6 @@ _TO_SFU = int(Direction.TO_SFU)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import AnalyzerConfig
-    from repro.core.events import EventBus
     from repro.core.pipeline import AnalysisResult
     from repro.core.stages.base import PacketContext
     from repro.net.packet import ParsedPacket
@@ -93,11 +92,7 @@ class ZoomPlugin(ProtocolPlugin):
     # ------------------------------------------------------------ dissection
 
     def dissect(
-        self,
-        ctx: "PacketContext",
-        result: "AnalysisResult",
-        bus: "EventBus",
-        telemetry: "Telemetry",
+        self, ctx: "PacketContext", result: "AnalysisResult", telemetry: "Telemetry"
     ) -> bool:
         parsed = ctx.parsed
         assert parsed is not None and ctx.five_tuple is not None
@@ -111,13 +106,7 @@ class ZoomPlugin(ProtocolPlugin):
             if zoom.media is None or not zoom.is_rtcp:
                 return undecoded(size, result, telemetry)
             return observe_rtcp(
-                zoom.rtcp,
-                zoom.media.media_type,
-                size,
-                parsed.timestamp,
-                result,
-                bus,
-                telemetry,
+                zoom.rtcp, zoom.media.media_type, size, result, telemetry
             )
         (
             media_type,

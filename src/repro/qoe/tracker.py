@@ -42,7 +42,7 @@ identical transition sequence.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.config import QoeConfig
 from repro.core.events import (
@@ -80,8 +80,6 @@ QOE_COUNTER_SEEDS = (
     "qoe.transitions_to.impaired",
     "qoe.transitions_to.critical",
 )
-
-TransitionCallback = Callable[["Meeting", QoeTransition], None]
 
 
 class _SubStreamSeqState:
@@ -143,8 +141,6 @@ class MeetingQoeTracker(AnalysisSink):
         config: The :class:`~repro.core.config.QoeConfig`; defaults apply.
         telemetry: Registry for ``qoe.*`` counters; defaults to the
             analyzer result's registry.
-        on_transition: Callbacks invoked ``(meeting, transition)`` for every
-            state change, after the bus event is emitted.
     """
 
     def __init__(
@@ -153,13 +149,11 @@ class MeetingQoeTracker(AnalysisSink):
         config: QoeConfig | None = None,
         *,
         telemetry: "Telemetry | None" = None,
-        on_transition: Iterable[TransitionCallback] = (),
     ) -> None:
         self.config = config if config is not None else QoeConfig()
         self._bus = analyzer.bus
         self._result = analyzer.result
         self._telemetry = telemetry if telemetry is not None else self._result.telemetry
-        self._callbacks = tuple(on_transition)
         self.machines: dict[int, QoeStateMachine] = {}
         self.transitions: list[tuple[int, QoeTransition]] = []
         # One window = every stream's accumulator for that scoring interval.
@@ -359,8 +353,6 @@ class MeetingQoeTracker(AnalysisSink):
                 reason=transition.reason,
             )
         )
-        for callback in self._callbacks:
-            callback(meeting, transition)
 
     # --------------------------------------------------------------- queries
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.rtp.rtp import RTP_VERSION
 
@@ -257,6 +258,39 @@ def _parse_common_header(data: bytes, expected_type: int) -> tuple[int, int, int
 RTCPPacket = RTCPSenderReport | RTCPReceiverReport | RTCPSdes
 
 
+_PARSERS = {
+    RTCPPacketType.SENDER_REPORT: RTCPSenderReport.parse,
+    RTCPPacketType.RECEIVER_REPORT: RTCPReceiverReport.parse,
+    RTCPPacketType.SDES: RTCPSdes.parse,
+}
+
+
+def walk_rtcp_compound(data: bytes) -> Iterator[tuple[int, int, RTCPPacket]]:
+    """Walk a compound RTCP packet by its own length words.
+
+    Yields ``(offset, length, report)`` for each SR, RR and SDES, with the
+    byte range each packet's header states.  Other RTCP types (BYE, APP)
+    are stepped over by their stated length; the walk stops at the first
+    non-version-2 header, truncated packet or malformed report.
+    """
+    pos = 0
+    while pos + 4 <= len(data):
+        first, packet_type, length_words = struct.unpack_from("!BBH", data, pos)
+        if first >> 6 != RTP_VERSION:
+            return
+        total_len = 4 * (length_words + 1)
+        if pos + total_len > len(data):
+            return
+        parse = _PARSERS.get(packet_type)
+        if parse is not None:
+            try:
+                report, _ = parse(data[pos : pos + total_len])
+            except ValueError:
+                return
+            yield pos, total_len, report
+        pos += total_len
+
+
 def parse_rtcp_compound(data: bytes) -> list[RTCPPacket]:
     """Parse a compound RTCP packet into its constituent reports.
 
@@ -264,24 +298,4 @@ def parse_rtcp_compound(data: bytes) -> list[RTCPPacket]:
     SDES (media-encapsulation types 33 and 34 respectively, Table 2).
     Unknown RTCP packet types are skipped using their stated length.
     """
-    packets: list[RTCPPacket] = []
-    pos = 0
-    while pos + 4 <= len(data):
-        first, packet_type, length_words = struct.unpack_from("!BBH", data, pos)
-        if first >> 6 != RTP_VERSION:
-            break
-        total_len = 4 * (length_words + 1)
-        if pos + total_len > len(data):
-            break
-        chunk = data[pos : pos + total_len]
-        try:
-            if packet_type == RTCPPacketType.SENDER_REPORT:
-                packets.append(RTCPSenderReport.parse(chunk)[0])
-            elif packet_type == RTCPPacketType.RECEIVER_REPORT:
-                packets.append(RTCPReceiverReport.parse(chunk)[0])
-            elif packet_type == RTCPPacketType.SDES:
-                packets.append(RTCPSdes.parse(chunk)[0])
-        except ValueError:
-            break
-        pos += total_len
-    return packets
+    return [report for _, _, report in walk_rtcp_compound(data)]

@@ -3,7 +3,7 @@
 from repro.rtp.rtcp import RTCPSdes, RTCPSenderReport
 from repro.rtp.rtp import RTPHeader
 from repro.zoom.media_encap import MediaEncap
-from repro.zoom.packets import build_media_payload, build_rtcp_payload
+from repro.zoom.packets import build_media_payload
 from repro.core.dissector import dissect, dissect_text
 from repro.zoom.sfu_encap import Direction, SfuEncap
 
@@ -63,15 +63,23 @@ def test_p2p_packet_has_no_sfu_node():
 
 def test_rtcp_dissection():
     sr = RTCPSenderReport(ssrc=0x210, ntp_seconds=100, ntp_fraction=0,
-                          rtp_timestamp=5, packet_count=6, octet_count=7)
-    payload = build_rtcp_payload(
-        media=MediaEncap(media_type=34), reports=[sr, RTCPSdes(ssrc=0x210)], sfu=SfuEncap()
-    )
-    tree = dissect(payload, from_server=True)
-    assert tree.find("rtcp.sr") is not None
-    sdes = tree.find("rtcp.sdes")
-    assert sdes is not None and "empty" in sdes.display
-    assert tree.find("rtcp.ssrc").value == 0x210
+                          rtp_timestamp=5, packet_count=6, octet_count=7).serialize()
+    sdes = RTCPSdes(ssrc=0x210).serialize()
+    cname = RTCPSdes(ssrc=0x210, items=((1, b"alice@10.8.1.1"),)).serialize()
+    bye = bytes([0x81, 203, 0, 1]) + (0x210).to_bytes(4, "big")
+    # Node ranges follow the compound's length words, whatever precedes a
+    # report; SFU + media encapsulation take the first 16 bytes.
+    head = SfuEncap().serialize() + MediaEncap(media_type=34).serialize()
+    for compound, expected in (
+        (sr + sdes, [("rtcp.sr", 16, 28), ("rtcp.sdes", 44, 12)]),
+        (cname + sr, [("rtcp.sdes", 16, 28), ("rtcp.sr", 44, 28)]),
+        (bye + sr, [("rtcp.sr", 24, 28)]),  # BYE: stepped over, not dissected
+    ):
+        tree = dissect(head + compound, from_server=True)
+        assert [(n.name, n.offset, n.length) for n in tree.children[2:]] == expected
+        assert tree.find("rtcp.ssrc").value == 0x210
+        assert tree.find("rtcp.ssrc").offset == tree.find("rtcp.sr").offset + 4
+    assert "empty" in dissect(head + sr + sdes, from_server=True).find("rtcp.sdes").display
 
 
 def test_text_rendering():

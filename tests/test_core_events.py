@@ -1,4 +1,5 @@
-"""The event bus, sink registry, and staged-analyzer event emission."""
+"""The event bus, sink registry, staged-analyzer event emission, and the
+stages' direct feeds into bit-rate binning and RTCP clock sync."""
 
 from __future__ import annotations
 
@@ -8,13 +9,13 @@ from repro.core import ZoomAnalyzer
 from repro.core.events import (
     AnalysisSink,
     EventBus,
-    FlowBytesObserved,
     MeetingFormed,
-    RTCPObserved,
     StreamEvicted,
     StreamOpened,
     StreamUpdated,
 )
+
+from tests.golden_utils import mixed_protocol_config, mixed_trace_captures
 
 
 class _CountingSink(AnalysisSink):
@@ -25,8 +26,6 @@ class _CountingSink(AnalysisSink):
         self.updated = 0
         self.evicted = []
         self.meetings = []
-        self.rtcp = 0
-        self.flow_bytes = 0
 
     def on_stream_opened(self, event: StreamOpened) -> None:
         self.opened.append(event.stream.key)
@@ -40,11 +39,12 @@ class _CountingSink(AnalysisSink):
     def on_meeting_formed(self, event: MeetingFormed) -> None:
         self.meetings.append(event.meeting.meeting_id)
 
-    def on_rtcp(self, event: RTCPObserved) -> None:
-        self.rtcp += 1
 
-    def on_flow_bytes(self, event: FlowBytesObserved) -> None:
-        self.flow_bytes += event.payload_len
+def _analyze(captures):
+    """A fresh analyzer with a counting sink registered, fed ``captures``."""
+    analyzer, sink = ZoomAnalyzer(), _CountingSink()
+    analyzer.bus.register(sink)
+    return analyzer, sink, analyzer.analyze(captures)
 
 
 class TestEventBus:
@@ -67,18 +67,18 @@ class TestEventBus:
     def test_unsubscribe(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(RTCPObserved, seen.append)
-        bus.unsubscribe(RTCPObserved, seen.append)
-        bus.emit(RTCPObserved(timestamp=0.0, report=object()))
+        bus.subscribe(MeetingFormed, seen.append)
+        bus.unsubscribe(MeetingFormed, seen.append)
+        bus.emit(MeetingFormed(timestamp=0.0, meeting=None))
         assert not seen
-        assert not bus.has_subscribers(RTCPObserved)
+        assert not bus.has_subscribers(MeetingFormed)
 
     def test_handlers_run_in_subscription_order(self):
         bus = EventBus()
         order = []
-        bus.subscribe(RTCPObserved, lambda e: order.append("a"))
-        bus.subscribe(RTCPObserved, lambda e: order.append("b"))
-        bus.emit(RTCPObserved(timestamp=0.0, report=object()))
+        bus.subscribe(MeetingFormed, lambda e: order.append("a"))
+        bus.subscribe(MeetingFormed, lambda e: order.append("b"))
+        bus.emit(MeetingFormed(timestamp=0.0, meeting=None))
         assert order == ["a", "b"]
 
 
@@ -106,11 +106,7 @@ class TestAnalysisSink:
 class TestAnalyzerEvents:
     @pytest.fixture(scope="class")
     def run(self, sfu_meeting_result):
-        analyzer = ZoomAnalyzer()
-        sink = _CountingSink()
-        analyzer.bus.register(sink)
-        result = analyzer.analyze(sfu_meeting_result.captures)
-        return analyzer, sink, result
+        return _analyze(sfu_meeting_result.captures)
 
     def test_stream_opened_once_per_stream(self, run):
         _, sink, result = run
@@ -129,26 +125,31 @@ class TestAnalyzerEvents:
         assert final <= set(sink.meetings)
         assert len(sink.meetings) == len(set(sink.meetings))
 
-    def test_rtcp_events_match_counters(self, run):
-        _, sink, result = run
-        assert sink.rtcp == (
-            result.rtcp_sender_reports
-            + result.rtcp_sdes_empty
-            + result.rtcp_receiver_reports
-        )
-        assert sink.rtcp > 0
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        return ZoomAnalyzer(mixed_protocol_config()).analyze(mixed_trace_captures())
 
-    def test_flow_bytes_observed(self, run):
-        _, sink, _ = run
-        assert sink.flow_bytes > 0
+    def test_bitrate_bins_match_byte_counters(self, run, mixed):
+        """Demux bins every claimed media payload; metrics, every record's media bytes."""
+        for result in (run[2], mixed):
+            meter = result.bitrate
+            flow, stream, media_type = (
+                sum(sum(binner.values()) for binner in table.values())
+                for table in (meter.flow_bins, meter.stream_bins, meter.media_type_bins)
+            )
+            assert flow == sum(result.encap_bytes.values()) > 0
+            assert stream == media_type == sum(result.payload_type_bytes.values()) > 0
+        assert (flow, stream) == (7_461_329, 6_546_869)  # the mixed trace
+
+    def test_sync_sees_every_sender_report(self, run, mixed):
+        for result in (run[2], mixed):
+            reports = sum(result.sync.report_count(s) for s in result.sync.ssrcs())
+            assert reports == result.rtcp_sender_reports > 0
 
 
 class TestEvictStream:
     def test_evict_removes_and_publishes(self, sfu_meeting_result):
-        analyzer = ZoomAnalyzer()
-        sink = _CountingSink()
-        analyzer.bus.register(sink)
-        result = analyzer.analyze(sfu_meeting_result.captures)
+        analyzer, sink, result = _analyze(sfu_meeting_result.captures)
         victim = result.streams.streams()[0]
         evicted = analyzer.evict_stream(victim.key, reason="test")
         assert evicted is victim
@@ -167,10 +168,7 @@ class TestEvictStream:
         assert analyzer.evict_stream(key) is None
 
     def test_evicted_stream_can_reopen(self, sfu_meeting_result):
-        analyzer = ZoomAnalyzer()
-        sink = _CountingSink()
-        analyzer.bus.register(sink)
-        result = analyzer.analyze(sfu_meeting_result.captures)
+        analyzer, sink, result = _analyze(sfu_meeting_result.captures)
         count = len(result.streams)
         victim = max(result.streams.streams(), key=lambda s: s.packets)
         analyzer.evict_stream(victim.key)

@@ -119,10 +119,7 @@ class TestOnPipeline:
         (the SFU forwards SRs precisely so receivers can do this)."""
         collector = analyzed_sfu.sync
         audio, video = 0x10F, 0x110  # bob's streams
-        if collector.report_count(audio) < 3 or collector.report_count(video) < 3:
-            import pytest as _pytest
-
-            _pytest.skip("not enough sender reports in fixture")
+        assert collector.report_count(audio) >= 3 and collector.report_count(video) >= 3
         map_audio = collector.mapping(audio)
         map_video = collector.mapping(video)
         # Pick timestamps 5 s into each stream and compare wall instants.

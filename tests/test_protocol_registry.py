@@ -18,7 +18,6 @@ from repro.core.config import (
     ProtocolConfig,
 )
 from repro.core.detector import StunTracker, ZoomClass
-from repro.core.events import EventBus
 from repro.core.pipeline import AnalysisResult, ZoomAnalyzer
 from repro.core.stages.base import PacketContext
 from repro.core.stages.classify import ClassifyStage
@@ -88,7 +87,7 @@ class _DummyPlugin(ProtocolPlugin):
 
 def _stage(plugins):
     result = AnalysisResult(telemetry=Telemetry(enabled=True))
-    return ClassifyStage(result, EventBus(), plugins), result
+    return ClassifyStage(result, plugins), result
 
 
 def _classify_one(stage, parsed):
@@ -267,7 +266,7 @@ class TestRtpPlugin:
         ctx = PacketContext(parsed=parsed)
         ctx.klass, ctx.plugin = klass, plugin
         assert plugin.on_claimed(ctx, result) is True
-        advanced = plugin.dissect(ctx, result, EventBus(), result.telemetry)
+        advanced = plugin.dissect(ctx, result, result.telemetry)
         return ctx, result, advanced
 
     def test_media_unclaimed_without_prior_stun(self):
@@ -327,14 +326,11 @@ class TestRtpPlugin:
         parsed = _udp(*self.CALLER, *self.CALLEE, report, ts=2.0)
         klass = plugin.classify(parsed)
         assert klass is RtpClass.RTP_MEDIA  # RFC 5761: muxed on the flow
-        result = AnalysisResult(telemetry=Telemetry(enabled=True))
-        ctx = PacketContext(parsed=parsed)
-        ctx.klass, ctx.plugin = klass, plugin
-        assert plugin.on_claimed(ctx, result) is True
-        advanced = plugin.dissect(ctx, result, EventBus(), result.telemetry)
+        ctx, result, advanced = self._dissect(plugin, parsed, klass)
         assert advanced is False  # RTCP ends at the observers
         assert ctx.record is None
         assert result.rtcp_sender_reports == 1
+        assert result.sync.report_count(7) == 1
 
     def test_would_claim_does_not_refresh_binding(self):
         plugin = RtpPlugin(stun_timeout=10.0)
@@ -357,7 +353,7 @@ class TestZoomRtpConflict:
             protocols=ProtocolConfig(protocols=("zoom", "rtp")),
         )
         analyzer = ZoomAnalyzer(config)
-        stage = ClassifyStage(analyzer.result, analyzer.bus, analyzer.plugins)
+        stage = ClassifyStage(analyzer.result, analyzer.plugins)
         # STUN to a Zoom zone controller: the Zoom detector learns the
         # client endpoint; the generic plugin's sniff-all tracker learns
         # both ends of the exchange.
