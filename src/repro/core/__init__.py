@@ -13,7 +13,8 @@ Pipeline stages (Figure 6), each a :class:`repro.core.stages.Stage`:
 4. :mod:`repro.core.meetings` — group streams into meetings (§4.3).
 5. :mod:`repro.core.metrics` — per-stream performance estimation (§5).
 6. :mod:`repro.core.pipeline` — the end-to-end analyzer, composed from
-   :mod:`repro.core.stages` over the :mod:`repro.core.events` bus.
+   :mod:`repro.core.stages`; the layers above it append to its
+   ``record_hooks`` and ``eviction_hooks``.
 
 Scaling: :mod:`repro.core.rolling` (the analyzer's idle-eviction policy for
 bounded-memory continuous operation, ``AnalyzerConfig(rolling=True)``) and
@@ -33,15 +34,6 @@ from repro.core.config import (
     StoreConfig,
 )
 from repro.core.detector import StunTracker, ZoomClass, ZoomSubnetMatcher, ZoomTrafficDetector
-from repro.core.events import (
-    AnalysisEvent,
-    AnalysisSink,
-    EventBus,
-    MeetingFormed,
-    StreamEvicted,
-    StreamOpened,
-    StreamUpdated,
-)
 from repro.core.pipeline import AnalysisResult, ZoomAnalyzer
 from repro.core.rolling import FinalizedStream
 from repro.core.session import AnalysisSession
@@ -49,26 +41,19 @@ from repro.core.sharded import ShardedAnalyzer
 from repro.core.streams import MediaStream, RTPPacketRecord, StreamTable
 
 __all__ = [
-    "AnalysisEvent",
     "AnalysisResult",
     "AnalysisSession",
-    "AnalysisSink",
     "AnalyzerConfig",
     "FleetConfig",
     "FleetNodeConfig",
-    "EventBus",
     "FinalizedStream",
     "MediaStream",
-    "MeetingFormed",
     "ProtocolConfig",
     "RTPPacketRecord",
     "ServiceConfig",
     "ShardedAnalyzer",
     "StoreConfig",
-    "StreamEvicted",
-    "StreamOpened",
     "StreamTable",
-    "StreamUpdated",
     "StunTracker",
     "ZoomAnalyzer",
     "ZoomClass",

@@ -131,7 +131,9 @@ class MeetingGrouper:
         self.rtp_window_seconds = rtp_window_seconds
         self._uid_by_stream: dict[StreamKey, int] = {}
         self._next_uid = 0
-        self._next_meeting_id = 0
+        #: Meetings opened so far, merged ones included; ids are handed out
+        #: densely from 0, so this is also the next meeting's id.
+        self.meetings_formed = 0
         self._meetings: dict[int, Meeting] = {}
         self._meeting_alias: dict[int, int] = {}
         self._by_uid: dict[int, int] = {}
@@ -258,9 +260,9 @@ class MeetingGrouper:
         return [(src_ip, src_port), (dst_ip, dst_port)]
 
     def _new_meeting(self) -> Meeting:
-        meeting = Meeting(meeting_id=self._next_meeting_id)
+        meeting = Meeting(meeting_id=self.meetings_formed)
         self._meetings[meeting.meeting_id] = meeting
-        self._next_meeting_id += 1
+        self.meetings_formed += 1
         return meeting
 
     def _resolve(self, meeting_id: int) -> int:

@@ -3,9 +3,11 @@
 :class:`ZoomAnalyzer` composes the stages of the paper's methodology
 (Figure 6) from :mod:`repro.core.stages` — decode → classify (§4.1) →
 Zoom demux (§4.2) → stream/meeting assembly (§4.3) → per-stream metrics
-(§5), bit-rate bins and RTCP clock sync included — and publishes stream
-and meeting lifecycle events on an :class:`~repro.core.events.EventBus`
-that rolling eviction, service windows and QoE scoring subscribe to.
+(§5), bit-rate bins and RTCP clock sync included.  The layers above it
+(service windows, QoE scoring) attach by appending to two plain hook
+lists, :attr:`ZoomAnalyzer.record_hooks` (called per decoded record by the
+assembly stage) and :attr:`ZoomAnalyzer.eviction_hooks` (called per
+finalized stream by :meth:`ZoomAnalyzer.evict_stream`).
 It runs fully streaming: one pass over the capture, bounded state per
 stream.  Raw frame bytes are held only for the packet in flight — a
 :class:`~repro.net.packet.ParsedPacket` keeps its frame while it moves
@@ -26,7 +28,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.core.config import AnalyzerConfig
 from repro.core.detector import ZoomTrafficDetector
-from repro.core.events import EventBus, StreamEvicted
 from repro.core.meetings import Meeting, MeetingGrouper, group_streams
 from repro.core.metrics.bitrate import BitrateMeter
 from repro.core.metrics.frame_delay import FrameDelayAnalyzer
@@ -38,7 +39,7 @@ from repro.core.metrics.latency import RTPLatencyMatcher, TCPRTTEstimator
 from repro.core.metrics.loss import StreamLossTracker
 from repro.core.metrics.stalls import StallDetector, StallEvent, detect_stalls
 from repro.core.metrics.sync import SenderReportCollector
-from repro.core.rolling import FinalizedStream, IdleEviction
+from repro.core.rolling import FinalizedStream, IdleEviction, summarize_stream
 from repro.core.stages import (
     AssembleStage,
     ClassifyStage,
@@ -48,6 +49,7 @@ from repro.core.stages import (
     Stage,
     ZoomDemuxStage,
 )
+from repro.core.stages.assemble import RecordHook
 from repro.core.streams import MediaStream, RTPPacketRecord, StreamKey, StreamTable
 from repro.net.batch import FrameBatch, decode_columns
 from repro.net.packet import ParsedPacket
@@ -312,8 +314,15 @@ class ZoomAnalyzer:
     :meth:`feed_batch`, the one ingest implementation.  With
     ``config.rolling`` the analyzer owns an idle-eviction policy
     (:attr:`eviction`, see :mod:`repro.core.rolling`) consulted once per
-    batch.  Subscribers (see :mod:`repro.core.events`) attach via
-    ``analyzer.bus``, which the analyzer creates.
+    batch.
+
+    Attributes:
+        record_hooks: Called by the assembly stage for every decoded record
+            as ``hook(record, stream_key, opened, meeting_formed)``, in list
+            order.
+        eviction_hooks: Called by :meth:`evict_stream` with each evicted
+            stream's :class:`~repro.core.rolling.FinalizedStream`, after the
+            eviction policy has recorded it.
     """
 
     def __init__(
@@ -323,7 +332,8 @@ class ZoomAnalyzer:
         on_stream_finalized: Callable[[FinalizedStream], None] | None = None,
     ) -> None:
         self.config = config = config if config is not None else AnalyzerConfig()
-        self.bus = EventBus()
+        self.record_hooks: list[RecordHook] = []
+        self.eviction_hooks: list[Callable[[FinalizedStream], None]] = []
         self.result = AnalysisResult()
         self.result.telemetry = config.make_telemetry()
         self._telemetry = self.result.telemetry
@@ -344,7 +354,7 @@ class ZoomAnalyzer:
                 stun_timeout=config.stun_timeout,
             )
         self.result.streams = StreamTable(keep_records=config.keep_records)
-        self._assemble = AssembleStage(self.result, self.bus)
+        self._assemble = AssembleStage(self.result, self.record_hooks)
         self._decode_stage = DecodeStage(self.result)
         self._classify_stage = ClassifyStage(self.result, self.plugins)
         self.stages: tuple[Stage, ...] = (
@@ -439,11 +449,13 @@ class ZoomAnalyzer:
         """Finalize and release one stream from the live analyzer state.
 
         Removes the stream from the table, detaches its metric estimators,
-        and publishes :class:`~repro.core.events.StreamEvicted` carrying
-        both, so subscribers (rolling eviction, service windows, QoE
-        scoring) can emit closing summaries or drop per-stream state.
-        Returns the evicted stream, or ``None`` if the key is unknown.  A
-        later packet with the same key reopens the stream from scratch.
+        and summarizes both once into a
+        :class:`~repro.core.rolling.FinalizedStream` (loss trackers closed
+        out), which goes to the eviction policy first and then to every
+        :attr:`eviction_hooks` entry (service windows, QoE scoring), so they
+        can emit closing summaries or drop per-stream state.  Returns the
+        evicted stream, or ``None`` if the key is unknown.  A later packet
+        with the same key reopens the stream from scratch.
         """
         stream = self.result.streams.evict(key)
         if stream is None:
@@ -454,11 +466,11 @@ class ZoomAnalyzer:
             tel.observe("pipeline.evicted_stream_packets", stream.packets)
         metrics = self.result.stream_metrics.pop(key, None)
         self._assemble.forget(key)
-        self.bus.emit(
-            StreamEvicted(
-                timestamp=stream.last_time, stream=stream, metrics=metrics, reason=reason
-            )
-        )
+        summary = summarize_stream(stream, metrics, finalize=True)
+        if self.eviction is not None:
+            self.eviction.record(summary)
+        for hook in self.eviction_hooks:
+            hook(summary)
         return stream
 
     def hint_stun(self, parsed: ParsedPacket) -> bool:

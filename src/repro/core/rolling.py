@@ -6,11 +6,11 @@ border tap.  With ``AnalyzerConfig(rolling=True)`` the analyzer owns an
 :class:`IdleEviction` policy (``analyzer.eviction``) and consults it once
 per :meth:`~repro.core.pipeline.ZoomAnalyzer.feed_batch`: streams idle
 longer than the rolling window are finalized through the public
-:meth:`~repro.core.pipeline.ZoomAnalyzer.evict_stream` API, which publishes
-a :class:`~repro.core.events.StreamEvicted` event the policy (and the
-service windows and QoE tracker) subscribes to.  Meetings whose last stream
-is gone follow, and long-lived shared state (the latency matcher's pending
-table, the STUN tracker) is already bounded by design.
+:meth:`~repro.core.pipeline.ZoomAnalyzer.evict_stream` API, which hands the
+stream's :class:`FinalizedStream` summary to the policy and then to the
+analyzer's ``eviction_hooks`` (service windows, QoE tracker).  Meetings
+whose last stream is gone follow, and long-lived shared state (the latency
+matcher's pending table, the STUN tracker) is already bounded by design.
 
 This addresses the operational gap between the paper's 12-hour offline study
 and a deployment that never stops.
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.events import StreamEvicted
 from repro.core.streams import MediaStream, StreamKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -121,8 +120,7 @@ class IdleEviction:
     ``pipeline.evicted.*`` via the shared eviction path.
 
     Attributes:
-        finalized: Every :class:`FinalizedStream` produced so far.
-        streams_evicted: Their count.
+        streams_evicted: How many streams have been finalized so far.
         on_stream_finalized: Optional callback receiving each
             :class:`FinalizedStream` (e.g. to write a database row).
     """
@@ -135,11 +133,9 @@ class IdleEviction:
         self.idle_timeout = analyzer.config.rolling_idle_timeout
         self.sweep_interval = analyzer.config.rolling_sweep_interval
         self.on_stream_finalized = on_stream_finalized
-        self.finalized: list[FinalizedStream] = []
         self.streams_evicted = 0
         self._last_sweep = float("-inf")
         self._analyzer = analyzer
-        analyzer.bus.subscribe(StreamEvicted, self._on_stream_evicted)
 
     def after_batch(self, now: float) -> None:
         """Sweep if a sweep interval of capture time has passed.
@@ -185,10 +181,9 @@ class IdleEviction:
             analyzer.evict_stream(stream.key, reason="idle")
         return len(stale)
 
-    def _on_stream_evicted(self, event: StreamEvicted) -> None:
-        """Summarize an evicted stream from the event payload alone."""
-        record = summarize_stream(event.stream, event.metrics, finalize=True)
-        self.finalized.append(record)
+    def record(self, summary: FinalizedStream) -> None:
+        """Count one stream :meth:`~repro.core.pipeline.ZoomAnalyzer.evict_stream`
+        finalized and hand it to :attr:`on_stream_finalized`."""
         self.streams_evicted += 1
         if self.on_stream_finalized is not None:
-            self.on_stream_finalized(record)
+            self.on_stream_finalized(summary)

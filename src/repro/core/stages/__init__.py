@@ -6,8 +6,8 @@
 2. :class:`ClassifyStage` — §4.1 Zoom detection, TLS-RTT and STUN side exits;
 3. :class:`ZoomDemuxStage` — §4.2 proprietary decode, Table-2/3 counters,
    RTCP routing, direction resolution → :class:`RTPPacketRecord`;
-4. :class:`AssembleStage` — stream table + §4.3 meeting grouping, lifecycle
-   events;
+4. :class:`AssembleStage` — stream table + §4.3 meeting grouping, then the
+   analyzer's record hooks;
 5. :class:`MetricsStage` — §5 per-stream estimators and latency matching.
 
 Each stage implements the tiny :class:`Stage` protocol over a shared

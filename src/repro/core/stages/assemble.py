@@ -1,24 +1,29 @@
-"""Assembly stage: packet records → streams and meetings, with lifecycle events.
+"""Assembly stage: packet records → streams and meetings, then the record hooks.
 
 Routes each record into the stream table, runs the §4.3 grouping heuristic
-at stream-open time, and publishes :class:`StreamOpened`,
-:class:`StreamUpdated`, and :class:`MeetingFormed` events.  The known-stream
-set lives here — eviction goes through
+at stream-open time, and then calls every hook in the analyzer's
+``record_hooks`` as ``hook(record, stream_key, opened, meeting_formed)`` —
+after the stream table and grouper have seen the record and before the
+metrics stage does, because a window the hook closes reads live stream
+state.  The known-stream set lives here — eviction goes through
 :meth:`repro.core.pipeline.ZoomAnalyzer.evict_stream`, never by poking this
 state from outside.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.core.events import MeetingFormed, StreamOpened, StreamUpdated
 from repro.core.stages.base import PacketContext
-from repro.core.streams import StreamKey
+from repro.core.streams import RTPPacketRecord, StreamKey
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.events import EventBus
     from repro.core.pipeline import AnalysisResult
+
+#: ``hook(record, stream_key, opened, meeting_formed)``: ``opened`` is true
+#: on a stream's first record, ``meeting_formed`` when that record also
+#: opened a new meeting.
+RecordHook = Callable[[RTPPacketRecord, StreamKey, bool, bool], None]
 
 
 class AssembleStage:
@@ -26,12 +31,11 @@ class AssembleStage:
 
     name = "assemble"
 
-    def __init__(self, result: "AnalysisResult", bus: "EventBus") -> None:
+    def __init__(self, result: "AnalysisResult", hooks: list[RecordHook]) -> None:
         self._result = result
-        self._bus = bus
+        self._hooks = hooks
         self._telemetry = result.telemetry
         self._known_streams: set[StreamKey] = set()
-        self._known_meetings: set[int] = set()
 
     def process(self, ctx: PacketContext) -> bool:
         result = self._result
@@ -42,23 +46,18 @@ class AssembleStage:
         if key not in self._known_streams:
             self._known_streams.add(key)
             self._telemetry.count("assemble.stream_opened")
-            meeting_id = result.grouper.observe_new_stream(stream, result.streams)
-            if meeting_id not in self._known_meetings:
-                self._known_meetings.add(meeting_id)
+            grouper = result.grouper
+            formed = grouper.meetings_formed
+            grouper.observe_new_stream(stream, result.streams)
+            meeting_formed = grouper.meetings_formed != formed
+            if meeting_formed:
                 self._telemetry.count("assemble.meetings_formed")
-                meeting = result.grouper.meeting_of(key)
-                if meeting is not None:
-                    self._bus.emit(
-                        MeetingFormed(timestamp=record.timestamp, meeting=meeting)
-                    )
-            self._bus.emit(
-                StreamOpened(timestamp=record.timestamp, stream=stream, record=record)
-            )
+            for hook in self._hooks:
+                hook(record, key, True, meeting_formed)
         else:
             result.grouper.observe_stream_update(stream)
-            self._bus.emit(
-                StreamUpdated(timestamp=record.timestamp, stream=stream, record=record)
-            )
+            for hook in self._hooks:
+                hook(record, key, False, False)
         return True
 
     def forget(self, key: StreamKey) -> bool:

@@ -53,10 +53,9 @@ class Stage(Protocol):
     """One step of the analyzer pipeline.
 
     Stages are constructed with a reference to the shared
-    :class:`~repro.core.pipeline.AnalysisResult` (the assembly stage, the
-    one that publishes lifecycle events, also with the
-    :class:`~repro.core.events.EventBus`) and keep whatever per-run state
-    they need (the assembly stage's known-stream set, for example).
+    :class:`~repro.core.pipeline.AnalysisResult` (the assembly stage also
+    with the analyzer's ``record_hooks`` list) and keep whatever per-run
+    state they need (the assembly stage's known-stream set, for example).
     """
 
     name: str

@@ -4,8 +4,8 @@ The ROADMAP's "Closed-loop QoE" layer: :class:`~repro.qoe.machine.QoeStateMachin
 classifies each meeting into GOOD / DEGRADED / IMPAIRED / CRITICAL from the
 window metrics the pipeline already emits (§5), with hysteresis so flapping
 links don't flap alerts, and :class:`~repro.qoe.tracker.MeetingQoeTracker`
-feeds it from the analyzer's event bus in batch, rolling, and live paths
-alike.
+feeds it from the analyzer's record and eviction hooks in batch, rolling,
+and live paths alike.
 """
 
 from repro.qoe.machine import QoeSample, QoeState, QoeStateMachine, QoeTransition

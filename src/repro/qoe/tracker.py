@@ -1,14 +1,11 @@
-"""Event-bus sink that scores meeting QoE windows and drives the machines.
+"""Scores meeting QoE windows and drives the per-meeting state machines.
 
-:class:`MeetingQoeTracker` subscribes to the analyzer's stream lifecycle
-events (:class:`~repro.core.events.StreamOpened` /
-:class:`~repro.core.events.StreamUpdated` /
-:class:`~repro.core.events.StreamEvicted`), folds every decoded media packet
-into tumbling capture-time windows, and at each window close feeds one
+:class:`MeetingQoeTracker` joins the analyzer's ``record_hooks`` and
+``eviction_hooks``, folds every decoded media packet into tumbling
+capture-time windows, and at each window close feeds one
 :class:`~repro.qoe.machine.QoeSample` per meeting to that meeting's
 :class:`~repro.qoe.machine.QoeStateMachine`.  Transitions come back out as
-:class:`~repro.core.events.MeetingQoeChanged` events on the same bus, as
-``qoe.*`` telemetry counters, and on :attr:`transitions` for tests and
+``qoe.*`` telemetry counters and on :attr:`transitions` for tests and
 report layers.
 
 Signal definitions (all monitor-visible, §5 of the paper):
@@ -36,7 +33,7 @@ maximum capture timestamp passes ``window end + lateness``, strictly in
 index order, and packets whose window is already behind the watermark are
 counted (``qoe.late_packets``) and dropped.  Because every path — one pass,
 rolling eviction, the live service — feeds the same ``feed_batch`` and so
-publishes the identical record stream on the bus, all of them produce the
+hands the tracker the identical record stream, all of them produce the
 identical transition sequence.
 """
 
@@ -45,13 +42,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.config import QoeConfig
-from repro.core.events import (
-    MeetingQoeChanged,
-    AnalysisSink,
-    StreamEvicted,
-    StreamOpened,
-    StreamUpdated,
-)
 from repro.core.streams import RTPPacketRecord, StreamKey
 from repro.core.windows import TumblingWindows
 from repro.qoe.machine import QoeSample, QoeState, QoeStateMachine, QoeTransition
@@ -62,8 +52,8 @@ from repro.zoom.constants import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.meetings import Meeting
     from repro.core.pipeline import ZoomAnalyzer
+    from repro.core.rolling import FinalizedStream
     from repro.telemetry.registry import Telemetry
 
 #: Sequence gaps wider than this are discontinuities, not countable loss.
@@ -131,13 +121,13 @@ class _WindowAcc:
         return peak
 
 
-class MeetingQoeTracker(AnalysisSink):
-    """Per-meeting QoE scoring over the analyzer's event stream.
+class MeetingQoeTracker:
+    """Per-meeting QoE scoring over the analyzer's decoded records.
 
     Args:
         analyzer: The :class:`~repro.core.pipeline.ZoomAnalyzer` (one-pass
-            or rolling mode); the tracker registers itself on its event
-            bus.
+            or rolling mode); the tracker appends itself to its record and
+            eviction hooks.
         config: The :class:`~repro.core.config.QoeConfig`; defaults apply.
         telemetry: Registry for ``qoe.*`` counters; defaults to the
             analyzer result's registry.
@@ -151,7 +141,6 @@ class MeetingQoeTracker(AnalysisSink):
         telemetry: "Telemetry | None" = None,
     ) -> None:
         self.config = config if config is not None else QoeConfig()
-        self._bus = analyzer.bus
         self._result = analyzer.result
         self._telemetry = telemetry if telemetry is not None else self._result.telemetry
         self.machines: dict[int, QoeStateMachine] = {}
@@ -163,46 +152,42 @@ class MeetingQoeTracker(AnalysisSink):
             self._new_window,
             self._close_window,
         )
-        self._seq: dict[tuple[StreamKey, int], _SubStreamSeqState] = {}
+        # stream key -> payload type -> sequence/jitter state
+        self._seq: dict[StreamKey, dict[int, _SubStreamSeqState]] = {}
         self._fps_baseline: dict[StreamKey, float] = {}
-        self._bus.register(self)
+        analyzer.record_hooks.append(self._ingest)
+        analyzer.eviction_hooks.append(self._on_evicted)
 
-    # ----------------------------------------------------------- event hooks
-
-    def on_stream_opened(self, event: StreamOpened) -> None:
-        self._ingest(event.record)
-
-    def on_stream_updated(self, event: StreamUpdated) -> None:
-        self._ingest(event.record)
-
-    def on_stream_evicted(self, event: StreamEvicted) -> None:
+    def _on_evicted(self, summary: "FinalizedStream") -> None:
         """Drop the evicted stream's persistent tracking state.
 
         Pending window accumulators keep the packets the stream already
         contributed — those windows still score — but sequence/jitter/fps
         state dies with the stream, so an SSRC reuse starts clean.
         """
-        key = event.stream.key
-        for sub_key in [k for k in self._seq if k[0] == key]:
-            del self._seq[sub_key]
-        self._fps_baseline.pop(key, None)
+        self._seq.pop(summary.key, None)
+        self._fps_baseline.pop(summary.key, None)
 
     # -------------------------------------------------------------- ingestion
 
-    def _ingest(self, record: RTPPacketRecord) -> None:
+    def _ingest(
+        self, record: RTPPacketRecord, key: StreamKey, opened: bool, meeting_formed: bool
+    ) -> None:
         accs = self._windows.slot(record.timestamp)
         if accs is None:
             self._telemetry.count("qoe.late_packets")
             return
-        key = record.stream_key
         acc = accs.get(key)
         if acc is None:
             acc = accs[key] = _WindowAcc(record.media_type)
         acc.packets += 1
 
-        sub = self._seq.get((key, record.payload_type))
+        subs = self._seq.get(key)
+        if subs is None:
+            subs = self._seq[key] = {}
+        sub = subs.get(record.payload_type)
         if sub is None:
-            sub = self._seq[(key, record.payload_type)] = _SubStreamSeqState()
+            sub = subs[record.payload_type] = _SubStreamSeqState()
         in_order = True
         if sub.highest is None:
             sub.highest = record.sequence
@@ -260,13 +245,11 @@ class MeetingQoeTracker(AnalysisSink):
         cfg = self.config
         grouper = self._result.grouper
         by_meeting: dict[int, list[tuple[StreamKey, _WindowAcc]]] = {}
-        meetings: dict[int, "Meeting"] = {}
         for key, acc in accs.items():
             meeting = grouper.meeting_of(key)
             if meeting is None:
                 continue
             by_meeting.setdefault(meeting.meeting_id, []).append((key, acc))
-            meetings[meeting.meeting_id] = meeting
 
         for meeting_id, entries in sorted(by_meeting.items()):
             packets = sum(acc.packets for _, acc in entries)
@@ -315,7 +298,7 @@ class MeetingQoeTracker(AnalysisSink):
             transition = machine.observe(sample)
             self._telemetry.count("qoe.windows")
             if transition is not None:
-                self._record_transition(meetings[meeting_id], transition)
+                self._record_transition(meeting_id, transition)
             if machine.state is QoeState.GOOD:
                 self._learn_baselines(fps_windows)
 
@@ -333,26 +316,13 @@ class MeetingQoeTracker(AnalysisSink):
 
     # ------------------------------------------------------------ transitions
 
-    def _record_transition(
-        self, meeting: "Meeting", transition: QoeTransition
-    ) -> None:
-        self.transitions.append((meeting.meeting_id, transition))
+    def _record_transition(self, meeting_id: int, transition: QoeTransition) -> None:
+        self.transitions.append((meeting_id, transition))
         tel = self._telemetry
         tel.count("qoe.transitions")
         tel.count(f"qoe.transitions_to.{transition.state.name.lower()}")
         if transition.state >= QoeState.IMPAIRED:
             tel.count("qoe.alerts")
-        self._bus.emit(
-            MeetingQoeChanged(
-                timestamp=transition.time,
-                meeting=meeting,
-                previous=transition.previous,
-                state=transition.state,
-                sample=transition.sample,
-                windows_in_previous=transition.windows_in_previous,
-                reason=transition.reason,
-            )
-        )
 
     # --------------------------------------------------------------- queries
 

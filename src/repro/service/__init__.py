@@ -5,7 +5,7 @@ capture, get one :class:`~repro.core.pipeline.AnalysisResult`.  This package
 is the long-running counterpart the paper's deployment section (§6.2) calls
 for: it follows a capture directory a monitor daemon is still writing
 (:mod:`repro.service.tail`), feeds a bounded-memory rolling-mode
-:class:`~repro.core.pipeline.ZoomAnalyzer`, folds the event stream
+:class:`~repro.core.pipeline.ZoomAnalyzer`, folds its decoded records
 into tumbling per-media/per-meeting windows (:mod:`repro.service.windows`),
 and exports them as Prometheus metrics, health probes, and a JSONL window
 log (:mod:`repro.service.exporters`).  :mod:`repro.service.runner` is the

@@ -26,10 +26,10 @@ Design decisions an operator should know:
   live stream is finalized through one last sweep, and all open windows
   are closed and exported exactly once — ``kill`` then diff is a lossless
   way to end a measurement campaign.
-* **Per-meeting QoE state machines ride the same stream events.**  When
+* **Per-meeting QoE state machines ride the same decoded records.**  When
   ``config.qoe.enabled`` (the default), a
-  :class:`~repro.qoe.MeetingQoeTracker` subscribes to the rolling
-  analyzer's event bus, scores tumbling QoE windows per meeting, and
+  :class:`~repro.qoe.MeetingQoeTracker` joins the rolling analyzer's
+  record and eviction hooks, scores tumbling QoE windows per meeting, and
   pre-seeds the ``qoe.*`` alert counters so dashboards can alert on
   ``increase()`` from the zero sample; per-state fleet gauges
   (``qoe.meetings_good`` … ``qoe.meetings_critical``) ride the same

@@ -1,10 +1,11 @@
-"""Tumbling-window aggregation of the live analysis event stream.
+"""Tumbling-window aggregation of the live analysis.
 
 The rolling analyzer answers "what happened since the process started"; an
 operator dashboard needs "what happened in the last N seconds".
-:class:`WindowAggregator` is an :class:`~repro.core.events.AnalysisSink`
-that folds stream/meeting events — plus each batch's frame sizes for
-whole-traffic totals — into tumbling windows of *capture time*, each
+:class:`WindowAggregator` hooks into the analyzer (``record_hooks`` and
+``eviction_hooks``) and folds decoded records, formed meetings and evicted
+streams — plus each batch's frame sizes for whole-traffic totals — into
+tumbling windows of *capture time*, each
 summarizing per-media-type traffic and quality.  Batches enter the
 analyzer *through* the aggregator (:meth:`WindowAggregator.ingest`), which
 owns the volume → feed → watermark ordering.
@@ -12,9 +13,9 @@ owns the volume → feed → watermark ordering.
 Window lifecycle is the shared watermark clock,
 :class:`~repro.core.windows.TumblingWindows` (the standard trick for
 out-of-order tolerance with bounded state): the watermark trails the newest
-event timestamp by ``lateness`` seconds, any window ending at or before the
-watermark is closed and emitted, and events whose window is already behind
-the watermark are counted (``service.late_events``) and dropped rather than
+timestamp by ``lateness`` seconds, any window ending at or before the
+watermark is closed and emitted, and input whose window is already behind
+the watermark is counted (``service.late_events``) and dropped rather than
 re-opening a closed window.  A hard cap on simultaneously open windows
 (``max_open_windows``) force-closes the oldest beyond it, so a capture with
 a wildly wrong clock cannot grow aggregator memory without bound.
@@ -33,15 +34,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.core.events import (
-    AnalysisSink,
-    MeetingFormed,
-    StreamEvicted,
-    StreamOpened,
-    StreamUpdated,
-)
-from repro.core.rolling import FinalizedStream, live_stream_snapshots, summarize_stream
-from repro.core.streams import StreamKey
+from repro.core.rolling import FinalizedStream, live_stream_snapshots
+from repro.core.streams import RTPPacketRecord, StreamKey
 from repro.core.windows import TumblingWindows
 from repro.telemetry.registry import Telemetry
 from repro.zoom.constants import ZoomMediaType
@@ -181,13 +175,14 @@ class WindowRecord:
         return record
 
 
-class WindowAggregator(AnalysisSink):
-    """Fold analysis events into tumbling capture-time windows.
+class WindowAggregator:
+    """Fold the analyzer's records and evictions into tumbling capture-time
+    windows.
 
     Args:
         analyzer: The (rolling-mode) analyzer :meth:`ingest` feeds and
-            whose event bus this sink registers on; also queried for
-            live-stream summaries when a window closes.
+            whose record and eviction hooks this aggregator joins; also
+            queried for live-stream summaries when a window closes.
         window_seconds: Tumbling window width.
         lateness: Watermark lag — how long a window stays open after
             capture time passes its end (absorbs file-rotation reordering).
@@ -221,7 +216,8 @@ class WindowAggregator(AnalysisSink):
         self._evicted_summaries: list[FinalizedStream] = []
         self.windows_emitted = 0
         self.late_events = 0
-        analyzer.bus.register(self)
+        analyzer.record_hooks.append(self._on_record)
+        analyzer.eviction_hooks.append(self._on_evicted)
 
     # ----------------------------------------------------------- ingestion
 
@@ -229,9 +225,9 @@ class WindowAggregator(AnalysisSink):
         """Account one batch's volume, feed it to the analyzer, move time on.
 
         Ordering matters: volume first *without* moving the watermark (the
-        event bus only ever sees Zoom-classified packets, so this is what
+        record hook only ever sees decoded media packets, so this is what
         makes a window's ``packets_total``/``bytes_total`` exact), then the
-        feed (whose stream events must land in still-open windows), then one
+        feed (whose records must land in still-open windows), then one
         watermark advance to the batch's end.  Both window totals and
         per-window stream stats stay exact; windows just close at batch
         rather than packet granularity.  Volume reads the batch's
@@ -248,48 +244,49 @@ class WindowAggregator(AnalysisSink):
     def finish(self) -> list[WindowRecord]:
         """End of input: finalize every live stream, then close every
         window exactly once.  The sweep comes first so the evictions it
-        publishes still land in an open window.  Returns the windows this
-        call closed.
+        makes still land in an open window.  Returns the windows this call
+        closed.
         """
         self._analyzer.eviction.sweep(float("inf"))
         return self.flush(final=True)
 
-    def on_stream_opened(self, event: StreamOpened) -> None:
-        window = self._windows.slot(event.timestamp)
+    def _on_record(
+        self,
+        record: RTPPacketRecord,
+        key: StreamKey,
+        opened: bool,
+        meeting_formed: bool,
+    ) -> None:
+        """Count one decoded record (and the meeting it formed) in its window.
+
+        A formed meeting and its opening record share a timestamp and so a
+        window; when that window is late, each counts as one late input.
+        """
+        timestamp = record.timestamp
+        window = self._windows.slot(timestamp)
         if window is None:
             self._count_late()
+            if meeting_formed:
+                self._count_late()
         else:
-            stats = window.media_stats(event.record.media_type)
-            stats.streams_opened += 1
-            self._count_record(window, stats, event)
-        self._windows.advance(event.timestamp)
+            window.meetings_formed += meeting_formed
+            window.zoom_packets += 1
+            stats = window.media_stats(record.media_type)
+            stats.streams_opened += opened
+            stats.packets += 1
+            stats.bytes += record.payload_len
+            stats.stream_keys.add(key)
+            if record.is_p2p:
+                stats.p2p_packets += 1
+        self._windows.advance(timestamp)
 
-    def on_stream_updated(self, event: StreamUpdated) -> None:
-        window = self._windows.slot(event.timestamp)
-        if window is None:
-            self._count_late()
-        else:
-            self._count_record(
-                window, window.media_stats(event.record.media_type), event
-            )
-        self._windows.advance(event.timestamp)
-
-    def on_meeting_formed(self, event: MeetingFormed) -> None:
-        window = self._windows.slot(event.timestamp)
-        if window is None:
-            self._count_late()
-        else:
-            window.meetings_formed += 1
-        self._windows.advance(event.timestamp)
-
-    def on_stream_evicted(self, event: StreamEvicted) -> None:
-        # The event's timestamp is the stream's last activity, which by
-        # definition of idle eviction lies an idle-timeout in the past —
-        # usually in a window already closed.  The eviction *count* is
-        # therefore attributed to the window being processed now, and the
-        # closing summary joins a bounded buffer that quality fill-in
-        # consults for every window the stream's lifetime overlaps.
-        summary = summarize_stream(event.stream, event.metrics)
+    def _on_evicted(self, summary: FinalizedStream) -> None:
+        # The stream's last activity lies, by definition of idle eviction,
+        # an idle-timeout in the past — usually in a window already closed.
+        # The eviction *count* is therefore attributed to the window being
+        # processed now, and the closing summary joins a bounded buffer
+        # that quality fill-in consults for every window the stream's
+        # lifetime overlaps.
         self._evicted_summaries.append(summary)
         now = self._windows.max_ts
         if now > float("-inf"):
@@ -323,16 +320,6 @@ class WindowAggregator(AnalysisSink):
             return
         window.packets_total += 1
         window.bytes_total += raw_len
-
-    def _count_record(
-        self, window: WindowRecord, stats: MediaWindowStats, event: StreamOpened
-    ) -> None:
-        window.zoom_packets += 1
-        stats.packets += 1
-        stats.bytes += event.record.payload_len
-        stats.stream_keys.add(event.stream.key)
-        if event.record.is_p2p:
-            stats.p2p_packets += 1
 
     def _count_late(self) -> None:
         self.late_events += 1

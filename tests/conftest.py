@@ -127,11 +127,10 @@ def simulated(config: MeetingConfig) -> SimulationResult:
     return MeetingSimulator(config).run()
 
 
-@pytest.fixture(scope="session")
-def sfu_meeting_result() -> SimulationResult:
+def sfu_meeting_config() -> MeetingConfig:
     """A 3-party SFU meeting: two on-campus, one off-campus with screen
     share, one congestion episode on the first sender's uplink."""
-    config = MeetingConfig(
+    return MeetingConfig(
         meeting_id="fixture-sfu",
         participants=(
             ParticipantConfig(
@@ -155,7 +154,12 @@ def sfu_meeting_result() -> SimulationResult:
         allow_p2p=False,
         seed=1234,
     )
-    return simulated(config)
+
+
+@pytest.fixture(scope="session")
+def sfu_meeting_result() -> SimulationResult:
+    """:func:`sfu_meeting_config`, simulated once per session."""
+    return simulated(sfu_meeting_config())
 
 
 @pytest.fixture(scope="session")

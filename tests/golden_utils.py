@@ -23,11 +23,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.config import AnalyzerConfig, ProtocolConfig, QoeConfig
-from repro.core.pipeline import AnalysisResult
+from repro.core.pipeline import AnalysisResult, ZoomAnalyzer
 from repro.core.session import AnalysisSession
 from repro.net.packet import CapturedPacket
 from repro.net.pcap import write_pcap
-from repro.net.source import PcapFileSource
+from repro.net.source import IterableSource, PcapFileSource
+from repro.service.windows import WindowAggregator, WindowRecord
 from repro.simulation import (
     CongestionEvent,
     MeetingConfig,
@@ -38,11 +39,12 @@ from repro.simulation import (
 )
 from repro.telemetry import shard_invariant_counters
 from repro.zoom.constants import ZoomMediaType
-from tests.conftest import simulated
+from tests.conftest import sfu_meeting_config, simulated
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "meeting_small.json"
 IMPAIRED_GOLDEN_PATH = Path(__file__).parent / "golden" / "meeting_impaired.json"
 WEBRTC_GOLDEN_PATH = Path(__file__).parent / "golden" / "webrtc_small.json"
+SERVICE_WINDOWS_GOLDEN_PATH = Path(__file__).parent / "golden" / "service_windows.json"
 
 #: Float fields are rounded before comparison so the snapshot is robust to
 #: formatting, yet still catches any real drift in the estimators.
@@ -291,28 +293,53 @@ def compute_webrtc_summary(tmp_dir: Path) -> dict[str, Any]:
     return summary
 
 
-def load_golden_snapshot() -> dict[str, Any]:
-    return json.loads(GOLDEN_PATH.read_text())
+def run_service_windows(
+    captures: list[CapturedPacket],
+) -> tuple[list[WindowRecord], ZoomAnalyzer]:
+    """Feed ``captures`` through a :class:`WindowAggregator` over a rolling
+    analyzer (5 s windows, 2 s lateness) and finish; returns the closed
+    windows and the analyzer."""
+    rolling = ZoomAnalyzer(
+        AnalyzerConfig(rolling=True, rolling_idle_timeout=60.0, telemetry=True)
+    )
+    closed: list[WindowRecord] = []
+    aggregator = WindowAggregator(
+        rolling,
+        window_seconds=5.0,
+        lateness=2.0,
+        on_window=(closed.append,),
+        telemetry=rolling.result.telemetry,
+    )
+    for batch in IterableSource(captures).frame_batches():
+        aggregator.ingest(batch)
+    aggregator.finish()
+    return closed, rolling
 
 
-def write_golden_snapshot(summary: dict[str, Any]) -> None:
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+def summarize_service_windows(
+    windows: list[WindowRecord], rolling: ZoomAnalyzer
+) -> dict[str, Any]:
+    """Every closed window's wire record plus the ``service.*`` counters."""
+    return {
+        "scenario": "fixture-sfu seed=1234 (3-party SFU, 25s), 5s windows, 2s lateness",
+        "windows": [window.to_dict() for window in windows],
+        "service_counters": rolling.result.telemetry_snapshot().counters_under(
+            "service."
+        ),
+    }
 
 
-def load_impaired_snapshot() -> dict[str, Any]:
-    return json.loads(IMPAIRED_GOLDEN_PATH.read_text())
+def compute_service_windows_summary() -> dict[str, Any]:
+    """The service-window snapshot over the shared SFU fixture trace."""
+    return summarize_service_windows(
+        *run_service_windows(simulated(sfu_meeting_config()).captures)
+    )
 
 
-def write_impaired_snapshot(summary: dict[str, Any]) -> None:
-    IMPAIRED_GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    IMPAIRED_GOLDEN_PATH.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+def load_snapshot(path: Path) -> dict[str, Any]:
+    return json.loads(path.read_text())
 
 
-def load_webrtc_snapshot() -> dict[str, Any]:
-    return json.loads(WEBRTC_GOLDEN_PATH.read_text())
-
-
-def write_webrtc_snapshot(summary: dict[str, Any]) -> None:
-    WEBRTC_GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    WEBRTC_GOLDEN_PATH.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+def write_snapshot(path: Path, summary: dict[str, Any]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -9,8 +9,9 @@ then review the diffs of ``tests/golden/meeting_small.json`` (estimator
 outputs on a healthy meeting), ``tests/golden/meeting_impaired.json``
 (the QoE transition/alert sequence on the bandwidth-cliff scenario), and
 ``tests/golden/webrtc_small.json`` (the mixed zoom+rtp protocol-registry
-trace) and commit them alongside the change that caused them.  All three
-snapshots regenerate in one pass.
+trace), and ``tests/golden/service_windows.json`` (the live service's
+closed windows and ``service.*`` counters) and commit them alongside the
+change that caused them.  All four snapshots regenerate in one pass.
 """
 
 from __future__ import annotations
@@ -27,20 +28,20 @@ for entry in (REPO_ROOT, REPO_ROOT / "src"):
 from tests.golden_utils import (  # noqa: E402  (path setup must come first)
     GOLDEN_PATH,
     IMPAIRED_GOLDEN_PATH,
+    SERVICE_WINDOWS_GOLDEN_PATH,
     WEBRTC_GOLDEN_PATH,
     compute_golden_summary,
     compute_impaired_summary,
+    compute_service_windows_summary,
     compute_webrtc_summary,
-    write_golden_snapshot,
-    write_impaired_snapshot,
-    write_webrtc_snapshot,
+    write_snapshot,
 )
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp_dir:
         summary = compute_golden_summary(Path(tmp_dir))
-    write_golden_snapshot(summary)
+    write_snapshot(GOLDEN_PATH, summary)
     print(f"wrote {GOLDEN_PATH.relative_to(REPO_ROOT)}")
     print(
         "  packets={total} zoom={zoom} streams={streams} meetings={meetings}".format(
@@ -52,7 +53,7 @@ def main() -> int:
     )
     with tempfile.TemporaryDirectory() as tmp_dir:
         impaired = compute_impaired_summary(Path(tmp_dir))
-    write_impaired_snapshot(impaired)
+    write_snapshot(IMPAIRED_GOLDEN_PATH, impaired)
     print(f"wrote {IMPAIRED_GOLDEN_PATH.relative_to(REPO_ROOT)}")
     print(
         "  transitions={transitions} alerts={alerts}".format(
@@ -62,7 +63,7 @@ def main() -> int:
     )
     with tempfile.TemporaryDirectory() as tmp_dir:
         webrtc = compute_webrtc_summary(Path(tmp_dir))
-    write_webrtc_snapshot(webrtc)
+    write_snapshot(WEBRTC_GOLDEN_PATH, webrtc)
     print(f"wrote {WEBRTC_GOLDEN_PATH.relative_to(REPO_ROOT)}")
     print(
         "  packets={total} claimed={zoom} streams={streams} "
@@ -72,6 +73,14 @@ def main() -> int:
             streams=len(webrtc["streams"]),
             claimed=webrtc["protocol_counters"].get("claimed.rtp", 0),
             conflicts=webrtc["protocol_counters"].get("conflicts", 0),
+        )
+    )
+    windows = compute_service_windows_summary()
+    write_snapshot(SERVICE_WINDOWS_GOLDEN_PATH, windows)
+    print(f"wrote {SERVICE_WINDOWS_GOLDEN_PATH.relative_to(REPO_ROOT)}")
+    print(
+        "  windows={windows} service={counters}".format(
+            windows=len(windows["windows"]), counters=windows["service_counters"]
         )
     )
     return 0

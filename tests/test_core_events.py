@@ -1,106 +1,42 @@
-"""The event bus, sink registry, staged-analyzer event emission, and the
-stages' direct feeds into bit-rate binning and RTCP clock sync."""
+"""The analyzer's record and eviction hooks, and the stages' direct feeds
+into bit-rate binning and RTCP clock sync."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import ZoomAnalyzer
-from repro.core.events import (
-    AnalysisSink,
-    EventBus,
-    MeetingFormed,
-    StreamEvicted,
-    StreamOpened,
-    StreamUpdated,
-)
 
 from tests.golden_utils import mixed_protocol_config, mixed_trace_captures
 
 
-class _CountingSink(AnalysisSink):
-    """Counts every event class it sees."""
+class _Recorder:
+    """Joins an analyzer's hooks and records what they are called with."""
 
-    def __init__(self) -> None:
+    def __init__(self, analyzer: ZoomAnalyzer) -> None:
+        self.grouper = analyzer.result.grouper
         self.opened = []
         self.updated = 0
         self.evicted = []
         self.meetings = []
+        analyzer.record_hooks.append(self.on_record)
+        analyzer.eviction_hooks.append(self.evicted.append)
 
-    def on_stream_opened(self, event: StreamOpened) -> None:
-        self.opened.append(event.stream.key)
-
-    def on_stream_updated(self, event: StreamUpdated) -> None:
-        self.updated += 1
-
-    def on_stream_evicted(self, event: StreamEvicted) -> None:
-        self.evicted.append(event)
-
-    def on_meeting_formed(self, event: MeetingFormed) -> None:
-        self.meetings.append(event.meeting.meeting_id)
+    def on_record(self, record, key, opened, meeting_formed) -> None:
+        assert key == record.stream_key
+        if meeting_formed:
+            self.meetings.append(self.grouper.meeting_of(key).meeting_id)
+        if opened:
+            self.opened.append(key)
+        else:
+            self.updated += 1
 
 
 def _analyze(captures):
-    """A fresh analyzer with a counting sink registered, fed ``captures``."""
-    analyzer, sink = ZoomAnalyzer(), _CountingSink()
-    analyzer.bus.register(sink)
-    return analyzer, sink, analyzer.analyze(captures)
-
-
-class TestEventBus:
-    def test_subscribe_and_emit(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(MeetingFormed, seen.append)
-        event = MeetingFormed(timestamp=1.0, meeting=None)
-        bus.emit(event)
-        assert seen == [event]
-
-    def test_emit_dispatches_by_exact_type(self):
-        bus = EventBus()
-        opened, updated = [], []
-        bus.subscribe(StreamOpened, opened.append)
-        bus.subscribe(StreamUpdated, updated.append)
-        bus.emit(StreamOpened(timestamp=0.0, stream=None, record=None))
-        assert len(opened) == 1 and not updated
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(MeetingFormed, seen.append)
-        bus.unsubscribe(MeetingFormed, seen.append)
-        bus.emit(MeetingFormed(timestamp=0.0, meeting=None))
-        assert not seen
-        assert not bus.has_subscribers(MeetingFormed)
-
-    def test_handlers_run_in_subscription_order(self):
-        bus = EventBus()
-        order = []
-        bus.subscribe(MeetingFormed, lambda e: order.append("a"))
-        bus.subscribe(MeetingFormed, lambda e: order.append("b"))
-        bus.emit(MeetingFormed(timestamp=0.0, meeting=None))
-        assert order == ["a", "b"]
-
-
-class TestAnalysisSink:
-    def test_subscriptions_cover_only_overridden_hooks(self):
-        class Partial(AnalysisSink):
-            def on_stream_evicted(self, event):
-                pass
-
-        types = {event_type for event_type, _ in Partial().subscriptions()}
-        assert types == {StreamEvicted}
-
-    def test_base_sink_subscribes_to_nothing(self):
-        assert list(AnalysisSink().subscriptions()) == []
-
-    def test_register_unregister(self):
-        bus = EventBus()
-        sink = _CountingSink()
-        bus.register(sink)
-        assert bus.has_subscribers(StreamOpened)
-        bus.unregister(sink)
-        assert not bus.has_subscribers(StreamOpened)
+    """A fresh analyzer with a recorder attached, fed ``captures``."""
+    analyzer = ZoomAnalyzer()
+    recorder = _Recorder(analyzer)
+    return analyzer, recorder, analyzer.analyze(captures)
 
 
 class TestAnalyzerEvents:
@@ -109,21 +45,22 @@ class TestAnalyzerEvents:
         return _analyze(sfu_meeting_result.captures)
 
     def test_stream_opened_once_per_stream(self, run):
-        _, sink, result = run
-        assert sorted(sink.opened) == sorted(s.key for s in result.streams)
+        _, recorder, result = run
+        assert sorted(recorder.opened) == sorted(s.key for s in result.streams)
 
     def test_opened_plus_updated_covers_every_record(self, run):
-        _, sink, result = run
+        _, recorder, result = run
         total_records = sum(s.packets for s in result.streams)
-        assert len(sink.opened) + sink.updated == total_records
+        assert len(recorder.opened) + recorder.updated == total_records
 
     def test_meeting_formed_for_every_final_meeting(self, run):
-        _, sink, result = run
+        _, recorder, result = run
         # formation fires per opened meeting; later §4.3.2 step-3 merges may
         # collapse several into one, so formed ⊇ final and never duplicates
         final = {m.meeting_id for m in result.grouper.meetings()}
-        assert final <= set(sink.meetings)
-        assert len(sink.meetings) == len(set(sink.meetings))
+        assert final <= set(recorder.meetings)
+        assert len(recorder.meetings) == len(set(recorder.meetings))
+        assert len(recorder.meetings) == result.grouper.meetings_formed
 
     @pytest.fixture(scope="class")
     def mixed(self):
@@ -149,18 +86,18 @@ class TestAnalyzerEvents:
 
 class TestEvictStream:
     def test_evict_removes_and_publishes(self, sfu_meeting_result):
-        analyzer, sink, result = _analyze(sfu_meeting_result.captures)
+        analyzer, recorder, result = _analyze(sfu_meeting_result.captures)
         victim = result.streams.streams()[0]
+        metrics = result.stream_metrics[victim.key]
         evicted = analyzer.evict_stream(victim.key, reason="test")
         assert evicted is victim
         assert result.streams.get(victim.key) is None
         assert victim.key not in result.stream_metrics
-        assert len(sink.evicted) == 1
-        event = sink.evicted[0]
-        assert event.stream is victim
-        assert event.metrics is not None
-        assert event.reason == "test"
-        assert event.timestamp == victim.last_time
+        (summary,) = recorder.evicted
+        assert summary.key == victim.key
+        assert summary.packets == victim.packets
+        assert summary.last_time == victim.last_time
+        assert summary.frames_completed == metrics.assembler.completed_count
 
     def test_evict_unknown_key_returns_none(self):
         analyzer = ZoomAnalyzer()
@@ -168,7 +105,7 @@ class TestEvictStream:
         assert analyzer.evict_stream(key) is None
 
     def test_evicted_stream_can_reopen(self, sfu_meeting_result):
-        analyzer, sink, result = _analyze(sfu_meeting_result.captures)
+        analyzer, recorder, result = _analyze(sfu_meeting_result.captures)
         count = len(result.streams)
         victim = max(result.streams.streams(), key=lambda s: s.packets)
         analyzer.evict_stream(victim.key)
@@ -176,4 +113,4 @@ class TestEvictStream:
         # replaying the capture reopens the stream under the same key
         analyzer.analyze(sfu_meeting_result.captures)
         assert result.streams.get(victim.key) is not None
-        assert victim.key in [e.stream.key for e in sink.evicted]
+        assert victim.key in [summary.key for summary in recorder.evicted]

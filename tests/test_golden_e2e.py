@@ -22,9 +22,7 @@ from tests.golden_utils import (
     compute_golden_summary,
     compute_impaired_summary,
     compute_webrtc_summary,
-    load_golden_snapshot,
-    load_impaired_snapshot,
-    load_webrtc_snapshot,
+    load_snapshot,
 )
 
 REGEN_HINT = (
@@ -45,7 +43,7 @@ class TestGoldenEndToEnd:
         )
 
     def test_matches_snapshot(self, actual_summary):
-        expected = load_golden_snapshot()
+        expected = load_snapshot(GOLDEN_PATH)
         if actual_summary == expected:
             return
         # Point at the drifted sections before failing on the full dict.
@@ -100,7 +98,7 @@ class TestImpairedGolden:
         )
 
     def test_matches_snapshot(self, impaired_summary):
-        expected = load_impaired_snapshot()
+        expected = load_snapshot(IMPAIRED_GOLDEN_PATH)
         if impaired_summary == expected:
             return
         drifted = sorted(
@@ -144,7 +142,7 @@ class TestWebRTCGolden:
         )
 
     def test_matches_snapshot(self, webrtc_summary):
-        expected = load_webrtc_snapshot()
+        expected = load_snapshot(WEBRTC_GOLDEN_PATH)
         if webrtc_summary == expected:
             return
         drifted = sorted(
@@ -182,5 +180,5 @@ class TestWebRTCGolden:
             for s in webrtc_summary["streams"]
             if s.get("protocol", "zoom") == "zoom"
         ]
-        expected = load_golden_snapshot()["streams"]
+        expected = load_snapshot(GOLDEN_PATH)["streams"]
         assert zoom_rows == expected

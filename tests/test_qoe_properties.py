@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core import AnalyzerConfig, ZoomAnalyzer
 from repro.core.config import QoeConfig
-from repro.core.events import StreamUpdated
 from repro.core.streams import RTPPacketRecord
 from repro.qoe import MeetingQoeTracker, QoeSample, QoeState, QoeStateMachine
 from repro.zoom.constants import ZoomMediaType
@@ -150,7 +149,8 @@ def test_tracker_late_rule_is_the_watermark_not_the_last_closed_index():
             payload_len=100,
             udp_payload_len=130,
         )
-        analyzer.bus.emit(StreamUpdated(timestamp=timestamp, stream=None, record=record))
+        for hook in analyzer.record_hooks:
+            hook(record, record.stream_key, False, False)
     tracker.flush(final=True)
     telemetry = analyzer.result.telemetry
     assert telemetry.counter("qoe.late_packets") == 1  # t=3.2: watermark is 4.5

@@ -46,7 +46,8 @@ def _rolling(idle_timeout, **kwargs) -> ZoomAnalyzer:
 
 class TestRollingAnalyzer:
     def test_eviction_bounds_memory(self, two_sequential_meetings):
-        rolling = _rolling(30.0)
+        finalized = []
+        rolling = _rolling(30.0, on_stream_finalized=finalized.append)
         peak_live = 0
         # One-packet batches: the sweep check runs per packet.
         source = IterableSource(two_sequential_meetings, batch_size=1)
@@ -56,16 +57,16 @@ class TestRollingAnalyzer:
         # After the second meeting, the first meeting's streams are gone.
         rolling.eviction.sweep(200.0)
         assert len(rolling.result.streams) == 0
-        assert rolling.eviction.streams_evicted == len(rolling.eviction.finalized)
+        assert rolling.eviction.streams_evicted == len(finalized)
         # Each meeting holds 8 streams (4 egress + 4 ingress copies); at no
         # point did we hold both meetings' streams simultaneously.
         assert peak_live <= 8
 
     def test_finalized_records_complete(self, two_sequential_meetings):
-        rolling = _rolling(30.0)
+        finalized = []
+        rolling = _rolling(30.0, on_stream_finalized=finalized.append)
         rolling.analyze(two_sequential_meetings)
         rolling.eviction.sweep(500.0)
-        finalized = rolling.eviction.finalized
         assert len(finalized) == 16  # 2 meetings x (4 egress + 4 ingress)
         for record in finalized:
             assert record.packets > 0
@@ -78,21 +79,21 @@ class TestRollingAnalyzer:
         rolling = _rolling(30.0, on_stream_finalized=seen.append)
         rolling.analyze(two_sequential_meetings)
         rolling.eviction.sweep(500.0)
-        assert seen == rolling.eviction.finalized
+        assert len(seen) == rolling.eviction.streams_evicted == 16
+        assert len({record.key for record in seen}) == 16
 
     def test_results_match_offline_analyzer(self, two_sequential_meetings):
         """Eviction must not change what was measured, only when state is
         released."""
         offline = ZoomAnalyzer().analyze(two_sequential_meetings)
-        rolling = _rolling(30.0)
+        finalized = []
+        rolling = _rolling(30.0, on_stream_finalized=finalized.append)
         rolling.analyze(two_sequential_meetings)
         rolling.eviction.sweep(500.0)
         offline_packets = {
             stream.key: stream.packets for stream in offline.media_streams()
         }
-        rolling_packets = {
-            record.key: record.packets for record in rolling.eviction.finalized
-        }
+        rolling_packets = {record.key: record.packets for record in finalized}
         assert rolling_packets == offline_packets
 
     def test_no_eviction_for_active_streams(self, sfu_meeting_result):

@@ -84,7 +84,8 @@ class TestActiveP2PFlowOutlivesStunTimeout:
             rolling_sweep_interval=10.0,
             batch_size=1,  # sweep check per packet: ~40 sweeps mid-flow
         )
-        rolling = ZoomAnalyzer(config)
+        finalized = []
+        rolling = ZoomAnalyzer(config, on_stream_finalized=finalized.append)
         rolling.analyze(captures)
         # Active throughout the capture: nothing may be evicted mid-flow.
         assert rolling.eviction.streams_evicted == 0
@@ -93,8 +94,8 @@ class TestActiveP2PFlowOutlivesStunTimeout:
         # the complete packet count, same as a server stream would be.
         rolling.eviction.sweep(captures[-1].timestamp + 61.0)
         assert len(rolling.result.streams) == 0
-        assert len(rolling.eviction.finalized) == 1
-        assert rolling.eviction.finalized[0].packets == 400
+        assert len(finalized) == 1
+        assert finalized[0].packets == 400
 
 
 class TestSweepPurgesStunState:

@@ -8,10 +8,16 @@ import pytest
 from repro.core import AnalyzerConfig, ZoomAnalyzer
 from repro.core.windows import TumblingWindows
 from repro.net.batch import FrameBatchBuilder
-from repro.net.source import IterableSource
 from repro.service.windows import WindowAggregator, media_name
 from repro.telemetry.registry import Telemetry
 from repro.zoom.constants import ZoomMediaType
+
+from tests.golden_utils import (
+    SERVICE_WINDOWS_GOLDEN_PATH,
+    load_snapshot,
+    run_service_windows,
+    summarize_service_windows,
+)
 
 
 def _aggregator(**kwargs):
@@ -155,22 +161,16 @@ class TestBatchEquivalence:
     @pytest.fixture(scope="class")
     def windows_and_batch(self, sfu_meeting_result):
         captures = sfu_meeting_result.captures
-        rolling = ZoomAnalyzer(
-            AnalyzerConfig(rolling=True, rolling_idle_timeout=60.0, telemetry=True)
-        )
-        closed = []
-        aggregator = WindowAggregator(
-            rolling,
-            window_seconds=5.0,
-            lateness=2.0,
-            on_window=(closed.append,),
-            telemetry=rolling.result.telemetry,
-        )
-        for batch in IterableSource(captures).frame_batches():
-            aggregator.ingest(batch)
-        aggregator.finish()
+        closed, rolling = run_service_windows(captures)
         batch = ZoomAnalyzer(AnalyzerConfig(telemetry=True)).analyze(captures)
         return closed, batch, rolling
+
+    def test_matches_snapshot(self, windows_and_batch):
+        """Every window record and ``service.*`` counter, pinned; regenerate
+        with ``PYTHONPATH=src python tests/regen_golden.py``."""
+        windows, _, rolling = windows_and_batch
+        summary = json.loads(json.dumps(summarize_service_windows(windows, rolling)))
+        assert summary == load_snapshot(SERVICE_WINDOWS_GOLDEN_PATH)
 
     def test_packet_and_byte_totals_match(self, windows_and_batch, sfu_meeting_result):
         windows, batch, _ = windows_and_batch
