@@ -9,10 +9,12 @@ A segment is a sequence of *frames*, each one JSON record of the store
   :func:`recover_active` truncates the file back to the last valid frame on
   the next open and the writer continues appending after it.
 * **Sealed** (``seg-p<partition>-<seq>.segz``) — the gzip-compressed,
-  immutable form.  Sealing streams the active frames through gzip into a
-  temp name, appends a *footer frame* (the segment's own index: time range,
-  record counts by kind, meeting ids, media types), fsyncs, and atomically
-  renames — a sealed segment either exists completely or not at all.
+  immutable form.  Sealing renames the active file to a hand-off name
+  (``seal-p<partition>-<seq>.seg``), copies its CRC-verified frames
+  verbatim through gzip plus a *footer frame* (the segment's own index:
+  time range, record counts by kind, meeting ids, media types) into a temp
+  name, fsyncs, atomically renames, and only then deletes the hand-off
+  file — a sealed segment either exists completely or not at all.
 
 The footer makes every sealed segment self-describing: the store-level
 manifest is a cache of the footers, and :meth:`MetricsStore` rebuilds any
@@ -43,6 +45,7 @@ _FRAME_HEADER = struct.Struct(">II")  # payload length, CRC32 of payload
 #: Key marking the final frame of a sealed segment as its index, not a
 #: record.  Readers never yield it as data.
 FOOTER_KEY = "__footer__"
+_FOOTER_BYTES = json.dumps(FOOTER_KEY).encode("ascii")
 
 #: Refuse absurd frame lengths during recovery: a corrupt header would
 #: otherwise ask for gigabytes.  No legitimate store record approaches this.
@@ -64,10 +67,9 @@ def iter_frames(handle: IO[bytes]) -> Iterator[dict]:
         yield record
 
 
-def iter_frames_with_offsets(handle: IO[bytes]) -> Iterator[tuple[dict, int]]:
-    """Like :func:`iter_frames` but also yields the byte offset at which
-    each frame *ends* — what recovery truncates back to."""
-    offset = handle.tell()
+def iter_raw_frames(handle: IO[bytes]) -> Iterator[tuple[bytes, bytes]]:
+    """The one frame walker: each frame's ``(header, payload)`` bytes, up to
+    the first torn header, absurd length, short payload or CRC mismatch."""
     while True:
         header = handle.read(_FRAME_HEADER.size)
         if len(header) < _FRAME_HEADER.size:
@@ -78,13 +80,27 @@ def iter_frames_with_offsets(handle: IO[bytes]) -> Iterator[tuple[dict, int]]:
         payload = handle.read(length)
         if len(payload) < length or zlib.crc32(payload) != crc:
             return
-        try:
-            record = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
+        yield header, payload
+
+
+def _decode(payload: bytes) -> dict | None:
+    """A frame payload as its record, or ``None`` if it is not a JSON object."""
+    try:
+        record = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def iter_frames_with_offsets(handle: IO[bytes]) -> Iterator[tuple[dict, int]]:
+    """Like :func:`iter_frames` but also yields the byte offset at which
+    each frame *ends* — what recovery truncates back to."""
+    offset = handle.tell()
+    for header, payload in iter_raw_frames(handle):
+        record = _decode(payload)
+        if record is None:
             return
-        if not isinstance(record, dict):
-            return
-        offset += _FRAME_HEADER.size + length
+        offset += len(header) + len(payload)
         yield record, offset
 
 
@@ -228,36 +244,37 @@ class ActiveSegment:
 def seal_segment(active: ActiveSegment, sealed_path: Path, *, gzip_level: int = 6) -> SegmentMeta:
     """Compress an active segment into its immutable sealed form.
 
-    Streams the active frames (re-read from disk, so a recovered writer
-    seals exactly what survived) plus the footer frame through gzip into
-    ``sealed_path`` via a temp name and atomic rename, then removes the
-    active file.  ``mtime=0`` keeps sealing deterministic: the same records
-    always produce byte-identical segments, which the compaction and
-    equivalence tests rely on.
+    The active file is first handed off: renamed to ``seal-p<P>-<seq>.seg``
+    beside ``sealed_path = seg-p<P>-<seq>.segz``.  Its frames (re-read from
+    disk, so a recovered writer seals exactly what survived) are copied
+    verbatim once the frame walker has checked their length and CRC —
+    :func:`encode_frame` is deterministic, so those are the bytes
+    re-encoding would write — then the footer frame is appended and the
+    segment published (:func:`_publish`).  Only then is the hand-off file
+    deleted.  A payload is decoded only if it holds ``"__footer__"``, to
+    skip a footer frame copied into an active file.  On open, the store
+    deletes a hand-off file whose sealed segment exists and seals one that
+    has none again (roll forward).
     """
     active.close()
     meta = active.meta
-    tmp_path = sealed_path.with_name(sealed_path.name + ".tmp")
-    with open(active.path, "rb") as src:
+    stem = sealed_path.name.removeprefix("seg-").removesuffix(".segz")
+    handoff = sealed_path.with_name(f"seal-{stem}.seg")
+    os.replace(active.path, handoff)
+    frames = [SEGMENT_MAGIC]
+    with open(handoff, "rb") as src:
         src.seek(len(SEGMENT_MAGIC))
-        with open(tmp_path, "wb") as raw:
-            with gzip.GzipFile(
-                fileobj=raw,
-                mode="wb",
-                compresslevel=gzip_level,
-                mtime=0,
-                filename="",
-            ) as out:
-                out.write(SEGMENT_MAGIC)
-                for record, _ in iter_frames_with_offsets(src):
-                    if FOOTER_KEY in record:
-                        continue
-                    out.write(encode_frame(record))
-                out.write(encode_frame(meta.footer_record()))
-            raw.flush()
-            os.fsync(raw.fileno())
-    os.replace(tmp_path, sealed_path)
-    active.path.unlink(missing_ok=True)
+        for header, payload in iter_raw_frames(src):
+            if _FOOTER_BYTES in payload:
+                record = _decode(payload)
+                if record is None:
+                    break
+                if FOOTER_KEY in record:
+                    continue
+            frames += (header, payload)
+    frames.append(encode_frame(meta.footer_record()))
+    _publish(sealed_path, frames, gzip_level)
+    handoff.unlink()
     return meta
 
 
@@ -270,24 +287,30 @@ def write_sealed_segment(
 ) -> SegmentMeta:
     """Write a sealed segment directly from records (the compaction path)."""
     meta = SegmentMeta(partition=partition)
+    frames = [SEGMENT_MAGIC]
+    for record in records:
+        frames.append(encode_frame(record))
+        meta.observe(record)
+    frames.append(encode_frame(meta.footer_record()))
+    _publish(sealed_path, frames, gzip_level)
+    return meta
+
+
+def _publish(sealed_path: Path, frames: list[bytes], gzip_level: int) -> None:
+    """Gzip ``frames`` into a temp name, fsync, and atomically rename it to
+    ``sealed_path`` — a sealed segment exists completely or not at all.
+    ``mtime=0`` keeps sealing deterministic: the same records always give
+    byte-identical segments, which the compaction and equivalence tests
+    rely on."""
     tmp_path = sealed_path.with_name(sealed_path.name + ".tmp")
     with open(tmp_path, "wb") as raw:
         with gzip.GzipFile(
-            fileobj=raw,
-            mode="wb",
-            compresslevel=gzip_level,
-            mtime=0,
-            filename="",
+            fileobj=raw, mode="wb", compresslevel=gzip_level, mtime=0, filename=""
         ) as out:
-            out.write(SEGMENT_MAGIC)
-            for record in records:
-                out.write(encode_frame(record))
-                meta.observe(record)
-            out.write(encode_frame(meta.footer_record()))
+            out.write(b"".join(frames))
         raw.flush()
         os.fsync(raw.fileno())
     os.replace(tmp_path, sealed_path)
-    return meta
 
 
 def read_sealed_segment(path: Path) -> tuple[list[dict], SegmentMeta | None]:
@@ -308,10 +331,3 @@ def read_sealed_segment(path: Path) -> tuple[list[dict], SegmentMeta | None]:
             else:
                 records.append(record)
     return records, footer
-
-
-def read_segment_footer(path: Path) -> SegmentMeta | None:
-    """Just the footer of a sealed segment (decompresses the stream once —
-    segments are small by construction, capped by the seal thresholds)."""
-    _, footer = read_sealed_segment(path)
-    return footer

@@ -6,6 +6,7 @@ Directory layout::
       manifest.json            # version, partition width, sealed-segment index
       active-p<P>.seg          # per-partition append file (crash-recoverable)
       seg-p<P>-<NNNN>.segz     # sealed, gzip-compressed, immutable segments
+      seal-p<P>-<NNNN>.seg     # only mid-seal: the active file, handed off
 
 Records are routed to the partition covering their ``start`` time
 (``partition = floor(start / partition_seconds)``); each partition has at
@@ -22,10 +23,16 @@ Crash-safety invariants (exercised by ``tests/test_store_durability.py``):
 
 * sealing goes through a temp name + ``os.replace`` — a sealed segment is
   never observable half-written;
+* a record lives under one name: a seal renames the active file to its
+  hand-off name, deleted only once the segment is published.  On open, a
+  hand-off file whose segment exists is deleted, one without is sealed
+  again (roll forward), and stale ``*.tmp`` files go — a crash at any step
+  of a seal neither loses nor duplicates a record;
 * the active segment is append-only with CRC-framed records — any kill
   leaves at most one torn tail frame, truncated away on the next open
   (``store.torn_frames``);
-* the manifest is rewritten atomically and can always be rebuilt.
+* the manifest (one line of compact, key-sorted JSON) is rewritten
+  atomically on every seal and can always be rebuilt.
 
 Maintenance (``repro compact``, or the live sink's periodic call):
 :meth:`compact` merges a partition's many small sealed segments into one,
@@ -63,6 +70,7 @@ MANIFEST_VERSION = 1
 
 _SEALED_RE = re.compile(r"^seg-p(-?\d+)-(\d+)\.segz$")
 _ACTIVE_RE = re.compile(r"^active-p(-?\d+)\.seg$")
+_HANDOFF_RE = re.compile(r"^seal-p(-?\d+)-\d+\.seg$")
 
 
 def _locked(method):
@@ -206,6 +214,24 @@ class MetricsStore:
             del self._segments[name]
             tel.count("store.manifest_dropped")
             dirty = True
+        # Finish interrupted seals: drop unpublished temp files; delete a
+        # hand-off file whose seal was published, seal it again if not.
+        for path in sorted(self.directory.iterdir()):
+            if path.name.endswith(".tmp"):
+                path.unlink(missing_ok=True)  # a roll forward may have reused it
+                continue
+            match = _HANDOFF_RE.match(path.name)
+            if match is None:
+                continue
+            sealed_path = path.with_name("seg-" + path.name.removeprefix("seal-") + "z")
+            if sealed_path.exists():
+                path.unlink()
+            else:
+                seal_segment(
+                    ActiveSegment(path, int(match.group(1))),
+                    sealed_path,
+                    gzip_level=self.config.gzip_level,
+                )
         # Adopt sealed segments the manifest does not know (crash between
         # rename and manifest write, or a manifest lost entirely).
         for path in sorted(self.directory.iterdir()):
@@ -216,9 +242,11 @@ class MetricsStore:
             self._next_seq[partition] = max(self._next_seq.get(partition, 0), seq + 1)
             if path.name in self._segments:
                 continue
-            _, footer = read_sealed_segment(path)
-            if footer is None:
-                footer = self._rescan_footer(path, partition)
+            records, footer = read_sealed_segment(path)
+            if footer is None:  # rebuild the index from the records
+                footer = SegmentMeta(partition=partition)
+                for record in records:
+                    footer.observe(record)
             self._segments[path.name] = SegmentInfo.from_meta(
                 path.name, footer, path.stat().st_size
             )
@@ -236,14 +264,6 @@ class MetricsStore:
             self._active[partition] = active
         if dirty or not manifest_path.exists():
             self._write_manifest()
-
-    def _rescan_footer(self, path: Path, partition: int) -> SegmentMeta:
-        """Rebuild footer metadata for a sealed segment missing one."""
-        records, _ = read_sealed_segment(path)
-        meta = SegmentMeta(partition=partition)
-        for record in records:
-            meta.observe(record)
-        return meta
 
     # ---------------------------------------------------------------- append
 
@@ -318,11 +338,12 @@ class MetricsStore:
 
     @_locked
     def close(self) -> None:
-        """Seal every active segment and persist the manifest."""
+        """Seal every active segment and persist the manifest (each seal
+        already publishes it; write it here only if nothing was sealed)."""
         if self._closed:
             return
-        self.seal_all()
-        self._write_manifest()
+        if not self.seal_all():
+            self._write_manifest()
         self._closed = True
 
     def __enter__(self) -> "MetricsStore":
@@ -484,10 +505,12 @@ class MetricsStore:
             "partition_seconds": self.config.partition_seconds,
             "segments": [info.to_dict() for info in self.segments()],
         }
+        # Compact separators keep json on its C encoder (``indent`` forces the
+        # pure-Python one); readers only ever ``json.loads`` the file.
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         tmp_path = self.directory / (MANIFEST_NAME + ".tmp")
         with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+            handle.write(text + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self.directory / MANIFEST_NAME)

@@ -7,6 +7,8 @@ opens cleanly and loses at most the frame the truncation tore.
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,60 @@ class TestTornWriteRecovery:
         assert telemetry.counter("store.torn_frames") == 1
         result = reopened.query(StoreQuery())
         assert [r["window"] for r in result.records] == [0, 1, 2]
+
+
+class _Crash(Exception):
+    """Stands in for a kill at one step of a seal."""
+
+
+def _replace_crashing_at(step: str):
+    """``os.replace`` that dies at ``step`` of a seal: right after the
+    active file's hand-off, with the temp segment written but unpublished,
+    or with the segment published but the hand-off file not yet removed."""
+    real = os.replace
+
+    def replace(src, dst):
+        publishing = Path(src).name.endswith(".segz.tmp")
+        if step == "tmp-written" and publishing:
+            raise _Crash
+        real(src, dst)
+        if (step == "handoff" and Path(dst).name.startswith("seal-")) or (
+            step == "published" and publishing
+        ):
+            raise _Crash
+
+    return replace
+
+
+class TestSealCrashWindow:
+    @pytest.mark.parametrize("step", ["handoff", "tmp-written", "published"])
+    def test_reopen_neither_loses_nor_duplicates(self, step, tmp_path, monkeypatch):
+        config = StoreConfig(partition_seconds=1000.0, seal_records=5)
+        store = MetricsStore(tmp_path, config)
+        for i in range(5):  # one clean seal first
+            store.append(_record(i))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", _replace_crashing_at(step))
+            for i in range(5, 9):
+                store.append(_record(i))
+            with pytest.raises(_Crash):
+                store.append(_record(9))  # the fifth record seals
+        (tmp_path / "manifest.json.tmp").write_text("{torn")  # an unpublished manifest
+
+        reopened = MetricsStore(tmp_path, config)
+        assert reopened.record_count() == 10
+        records = reopened.query(StoreQuery()).records
+        assert sum(r["packets_total"] for r in records) == sum(100 + i for i in range(10))
+        assert not [
+            p.name
+            for p in tmp_path.iterdir()
+            if p.name.startswith("seal-") or p.name.endswith(".tmp")
+        ]
+        # Sequence numbers stay unique after the roll forward.
+        reopened.append(_record(10))
+        reopened.close()
+        windows = MetricsStore(tmp_path, config).query(StoreQuery()).records
+        assert sorted(r["window"] for r in windows) == list(range(11))
 
 
 def _rotated_dir(tmp_path, captures):

@@ -6,6 +6,8 @@ import json
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.store.segment import (
     SEGMENT_MAGIC,
@@ -14,7 +16,6 @@ from repro.store.segment import (
     encode_frame,
     iter_frames,
     read_sealed_segment,
-    read_segment_footer,
     recover_active,
     seal_segment,
     write_sealed_segment,
@@ -30,6 +31,35 @@ def _window(index: int, *, media: str = "video") -> dict:
         "packets_total": 100 + index,
         "media": [{"media": media, "packets": 90, "bytes": 9000}],
     }
+
+
+# Any JSON value: unicode (and the footer key as a plain string), nested
+# lists and dicts, extreme floats, big integers, None.
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+    | st.just("__footer__"),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+# Keys SegmentMeta.observe reads are given the types records carry.
+_INDEXED = {"kind", "start", "end", "media", "meeting_id", "__footer__"}
+_records = st.builds(
+    lambda index, extra: {**extra, **index},
+    st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["window", "stream", "meeting", "other"]),
+            "start": st.floats(-1e12, 1e12),
+            "end": st.floats(-1e12, 1e12),
+        },
+        optional={"meeting_id": st.integers(0, 2**40)},
+    ),
+    st.dictionaries(st.text(max_size=8).filter(lambda k: k not in _INDEXED), _json_values, max_size=5),
+)
 
 
 class TestFrameCodec:
@@ -139,8 +169,7 @@ class TestSealing:
         sealed_path = tmp_path / "seg-p0-0000.segz"
         meta = seal_segment(active, sealed_path)
         assert meta.records == 3
-        assert not active.path.exists()
-        assert not sealed_path.with_name(sealed_path.name + ".tmp").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [sealed_path.name]
         read, footer = read_sealed_segment(sealed_path)
         assert read == records
         assert footer is not None and footer.records == 3
@@ -157,10 +186,50 @@ class TestSealing:
     def test_footer_readable_without_trusting_manifest(self, tmp_path):
         records = [_window(i) for i in range(2)]
         write_sealed_segment(tmp_path / "seg.segz", records, 7)
-        footer = read_segment_footer(tmp_path / "seg.segz")
+        _, footer = read_sealed_segment(tmp_path / "seg.segz")
         assert footer is not None
         assert footer.partition == 7
         assert footer.records == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(_records, min_size=1, max_size=6))
+    def test_verbatim_seal_equals_reencoding_writer(self, records, tmp_path_factory):
+        """Sealing copies the active frames as they lie on disk; the bytes
+        must be what encoding every record afresh writes."""
+        tmp_path = tmp_path_factory.mktemp("verbatim")
+        active = ActiveSegment(tmp_path / "active-p0.seg", 0)
+        for record in records:
+            active.append(record)
+        self._assert_seals_like(active, records, tmp_path)
+
+    def test_seal_skips_copied_footer_mid_file(self, tmp_path):
+        footer = SegmentMeta(partition=0)
+        footer.observe(_window(9))
+        path = tmp_path / "active-p0.seg"
+        path.write_bytes(
+            SEGMENT_MAGIC
+            + encode_frame(_window(0))
+            + encode_frame(footer.footer_record())
+            + encode_frame(_window(1))
+        )
+        self._assert_seals_like(ActiveSegment(path, 0), [_window(0), _window(1)], tmp_path)
+
+    def test_seal_stops_at_corrupt_frame(self, tmp_path):
+        active = ActiveSegment(tmp_path / "active-p0.seg", 0)
+        for i in range(2):
+            active.append(_window(i))
+        corrupt = bytearray(encode_frame(_window(2)))
+        corrupt[-2] ^= 0xFF  # a payload byte flipped after the CRC was taken
+        with open(active.path, "ab") as handle:
+            handle.write(bytes(corrupt) + encode_frame(_window(3)))
+        self._assert_seals_like(active, [_window(0), _window(1)], tmp_path)
+
+    @staticmethod
+    def _assert_seals_like(active, records, tmp_path):
+        sealed = tmp_path / "seg-p0-0000.segz"
+        seal_segment(active, sealed)
+        write_sealed_segment(tmp_path / "reference.segz", records, 0)
+        assert sealed.read_bytes() == (tmp_path / "reference.segz").read_bytes()
 
     def test_non_segment_gzip_rejected(self, tmp_path):
         path = tmp_path / "bogus.segz"
