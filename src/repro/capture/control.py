@@ -23,7 +23,7 @@ from typing import Callable
 from repro.net.ethernet import EthernetHeader
 from repro.net.ip import IPv4Header
 from repro.net.packet import CapturedPacket, parse_frame
-from repro.zoom.constants import RTPPayloadType, ZoomMediaType
+from repro.zoom.constants import SERVER_MEDIA_PORT, RTPPayloadType, ZoomMediaType
 from repro.zoom.packets import parse_zoom_payload
 
 #: Default DSCP plan: expedited forwarding for audio, high-priority assured
@@ -78,12 +78,11 @@ class DscpAnnotator:
         parsed = parse_frame(packet.data, packet.timestamp)
         if not parsed.is_udp:
             return packet
-        from_server = 8801 in (parsed.src_port, parsed.dst_port)
+        from_server = SERVER_MEDIA_PORT in (parsed.src_port, parsed.dst_port)
         zoom = parse_zoom_payload(parsed.payload, from_server=from_server)
-        if zoom.is_media and zoom.media is not None:
-            dscp = self.plan.get(zoom.media.media_type, BEST_EFFORT_DSCP)
-        else:
-            dscp = BEST_EFFORT_DSCP
+        dscp = BEST_EFFORT_DSCP
+        if zoom.is_media:
+            dscp = self.plan.get(zoom.media_type, BEST_EFFORT_DSCP)
         if dscp == BEST_EFFORT_DSCP:
             self.best_effort += 1
         else:
@@ -119,16 +118,16 @@ class SvcLayerDropper:
         if not parsed.is_udp:
             self.passed += 1
             return packet
-        from_server = 8801 in (parsed.src_port, parsed.dst_port)
+        from_server = SERVER_MEDIA_PORT in (parsed.src_port, parsed.dst_port)
         zoom = parse_zoom_payload(parsed.payload, from_server=from_server)
-        if zoom.is_media and zoom.rtp is not None and zoom.media is not None:
+        if zoom.is_media:
             if self.drop_fec and zoom.rtp.payload_type == RTPPayloadType.FEC:
                 self.dropped_fec += 1
                 return None
             if (
                 self.halve_frame_rate
-                and zoom.media.media_type == ZoomMediaType.VIDEO
-                and zoom.media.frame_sequence % 2 == 1
+                and zoom.media_type == ZoomMediaType.VIDEO
+                and zoom.frame_fields[0] % 2 == 1  # odd frame sequence
             ):
                 self.dropped_frames += 1
                 return None

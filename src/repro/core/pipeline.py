@@ -299,9 +299,6 @@ class ZoomAnalyzer:
         config: An :class:`~repro.core.config.AnalyzerConfig` carrying every
             option (subnets, STUN timeout, record retention, telemetry
             wiring, rolling eviction).  Defaults apply when omitted.
-        on_stream_finalized: Optional callback receiving each
-            :class:`~repro.core.rolling.FinalizedStream` the rolling-mode
-            eviction policy produces (ignored without ``config.rolling``).
 
     Usage::
 
@@ -321,16 +318,11 @@ class ZoomAnalyzer:
             as ``hook(record, stream_key, opened, meeting_formed)``, in list
             order.
         eviction_hooks: Called by :meth:`evict_stream` with each evicted
-            stream's :class:`~repro.core.rolling.FinalizedStream`, after the
-            eviction policy has recorded it.
+            stream's :class:`~repro.core.rolling.FinalizedStream`, in list
+            order.
     """
 
-    def __init__(
-        self,
-        config: AnalyzerConfig | None = None,
-        *,
-        on_stream_finalized: Callable[[FinalizedStream], None] | None = None,
-    ) -> None:
+    def __init__(self, config: AnalyzerConfig | None = None) -> None:
         self.config = config = config if config is not None else AnalyzerConfig()
         self.record_hooks: list[RecordHook] = []
         self.eviction_hooks: list[Callable[[FinalizedStream], None]] = []
@@ -373,7 +365,7 @@ class ZoomAnalyzer:
         self._packet_seq = 0
         #: The idle-eviction policy, present in rolling mode only.
         self.eviction: IdleEviction | None = (
-            IdleEviction(self, on_stream_finalized) if config.rolling else None
+            IdleEviction(self) if config.rolling else None
         )
         # Pre-seed the batch-path counters so `--stats` and the Prometheus
         # exporter always expose them, even on runs that never see a batch
@@ -451,11 +443,11 @@ class ZoomAnalyzer:
         Removes the stream from the table, detaches its metric estimators,
         and summarizes both once into a
         :class:`~repro.core.rolling.FinalizedStream` (loss trackers closed
-        out), which goes to the eviction policy first and then to every
-        :attr:`eviction_hooks` entry (service windows, QoE scoring), so they
-        can emit closing summaries or drop per-stream state.  Returns the
-        evicted stream, or ``None`` if the key is unknown.  A later packet
-        with the same key reopens the stream from scratch.
+        out), which goes to every :attr:`eviction_hooks` entry (store, service
+        windows, QoE scoring), so they can emit closing summaries or drop
+        per-stream state.  Returns the evicted stream, or ``None`` if the key
+        is unknown.  A later packet with the same key reopens the stream from
+        scratch.
         """
         stream = self.result.streams.evict(key)
         if stream is None:
@@ -468,7 +460,7 @@ class ZoomAnalyzer:
         self._assemble.forget(key)
         summary = summarize_stream(stream, metrics, finalize=True)
         if self.eviction is not None:
-            self.eviction.record(summary)
+            self.eviction.streams_evicted += 1
         for hook in self.eviction_hooks:
             hook(summary)
         return stream

@@ -7,8 +7,8 @@ border tap.  With ``AnalyzerConfig(rolling=True)`` the analyzer owns an
 per :meth:`~repro.core.pipeline.ZoomAnalyzer.feed_batch`: streams idle
 longer than the rolling window are finalized through the public
 :meth:`~repro.core.pipeline.ZoomAnalyzer.evict_stream` API, which hands the
-stream's :class:`FinalizedStream` summary to the policy and then to the
-analyzer's ``eviction_hooks`` (service windows, QoE tracker).  Meetings
+stream's :class:`FinalizedStream` summary to the analyzer's
+``eviction_hooks`` (store, service windows, QoE tracker).  Meetings
 whose last stream is gone follow, and long-lived shared state (the latency
 matcher's pending table, the STUN tracker) is already bounded by design.
 
@@ -19,7 +19,7 @@ and a deployment that never stops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.streams import MediaStream, StreamKey
 
@@ -120,19 +120,14 @@ class IdleEviction:
     ``pipeline.evicted.*`` via the shared eviction path.
 
     Attributes:
-        streams_evicted: How many streams have been finalized so far.
-        on_stream_finalized: Optional callback receiving each
-            :class:`FinalizedStream` (e.g. to write a database row).
+        streams_evicted: How many streams
+            :meth:`~repro.core.pipeline.ZoomAnalyzer.evict_stream` has
+            finalized so far.
     """
 
-    def __init__(
-        self,
-        analyzer: "ZoomAnalyzer",
-        on_stream_finalized: Optional[Callable[[FinalizedStream], None]] = None,
-    ) -> None:
+    def __init__(self, analyzer: "ZoomAnalyzer") -> None:
         self.idle_timeout = analyzer.config.rolling_idle_timeout
         self.sweep_interval = analyzer.config.rolling_sweep_interval
-        self.on_stream_finalized = on_stream_finalized
         self.streams_evicted = 0
         self._last_sweep = float("-inf")
         self._analyzer = analyzer
@@ -180,10 +175,3 @@ class IdleEviction:
         for stream in stale:
             analyzer.evict_stream(stream.key, reason="idle")
         return len(stale)
-
-    def record(self, summary: FinalizedStream) -> None:
-        """Count one stream :meth:`~repro.core.pipeline.ZoomAnalyzer.evict_stream`
-        finalized and hand it to :attr:`on_stream_finalized`."""
-        self.streams_evicted += 1
-        if self.on_stream_finalized is not None:
-            self.on_stream_finalized(summary)

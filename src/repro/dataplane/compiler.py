@@ -76,6 +76,7 @@ from repro.dataplane.cbpf import (
     CBPFProgram,
 )
 from repro.net.ip import PrefixTable, ipv4_str_to_u32
+from repro.rtp.stun import STUN_MAGIC_COOKIE  # the prefilter's STUN sniff signature
 
 __all__ = [
     "CaptureRules",
@@ -84,9 +85,6 @@ __all__ = [
     "STUN_MAGIC_COOKIE",
     "DEFAULT_MAX_ENDPOINTS",
 ]
-
-#: RFC 5389 magic cookie, the prefilter's STUN sniff signature.
-STUN_MAGIC_COOKIE = 0x2112A442
 
 #: ``ret k`` accept value: deliver the whole frame.
 ACCEPT_ALL = 0xFFFFFFFF

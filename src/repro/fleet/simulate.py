@@ -153,9 +153,8 @@ def _run_node(
     list instead of an interface, writing the same store layout."""
     store = MetricsStore(store_dir)
     sink = StoreSink(store)
-    analyzer = ZoomAnalyzer(
-        AnalyzerConfig(rolling=True), on_stream_finalized=sink.write_stream
-    )
+    analyzer = ZoomAnalyzer(AnalyzerConfig(rolling=True))
+    analyzer.eviction_hooks.append(sink.write_stream)
     aggregator = WindowAggregator(
         analyzer,
         window_seconds=window_seconds,

@@ -44,6 +44,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.net.ip import IPV6_FLAG, PrefixTable
 from repro.net.packet import ParsedPacket, parse_frame
+from repro.rtp.stun import STUN_MAGIC_COOKIE
 from repro.zoom.constants import STUN_SERVER_PORT
 
 __all__ = [
@@ -69,7 +70,7 @@ _ETHERTYPE_IPV6 = 0x86DD
 _PROTO_TCP = 6
 _PROTO_UDP = 17
 
-_STUN_COOKIE = b"\x21\x12\xa4\x42"
+_STUN_COOKIE = STUN_MAGIC_COOKIE.to_bytes(4, "big")
 
 _UNPACK_ADDRS = struct.Struct("!II").unpack_from  # IPv4 src, dst
 _UNPACK_PORTS = struct.Struct("!HH").unpack_from  # transport src, dst

@@ -16,7 +16,7 @@ from repro.core.metrics.latency import TCPRTTEstimator
 from repro.core.streams import RTPPacketRecord
 from repro.protocols.base import ProtocolPlugin, observe_rtcp, undecoded
 from repro.zoom.constants import SERVER_MEDIA_PORT
-from repro.zoom.packets import decode_media, parse_zoom_payload
+from repro.zoom.packets import ZoomPacket
 from repro.zoom.sfu_encap import Direction
 
 _FROM_SFU = int(Direction.FROM_SFU)
@@ -99,27 +99,18 @@ class ZoomPlugin(ProtocolPlugin):
         from_server = ctx.klass is ZoomClass.SERVER_MEDIA
         payload = parsed.payload
         size = len(payload)
-        media = decode_media(payload, from_server)
-        if media is None:
-            # RTCP, control and undecodable packets: the general decoder.
-            zoom = parse_zoom_payload(payload, from_server=from_server)
-            if zoom.media is None or not zoom.is_rtcp:
+        zoom = ZoomPacket(payload, from_server)
+        walked = zoom.rtp_walk
+        if walked is None:
+            # RTCP, control and undecodable packets.
+            if not zoom.rtcp:
                 return undecoded(size, result, telemetry)
-            return observe_rtcp(
-                zoom.rtcp, zoom.media.media_type, size, result, telemetry
-            )
-        (
-            media_type,
-            direction,
-            frame_sequence,
-            packets_in_frame,
-            payload_type,
-            marker,
-            sequence,
-            rtp_timestamp,
-            ssrc,
-            payload_len,
-        ) = media
+            return observe_rtcp(zoom.rtcp, zoom.media_type, size, result, telemetry)
+        media_type = zoom.media_type
+        direction = zoom.direction
+        frame_sequence, packets_in_frame = zoom.frame_fields
+        payload_type, marker, sequence, rtp_timestamp, ssrc, end = walked
+        payload_len = size - end
         result.encap_packets[media_type] += 1
         result.encap_bytes[media_type] += size
         to_server: bool | None

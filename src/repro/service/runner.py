@@ -184,7 +184,8 @@ class ZoomMonitorService:
             )
             self.store_sink = StoreSink(store)
             self.aggregator.add_callback(self.store_sink.write_window)
-            self.rolling.eviction.on_stream_finalized = self.store_sink.write_stream
+            # Ahead of the window aggregator's and QoE tracker's hooks.
+            self.rolling.eviction_hooks.insert(0, self.store_sink.write_stream)
         self.http: MetricsHTTPServer | None = None
         if config.listen is not None:
             self.http = MetricsHTTPServer(

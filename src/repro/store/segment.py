@@ -110,7 +110,8 @@ class SegmentMeta:
 
     Accumulated incrementally as records are appended so sealing never has
     to re-read the data, and rebuilt from the recovered records when an
-    active segment is reopened after a crash.
+    active segment is reopened after a crash.  ``replaces`` names the
+    segments a compaction output supersedes (empty for any other segment).
     """
 
     partition: int
@@ -120,6 +121,7 @@ class SegmentMeta:
     kinds: dict[str, int] = field(default_factory=dict)
     meetings: set[int] = field(default_factory=set)
     media: set[str] = field(default_factory=set)
+    replaces: list[str] = field(default_factory=list)
 
     def observe(self, record: dict) -> None:
         self.records += 1
@@ -138,7 +140,7 @@ class SegmentMeta:
                 self.media.add(str(entry["media"]))
 
     def footer_record(self) -> dict:
-        return {
+        footer = {
             FOOTER_KEY: 1,
             "partition": self.partition,
             "start": self.start if self.records else 0.0,
@@ -148,6 +150,9 @@ class SegmentMeta:
             "meetings": sorted(self.meetings),
             "media": sorted(self.media),
         }
+        if self.replaces:
+            footer["replaces"] = self.replaces
+        return footer
 
     @classmethod
     def from_footer(cls, footer: dict) -> "SegmentMeta":
@@ -159,6 +164,7 @@ class SegmentMeta:
         meta.kinds = {str(k): int(v) for k, v in footer.get("kinds", {}).items()}
         meta.meetings = {int(m) for m in footer.get("meetings", ())}
         meta.media = {str(m) for m in footer.get("media", ())}
+        meta.replaces = [str(name) for name in footer.get("replaces", ())]
         return meta
 
 
@@ -281,12 +287,12 @@ def seal_segment(active: ActiveSegment, sealed_path: Path, *, gzip_level: int = 
 def write_sealed_segment(
     sealed_path: Path,
     records: Iterable[dict],
-    partition: int,
+    meta: SegmentMeta,
     *,
     gzip_level: int = 6,
 ) -> SegmentMeta:
-    """Write a sealed segment directly from records (the compaction path)."""
-    meta = SegmentMeta(partition=partition)
+    """Write a sealed segment directly from records (the compaction path),
+    observing them into the fresh ``meta`` that becomes its footer."""
     frames = [SEGMENT_MAGIC]
     for record in records:
         frames.append(encode_frame(record))

@@ -47,7 +47,7 @@ class StoreSink:
         self.store.maintain_if_due()
 
     def write_stream(self, summary: "FinalizedStream") -> None:
-        """``on_stream_finalized`` callback for the rolling analyzer."""
+        """``eviction_hooks`` entry for the rolling analyzer."""
         self.store.append(stream_record(summary))
         self.streams_stored += 1
 

@@ -32,7 +32,10 @@ Crash-safety invariants (exercised by ``tests/test_store_durability.py``):
   leaves at most one torn tail frame, truncated away on the next open
   (``store.torn_frames``);
 * the manifest (one line of compact, key-sorted JSON) is rewritten
-  atomically on every seal and can always be rebuilt.
+  atomically on every seal and can always be rebuilt;
+* a compaction output names its inputs in its footer (``replaces``) and is
+  published before they are deleted.  On open, adopting it deletes any
+  input still present, so a crash mid-compaction duplicates nothing.
 
 Maintenance (``repro compact``, or the live sink's periodic call):
 :meth:`compact` merges a partition's many small sealed segments into one,
@@ -236,7 +239,7 @@ class MetricsStore:
         # rename and manifest write, or a manifest lost entirely).
         for path in sorted(self.directory.iterdir()):
             match = _SEALED_RE.match(path.name)
-            if match is None:
+            if match is None or not path.exists():  # deleted: a merge that sorts first replaced it
                 continue
             partition, seq = int(match.group(1)), int(match.group(2))
             self._next_seq[partition] = max(self._next_seq.get(partition, 0), seq + 1)
@@ -247,6 +250,9 @@ class MetricsStore:
                 footer = SegmentMeta(partition=partition)
                 for record in records:
                     footer.observe(record)
+            for name in footer.replaces:  # a compaction cut short
+                (self.directory / name).unlink(missing_ok=True)
+                self._segments.pop(name, None)
             self._segments[path.name] = SegmentInfo.from_meta(
                 path.name, footer, path.stat().st_size
             )
@@ -409,7 +415,8 @@ class MetricsStore:
         A partition with at least ``compact_min_segments`` sealed segments
         smaller than ``compact_small_bytes`` gets them rewritten as one
         (records in original append order), published atomically before the
-        inputs are removed.  Returns ``(compactions, segments_merged)``.
+        inputs are removed; its footer names them, so a reopen after a crash
+        in between removes the rest.  Returns ``(compactions, segments_merged)``.
         """
         by_partition: dict[int, list[SegmentInfo]] = {}
         for info in self._segments.values():
@@ -428,7 +435,10 @@ class MetricsStore:
             name = f"seg-p{partition}-{seq:04d}.segz"
             sealed_path = self.directory / name
             meta = write_sealed_segment(
-                sealed_path, records, partition, gzip_level=self.config.gzip_level
+                sealed_path,
+                records,
+                SegmentMeta(partition, replaces=[info.name for info in infos]),
+                gzip_level=self.config.gzip_level,
             )
             self._segments[name] = SegmentInfo.from_meta(
                 name, meta, sealed_path.stat().st_size

@@ -6,78 +6,137 @@ A Zoom UDP payload is, outermost first (Figure 7):
 * P2P traffic:          ``MediaEncap | RTP-or-RTCP | media``
 
 plus an undecoded minority of control packets (media-encapsulation types
-outside Table 2's five values).  :func:`parse_zoom_payload` decodes any of
-these shapes, auto-detecting whether the SFU layer is present when the caller
-does not know.
+outside Table 2's five values).  :class:`ZoomPacket` is the one decoder of
+these shapes: a single walk of Figure 7's offsets records where each layer
+starts and what the packet path reads, and the header objects are parsed
+from the bytes only when asked for.  :func:`parse_zoom_payload` adds
+auto-detection of the SFU layer when the caller does not know.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.rtp.rtcp import RTCPPacket, parse_rtcp_compound
-from repro.rtp.rtp import RTPHeader, looks_like_rtp, walk_rtp_header
+from repro.rtp.rtp import RTPHeader, walk_rtp_header
 from repro.zoom.constants import MEDIA_ENCAP_LEN, SFU_ENCAP_LEN, ZoomMediaType
 from repro.zoom.media_encap import MediaEncap
 from repro.zoom.sfu_encap import SfuEncap
 
+_RTP_TYPES = frozenset(int(t) for t in ZoomMediaType if t.is_rtp)
+_RTCP_TYPES = frozenset(int(t) for t in ZoomMediaType if t.is_rtcp)
+_FRAME_TYPES = frozenset((int(ZoomMediaType.VIDEO), int(ZoomMediaType.SCREEN_SHARE)))
 
-@dataclass(frozen=True, slots=True)
+
 class ZoomPacket:
-    """A fully decoded Zoom UDP payload.
+    """A Zoom UDP payload, decoded by one walk of Figure 7's offsets.
+
+    ``from_server`` (port 8801) means an SFU layer comes first.  :attr:`sfu`,
+    :attr:`media` and :attr:`rtp` are parsed from :attr:`raw` by the header
+    classes on each access; the packet path reads only the fields below.
 
     Attributes:
-        sfu: SFU encapsulation header; ``None`` for P2P packets.
-        media: Media encapsulation header; ``None`` only when the SFU type
-            byte says no media layer follows.
-        rtp: Inner RTP header for media packets (types 13/15/16).
-        rtcp: Parsed RTCP reports for RTCP packets (types 33/34).
-        rtp_payload: Bytes following the RTP header (the encrypted media).
         raw: The complete original UDP payload.
+        has_sfu: An SFU encapsulation header was read.
+        media_type: Media-encapsulation type byte; ``None`` when no media
+            layer parsed (SFU type not 5, or too short for its type).
+        inner: Offset of the RTP/RTCP header; set when ``media_type`` is.
+        rtp_walk: :func:`~repro.rtp.rtp.walk_rtp_header`'s ``(payload_type,
+            marker, sequence, timestamp, ssrc, end)`` for RTP media (types
+            13/15/16; payload types 72-76 are RTCP and refused), else ``None``.
+        rtcp: Parsed RTCP reports for RTCP packets (types 33/34).
     """
 
-    sfu: Optional[SfuEncap]
-    media: Optional[MediaEncap]
-    rtp: Optional[RTPHeader]
-    rtcp: tuple[RTCPPacket, ...]
-    rtp_payload: bytes
-    raw: bytes
+    __slots__ = ("raw", "has_sfu", "media_type", "inner", "rtp_walk", "rtcp")
+
+    def __init__(self, raw: bytes, from_server: bool) -> None:
+        self.raw = raw
+        self.media_type = self.rtp_walk = None
+        self.rtcp = ()
+        size = len(raw)
+        self.has_sfu = from_server and size >= SFU_ENCAP_LEN
+        offset = SFU_ENCAP_LEN if from_server else 0
+        if size <= offset or (from_server and raw[0] != SfuEncap.TYPE_MEDIA):
+            return
+        media_type = raw[offset]
+        self.inner = inner = offset + MEDIA_ENCAP_LEN.get(media_type, 8)
+        if size < inner:
+            return
+        self.media_type = media_type
+        if media_type in _RTP_TYPES:
+            walked = walk_rtp_header(raw, inner)
+            if walked is not None and not 72 <= walked[0] <= 76:
+                self.rtp_walk = walked
+        elif media_type in _RTCP_TYPES:
+            self.rtcp = tuple(parse_rtcp_compound(raw[inner:]))
+
+    @property
+    def sfu(self) -> SfuEncap | None:
+        """SFU encapsulation header; ``None`` for P2P packets."""
+        return SfuEncap.parse(self.raw)[0] if self.has_sfu else None
+
+    @property
+    def media(self) -> MediaEncap | None:
+        """Media encapsulation header; ``None`` when it did not parse."""
+        if self.media_type is None:
+            return None
+        return MediaEncap.parse(self.raw[SFU_ENCAP_LEN if self.has_sfu else 0 :])[0]
+
+    @property
+    def rtp(self) -> RTPHeader | None:
+        """Inner RTP header of a media packet (types 13/15/16)."""
+        if self.rtp_walk is None:
+            return None
+        return RTPHeader.parse(self.raw[self.inner :])[0]
+
+    @property
+    def rtp_payload(self) -> bytes:
+        """Bytes following the RTP header (the encrypted media)."""
+        return b"" if self.rtp_walk is None else self.raw[self.rtp_walk[5] :]
+
+    @property
+    def direction(self) -> int | None:
+        """The SFU direction byte (byte 7); ``None`` without an SFU header."""
+        return self.raw[7] if self.has_sfu else None
+
+    @property
+    def frame_fields(self) -> tuple[int, int]:
+        """``(frame_sequence, packets_in_frame)``: media-encapsulation bytes
+        21-23 for video and screen share, ``(0, 0)`` for any other type."""
+        if self.media_type not in _FRAME_TYPES:
+            return 0, 0
+        raw = self.raw
+        at = (SFU_ENCAP_LEN if self.has_sfu else 0) + 21
+        return (raw[at] << 8) | raw[at + 1], raw[at + 2]
 
     @property
     def is_p2p(self) -> bool:
         """True when the packet carries no SFU encapsulation layer."""
-        return self.sfu is None
+        return not self.has_sfu
 
     @property
     def is_media(self) -> bool:
         """True for decodable RTP media packets (video/audio/screen share)."""
-        return self.rtp is not None and self.media is not None and self.media.is_rtp
+        return self.rtp_walk is not None
 
     @property
     def is_rtcp(self) -> bool:
         return bool(self.rtcp)
 
-    @property
-    def media_type(self) -> int | None:
-        return self.media.media_type if self.media is not None else None
-
     def describe(self) -> str:
         """One-line human-readable summary (used by examples and the CLI)."""
         mode = "P2P" if self.is_p2p else "SFU"
-        if self.is_media:
-            assert self.rtp is not None and self.media is not None
-            name = ZoomMediaType(self.media.media_type).name
+        if self.rtp_walk is not None:
+            payload_type, _, sequence, timestamp, ssrc, end = self.rtp_walk
+            name = ZoomMediaType(self.media_type).name
             return (
-                f"[{mode}] {name} pt={self.rtp.payload_type} "
-                f"ssrc={self.rtp.ssrc:#010x} seq={self.rtp.sequence} "
-                f"ts={self.rtp.timestamp} payload={len(self.rtp_payload)}B"
+                f"[{mode}] {name} pt={payload_type} ssrc={ssrc:#010x} "
+                f"seq={sequence} ts={timestamp} payload={len(self.raw) - end}B"
             )
         if self.is_rtcp:
             kinds = "+".join(type(r).__name__.removeprefix("RTCP") for r in self.rtcp)
             return f"[{mode}] RTCP {kinds}"
-        media_type = self.media_type
-        return f"[{mode}] control type={media_type} len={len(self.raw)}B"
+        return f"[{mode}] control type={self.media_type} len={len(self.raw)}B"
 
 
 def build_media_payload(
@@ -130,66 +189,6 @@ def build_control_payload(
     return payload
 
 
-#: ``(encapsulation length, carries frame fields)`` of the RTP-carrying types.
-_RTP_ENCAP = {
-    int(media_type): (
-        MEDIA_ENCAP_LEN[media_type],
-        MediaEncap(int(media_type)).has_frame_fields,
-    )
-    for media_type in ZoomMediaType
-    if media_type.is_rtp
-}
-
-
-def decode_media(payload: bytes, from_server: bool) -> tuple | None:
-    """One pass over an RTP media payload — the packet path's decoder.
-
-    Returns ``(media_type, direction, frame_sequence, packets_in_frame,
-    payload_type, marker, sequence, rtp_timestamp, ssrc, rtp_payload_len)``
-    — ``direction`` is the SFU direction byte, ``None`` on a P2P flow — read
-    straight off Figure 7's offsets with no intermediate objects, or ``None``
-    for everything :attr:`ZoomPacket.is_media` is false for (RTCP, control,
-    truncated or malformed packets), which :func:`parse_zoom_payload`
-    decodes.  The two are pinned equal by a property test.
-    """
-    size = len(payload)
-    if from_server:
-        if size <= SFU_ENCAP_LEN or payload[0] != SfuEncap.TYPE_MEDIA:
-            return None
-        offset = SFU_ENCAP_LEN
-        direction = payload[7]
-    else:
-        if not size:
-            return None
-        offset = 0
-        direction = None
-    media_type = payload[offset]
-    encap = _RTP_ENCAP.get(media_type)
-    if encap is None or size < offset + encap[0]:
-        return None
-    walked = walk_rtp_header(payload, offset + encap[0])
-    if walked is None or 72 <= walked[0] <= 76:
-        return None
-    payload_type, marker, sequence, rtp_timestamp, ssrc, end = walked
-    if encap[1]:
-        frame_sequence = (payload[offset + 21] << 8) | payload[offset + 22]
-        packets_in_frame = payload[offset + 23]
-    else:
-        frame_sequence = packets_in_frame = 0
-    return (
-        media_type,
-        direction,
-        frame_sequence,
-        packets_in_frame,
-        payload_type,
-        marker,
-        sequence,
-        rtp_timestamp,
-        ssrc,
-        size - end,
-    )
-
-
 def parse_zoom_payload(
     payload: bytes, *, from_server: bool | None = None
 ) -> ZoomPacket:
@@ -207,43 +206,7 @@ def parse_zoom_payload(
         layers that did parse; this mirrors the paper, which leaves ~10% of
         packets as opaque control traffic.
     """
-    if from_server is None:
-        if len(payload) >= SfuEncap.HEADER_LEN and payload[0] == SfuEncap.TYPE_MEDIA:
-            packet = _parse_with_sfu(payload)
-            if packet.media is not None:
-                return packet
-        return _parse_media_layers(payload, sfu=None)
-    if from_server:
-        return _parse_with_sfu(payload)
-    return _parse_media_layers(payload, sfu=None)
-
-
-def _parse_with_sfu(payload: bytes) -> ZoomPacket:
-    try:
-        sfu, offset = SfuEncap.parse(payload)
-    except ValueError:
-        return ZoomPacket(None, None, None, (), b"", payload)
-    if not sfu.carries_media:
-        return ZoomPacket(sfu, None, None, (), b"", payload)
-    return _parse_media_layers(payload, sfu=sfu, offset=offset)
-
-
-def _parse_media_layers(
-    payload: bytes, *, sfu: SfuEncap | None, offset: int = 0
-) -> ZoomPacket:
-    try:
-        media, media_len = MediaEncap.parse(payload[offset:])
-    except ValueError:
-        return ZoomPacket(sfu, None, None, (), b"", payload)
-    inner = payload[offset + media_len :]
-    if media.is_rtp and looks_like_rtp(inner):
-        try:
-            rtp, rtp_len = RTPHeader.parse(inner)
-        except ValueError:
-            return ZoomPacket(sfu, media, None, (), b"", payload)
-        return ZoomPacket(sfu, media, rtp, (), inner[rtp_len:], payload)
-    if media.is_rtcp:
-        reports = tuple(parse_rtcp_compound(inner))
-        return ZoomPacket(sfu, media, None, reports, b"", payload)
-    # Control packet, unrecognized type, or an RTP type without RTP inside.
-    return ZoomPacket(sfu, media, None, (), b"", payload)
+    if from_server is not None:
+        return ZoomPacket(payload, from_server)
+    packet = ZoomPacket(payload, True)
+    return packet if packet.media_type is not None else ZoomPacket(payload, False)

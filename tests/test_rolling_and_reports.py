@@ -37,17 +37,18 @@ def two_sequential_meetings():
     return captures
 
 
-def _rolling(idle_timeout, **kwargs) -> ZoomAnalyzer:
-    config = AnalyzerConfig(
+def _rolling(idle_timeout, *hooks) -> ZoomAnalyzer:
+    analyzer = ZoomAnalyzer(AnalyzerConfig(
         rolling=True, rolling_idle_timeout=idle_timeout, rolling_sweep_interval=5.0
-    )
-    return ZoomAnalyzer(config, **kwargs)
+    ))
+    analyzer.eviction_hooks.extend(hooks)
+    return analyzer
 
 
 class TestRollingAnalyzer:
     def test_eviction_bounds_memory(self, two_sequential_meetings):
         finalized = []
-        rolling = _rolling(30.0, on_stream_finalized=finalized.append)
+        rolling = _rolling(30.0, finalized.append)
         peak_live = 0
         # One-packet batches: the sweep check runs per packet.
         source = IterableSource(two_sequential_meetings, batch_size=1)
@@ -64,7 +65,7 @@ class TestRollingAnalyzer:
 
     def test_finalized_records_complete(self, two_sequential_meetings):
         finalized = []
-        rolling = _rolling(30.0, on_stream_finalized=finalized.append)
+        rolling = _rolling(30.0, finalized.append)
         rolling.analyze(two_sequential_meetings)
         rolling.eviction.sweep(500.0)
         assert len(finalized) == 16  # 2 meetings x (4 egress + 4 ingress)
@@ -76,7 +77,7 @@ class TestRollingAnalyzer:
 
     def test_callback_invoked(self, two_sequential_meetings):
         seen = []
-        rolling = _rolling(30.0, on_stream_finalized=seen.append)
+        rolling = _rolling(30.0, seen.append)
         rolling.analyze(two_sequential_meetings)
         rolling.eviction.sweep(500.0)
         assert len(seen) == rolling.eviction.streams_evicted == 16
@@ -87,7 +88,7 @@ class TestRollingAnalyzer:
         released."""
         offline = ZoomAnalyzer().analyze(two_sequential_meetings)
         finalized = []
-        rolling = _rolling(30.0, on_stream_finalized=finalized.append)
+        rolling = _rolling(30.0, finalized.append)
         rolling.analyze(two_sequential_meetings)
         rolling.eviction.sweep(500.0)
         offline_packets = {

@@ -26,9 +26,8 @@ def _rolling(**options) -> tuple[ZoomAnalyzer, list]:
     """A rolling-mode analyzer (``options`` are further config fields) and
     the list it appends every finalized stream to."""
     finalized: list = []
-    analyzer = ZoomAnalyzer(
-        AnalyzerConfig(rolling=True, **options), on_stream_finalized=finalized.append
-    )
+    analyzer = ZoomAnalyzer(AnalyzerConfig(rolling=True, **options))
+    analyzer.eviction_hooks.append(finalized.append)
     return analyzer, finalized
 
 

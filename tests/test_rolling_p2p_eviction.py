@@ -85,7 +85,8 @@ class TestActiveP2PFlowOutlivesStunTimeout:
             batch_size=1,  # sweep check per packet: ~40 sweeps mid-flow
         )
         finalized = []
-        rolling = ZoomAnalyzer(config, on_stream_finalized=finalized.append)
+        rolling = ZoomAnalyzer(config)
+        rolling.eviction_hooks.append(finalized.append)
         rolling.analyze(captures)
         # Active throughout the capture: nothing may be evicted mid-flow.
         assert rolling.eviction.streams_evicted == 0

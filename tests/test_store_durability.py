@@ -83,13 +83,13 @@ class TestTornWriteRecovery:
 
 
 class _Crash(Exception):
-    """Stands in for a kill at one step of a seal."""
+    """Stands in for a kill at one step of a seal or a compaction."""
 
 
 def _replace_crashing_at(step: str):
-    """``os.replace`` that dies at ``step`` of a seal: right after the
-    active file's hand-off, with the temp segment written but unpublished,
-    or with the segment published but the hand-off file not yet removed."""
+    """``os.replace`` that dies at ``step``: right after a seal's hand-off of
+    the active file, with the temp segment written but unpublished, or with a
+    sealed or merged segment published but its inputs not yet removed."""
     real = os.replace
 
     def replace(src, dst):
@@ -98,42 +98,52 @@ def _replace_crashing_at(step: str):
             raise _Crash
         real(src, dst)
         if (step == "handoff" and Path(dst).name.startswith("seal-")) or (
-            step == "published" and publishing
+            step in ("published", "compacted") and publishing
         ):
             raise _Crash
 
     return replace
 
 
+def _unlink_then_crash(path, *, unlink=os.unlink):
+    unlink(path)
+    raise _Crash
+
+
 class TestSealCrashWindow:
-    @pytest.mark.parametrize("step", ["handoff", "tmp-written", "published"])
+    @pytest.mark.parametrize(
+        "step", ["handoff", "tmp-written", "published", "compacted", "input-unlinked"]
+    )
     def test_reopen_neither_loses_nor_duplicates(self, step, tmp_path, monkeypatch):
+        """A kill in a seal, or in compacting four sealed segments once the
+        merged one is published (before or after its first input goes)."""
         config = StoreConfig(partition_seconds=1000.0, seal_records=5)
         store = MetricsStore(tmp_path, config)
-        for i in range(5):  # one clean seal first
+        compaction = step in ("compacted", "input-unlinked")
+        for i in range(20 if compaction else 5):  # clean seals first
             store.append(_record(i))
         with monkeypatch.context() as patch:
             patch.setattr(os, "replace", _replace_crashing_at(step))
-            for i in range(5, 9):
-                store.append(_record(i))
+            if step == "input-unlinked":
+                patch.setattr(os, "unlink", _unlink_then_crash)
             with pytest.raises(_Crash):
-                store.append(_record(9))  # the fifth record seals
+                if compaction:
+                    store.compact()
+                else:
+                    for i in range(5, 10):  # the fifth record seals
+                        store.append(_record(i))
         (tmp_path / "manifest.json.tmp").write_text("{torn")  # an unpublished manifest
-
+        count = 20 if compaction else 10
         reopened = MetricsStore(tmp_path, config)
-        assert reopened.record_count() == 10
+        assert reopened.record_count() == count
         records = reopened.query(StoreQuery()).records
-        assert sum(r["packets_total"] for r in records) == sum(100 + i for i in range(10))
-        assert not [
-            p.name
-            for p in tmp_path.iterdir()
-            if p.name.startswith("seal-") or p.name.endswith(".tmp")
-        ]
+        assert sum(r["packets_total"] for r in records) == sum(100 + i for i in range(count))
+        assert not [*tmp_path.glob("seal-*"), *tmp_path.glob("*.tmp")]
         # Sequence numbers stay unique after the roll forward.
-        reopened.append(_record(10))
+        reopened.append(_record(count))
         reopened.close()
         windows = MetricsStore(tmp_path, config).query(StoreQuery()).records
-        assert sorted(r["window"] for r in windows) == list(range(11))
+        assert sorted(r["window"] for r in windows) == list(range(count + 1))
 
 
 def _rotated_dir(tmp_path, captures):

@@ -177,15 +177,15 @@ class TestSealing:
     def test_sealing_is_deterministic(self, tmp_path):
         """Same records → byte-identical segments (gzip mtime pinned)."""
         records = [_window(i) for i in range(4)]
-        write_sealed_segment(tmp_path / "a.segz", records, 0)
-        write_sealed_segment(tmp_path / "b.segz", records, 0)
+        write_sealed_segment(tmp_path / "a.segz", records, SegmentMeta(0))
+        write_sealed_segment(tmp_path / "b.segz", records, SegmentMeta(0))
         assert (tmp_path / "a.segz").read_bytes() == (
             tmp_path / "b.segz"
         ).read_bytes()
 
     def test_footer_readable_without_trusting_manifest(self, tmp_path):
         records = [_window(i) for i in range(2)]
-        write_sealed_segment(tmp_path / "seg.segz", records, 7)
+        write_sealed_segment(tmp_path / "seg.segz", records, SegmentMeta(7))
         _, footer = read_sealed_segment(tmp_path / "seg.segz")
         assert footer is not None
         assert footer.partition == 7
@@ -228,7 +228,7 @@ class TestSealing:
     def _assert_seals_like(active, records, tmp_path):
         sealed = tmp_path / "seg-p0-0000.segz"
         seal_segment(active, sealed)
-        write_sealed_segment(tmp_path / "reference.segz", records, 0)
+        write_sealed_segment(tmp_path / "reference.segz", records, SegmentMeta(0))
         assert sealed.read_bytes() == (tmp_path / "reference.segz").read_bytes()
 
     def test_non_segment_gzip_rejected(self, tmp_path):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rtp.rtcp import RTCPSdes, RTCPSenderReport
-from repro.rtp.rtp import RTPHeader
+from repro.rtp.rtcp import RTCPReceiverReport, RTCPSdes, RTCPSenderReport
+from repro.rtp.rtp import RTPHeader, looks_like_rtp
 from repro.zoom.constants import (
     MEDIA_ENCAP_LEN,
     RTP_OFFSET_P2P,
@@ -14,10 +14,10 @@ from repro.zoom.constants import (
 )
 from repro.zoom.media_encap import MediaEncap
 from repro.zoom.packets import (
+    ZoomPacket,
     build_control_payload,
     build_media_payload,
     build_rtcp_payload,
-    decode_media,
     parse_zoom_payload,
 )
 from repro.zoom.sfu_encap import Direction, SfuEncap
@@ -175,17 +175,64 @@ class TestRobustness:
         assert "P2P" in parse_zoom_payload(p2p_payload).describe()
 
 
-# ------------------------------------- property: flat decoder ≡ object tree
+# ------------------------------------------ property: the view ≡ its bytes
+
+_U8, _U16, _U32 = st.integers(0, 0xFF), st.integers(0, 0xFFFF), st.integers(0, 0xFFFFFFFF)
+_SFU = st.none() | st.builds(
+    SfuEncap, st.sampled_from([5, 5, 5, 0, 6]), _U16, _U8, st.binary(min_size=4, max_size=4)
+)
+_ENCAP = st.builds(
+    MediaEncap, st.sampled_from([*ZoomMediaType, 7]), _U16, _U32, _U16, _U8, st.binary(max_size=26)
+)
+_RTP = st.tuples(
+    st.sampled_from([98, 99, 110, 112, 0, 127, 71, 72, 74, 76, 77]), _U16, _U32, _U32,
+    st.booleans(), st.booleans(), st.lists(_U32, max_size=15).map(tuple),
+    st.just(()) | st.tuples(_U16, st.sampled_from([b"", b"\xbe\xde\x00\x01", bytes(range(12))])),
+).map(lambda fields: RTPHeader(*fields[:7], *fields[7]))
+_REPORTS = st.lists(st.sampled_from([_sr(), RTCPSdes(7), RTCPReceiverReport(9)]), max_size=3)
+
+
+@st.composite
+def _built(draw):
+    """``(payload, sfu), expected``: a payload the ``build_*`` serialisers made
+    from drawn headers (a control body may be short of 8 bytes) and its view."""
+    sfu, encap = draw(_SFU), draw(_ENCAP)
+    media, rtp, rtp_payload, reports = encap.serialize(), None, b"", ()
+    if encap.is_rtcp:
+        reports = tuple(draw(_REPORTS))
+        payload = build_rtcp_payload(media=encap, reports=reports, sfu=sfu)
+    elif encap.is_rtp:
+        rtp, rtp_payload = draw(_RTP), draw(st.binary(max_size=32))
+        payload = build_media_payload(media=encap, rtp=rtp, rtp_payload=rtp_payload, sfu=sfu)
+        if 72 <= rtp.payload_type <= 76:  # RTCP packet types 200-204
+            rtp, rtp_payload = None, b""
+    else:
+        body = draw(st.binary(max_size=9))
+        payload = build_control_payload(control_type=7, sequence=encap.sequence, body=body, sfu=sfu)
+        media = payload[-len(body) - 3 :][:8] if len(body) >= 5 else None
+    frames = (encap.frame_sequence, encap.packets_in_frame) if encap.has_frame_fields else (0, 0)
+    if sfu is not None and not sfu.carries_media:
+        media, rtp, rtp_payload, reports, frames = None, None, b"", (), (0, 0)
+    return (payload, sfu), (sfu, sfu and sfu.direction, media, rtp, rtp_payload, reports, frames)
+
+
+@given(_built())
+@settings(max_examples=500, deadline=None)
+def test_view_returns_the_headers_it_was_built_from(case):
+    """The view returns the headers it was built from (media by ``serialize()``,
+    which normalises ``opaque``), the payload bytes, ``direction`` and ``frame_fields``."""
+    (payload, sfu), expected = case
+    view = ZoomPacket(payload, sfu is not None)
+    media = None if view.media is None else view.media.serialize()
+    observed = (view.sfu, view.direction, media, view.rtp, view.rtp_payload, view.rtcp)
+    assert observed + (view.frame_fields,) == expected
 
 
 @st.composite
 def _payloads(draw):
-    """``(payload, from_server)``: a well-formed media payload of any RTP
-    shape (CSRCs, padding and marker bits, a header extension of 0-3 words,
-    payload types either side of the RTCP range) with at most one deviation —
-    wrong SFU type, a non-RTP media type, the media encapsulation one byte
-    short or long, RTP version 1, a payload type in 72-76, an extension word
-    count that overruns, a cut anywhere — or arbitrary bytes."""
+    """``(payload, from_server)``: a media payload of any RTP shape with at
+    most one deviation (SFU type, media type, encapsulation length ±1, RTP
+    version, payload type 72-76, extension overrun, a cut), or any bytes."""
     from_server = draw(st.booleans())
     deviation = draw(st.sampled_from([
         "none", "none", "bytes", "sfu_type", "media_type", "encap_len", "version",
@@ -225,27 +272,15 @@ def _payloads(draw):
 
 
 @given(_payloads())
-@settings(max_examples=600, deadline=None)
-def test_flat_decoder_equals_the_object_tree(case):
-    """``decode_media`` (the packet path) returns exactly the fields read off
-    ``parse_zoom_payload``'s tree, and ``None`` exactly when the tree says
-    the payload is not RTP media."""
+@settings(max_examples=400, deadline=None)
+def test_view_of_deviant_payloads(case):
+    """The view never raises; ``is_media`` holds exactly for an RTP media type
+    whose header walks outside 72-76, whose headers re-serialize to the bytes."""
     payload, from_server = case
-    zoom = parse_zoom_payload(payload, from_server=from_server)
-    flat = decode_media(payload, from_server)
-    if not zoom.is_media:
-        assert flat is None
-        return
-    assert flat == (
-        zoom.media.media_type,
-        None if zoom.sfu is None else zoom.sfu.direction,
-        zoom.media.frame_sequence,
-        zoom.media.packets_in_frame,
-        zoom.rtp.payload_type,
-        zoom.rtp.marker,
-        zoom.rtp.sequence,
-        zoom.rtp.timestamp,
-        zoom.rtp.ssrc,
-        len(zoom.rtp_payload),
-    )
-    assert (zoom.sfu is not None) == from_server
+    view = ZoomPacket(payload, from_server)
+    view.describe(), view.direction, view.frame_fields, view.rtcp
+    media, sfu = view.media, b"" if view.sfu is None else view.sfu.serialize()
+    walks = media is not None and media.is_rtp and looks_like_rtp(payload[view.inner :])
+    assert view.is_media == walks == (view.rtp is not None)
+    if walks:
+        assert sfu + media.serialize() + view.rtp.serialize() + view.rtp_payload == payload
