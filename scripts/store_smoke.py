@@ -12,7 +12,8 @@ campaign actually fails:
 3. run a clean campaign over the same capture, then check the queried
    window totals against the batch analyzer and walk the operator CLI:
    ``query`` (table + JSON), ``compact``, and ``backfill`` from the JSONL
-   log into a fresh store.
+   log into a fresh store.  Before and after ``compact``, every meeting's
+   query must equal its full-scan answer without opening more segments.
 
 Run from the repository root::
 
@@ -29,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -71,6 +73,29 @@ def cli(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         timeout=120,
+    )
+
+
+def check_meeting_plans(store_dir: Path, when: str) -> None:
+    """Every meeting's windows and streams: the indexed answer equals the
+    full scan's, and the plan opens no more segments than the scan."""
+    store = MetricsStore(store_dir)
+    meetings = sorted(
+        {r["meeting_id"] for r in store.query(StoreQuery(kinds=("meeting",))).records}
+    )
+    planned = scanned = 0
+    for meeting_id in meetings:
+        query = StoreQuery(kinds=("window", "stream"), meeting_id=meeting_id)
+        indexed = store.query(query)
+        full = store.query(replace(query, use_index=False))
+        if indexed.records != full.records:
+            fail(f"meeting {meeting_id} {when} compaction: indexed answer != full scan")
+        planned += indexed.segments_scanned
+        scanned += full.segments_scanned
+    check(
+        bool(meetings) and planned <= scanned,
+        f"{len(meetings)} meeting queries {when} compaction equal the full scan "
+        f"and open {planned} <= {scanned} segments",
     )
 
 
@@ -157,6 +182,7 @@ def main() -> int:
             total == batch.packets_total,
             f"queried window totals match the batch analyzer ({total})",
         )
+        check_meeting_plans(store_dir, "before")
 
         shown = cli("query", str(store_dir), "--format", "table")
         check(
@@ -175,6 +201,7 @@ def main() -> int:
             compacted.returncode == 0 and "compacted" in compacted.stdout,
             "repro compact runs maintenance",
         )
+        check_meeting_plans(store_dir, "after")
 
         backfill_dir = Path(tmp) / "backfilled"
         refilled = cli("backfill", str(backfill_dir), str(jsonl_path))

@@ -422,8 +422,8 @@ class ZoomMonitorService:
     def _store_query(self, payload: dict) -> dict:
         """``POST /store/query`` body: run a StoreQuery over the live store.
 
-        Runs on an HTTP handler thread; the store's internal lock makes
-        the scan safe against the analysis thread's concurrent appends.
+        Runs on an HTTP handler thread; ``MetricsStore.query`` holds the
+        store lock from plan to scan, so maintenance cannot race it.
         """
         from repro.store.query import StoreQuery
 

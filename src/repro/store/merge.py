@@ -20,15 +20,17 @@ callers import it:
   the federated plane applies it to the concatenation of N scans.
 
 Determinism note: records that tie on ``(start, kind)`` are ordered by
-their canonical JSON encoding (:func:`canonical_key`), so the merged output
-is a pure function of the record *set* — independent of which node
-contributed which record and of the order nodes answered.  Float summation
-order inside a bucket is fixed the same way, which is what makes the
-packet-weighted means reproducible across node partitions.
+their canonical JSON encoding (:func:`canonical_key`; :func:`canonical_sorted`
+encodes only those ties), so the merged output is a pure function of the
+record *set* — independent of which node contributed which record and of
+the order nodes answered.  Float summation order inside a bucket is fixed
+the same way, which is what makes the packet-weighted means reproducible
+across node partitions.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import TYPE_CHECKING
@@ -62,6 +64,10 @@ _COMBINE = {
 }
 
 
+def _start_kind(record: dict) -> tuple[float, str]:
+    return float(record.get("start", 0.0)), str(record.get("kind", ""))
+
+
 def canonical_key(record: dict) -> tuple[float, str, str]:
     """Total order over records: ``(start, kind, canonical JSON)``.
 
@@ -70,10 +76,21 @@ def canonical_key(record: dict) -> tuple[float, str, str]:
     were partitioned across nodes or in which order the nodes answered.
     """
     return (
-        float(record.get("start", 0.0)),
-        str(record.get("kind", "")),
+        *_start_kind(record),
         json.dumps(record, sort_keys=True, separators=(",", ":")),
     )
+
+
+def canonical_sorted(records: list[dict]) -> list[dict]:
+    """``sorted(records, key=canonical_key)``, JSON-encoding only the runs
+    of records that tie on ``(start, kind)``."""
+    ordered: list[dict] = []
+    for _, run in itertools.groupby(sorted(records, key=_start_kind), key=_start_kind):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=canonical_key)
+        ordered.extend(run)
+    return ordered
 
 
 def reaggregate_windows(windows: list[dict], coarse_seconds: float) -> list[dict]:
@@ -98,7 +115,7 @@ def reaggregate_windows(windows: list[dict], coarse_seconds: float) -> list[dict
         buckets.setdefault(index, []).append(window)
     merged: list[dict] = []
     for index in sorted(buckets):
-        group = sorted(buckets[index], key=canonical_key)
+        group = canonical_sorted(buckets[index])
         record: dict = {
             "kind": "window",
             "window": index,
@@ -167,7 +184,7 @@ def shape_records(records: list[dict], query: "StoreQuery") -> list[dict]:
         windows = [r for r in shaped if r.get("kind") == "window"]
         others = [r for r in shaped if r.get("kind") != "window"]
         shaped = reaggregate_windows(windows, query.reaggregate_seconds) + others
-    shaped = sorted(shaped, key=canonical_key)
+    shaped = canonical_sorted(shaped)
     if query.metrics is not None:
         shaped = [project_record(record, query.metrics) for record in shaped]
     return shaped

@@ -5,21 +5,21 @@ kinds, a meeting id, a media type, optional metric projection, optional
 re-aggregation of windows into coarser buckets — and :func:`run_query`
 executes it against a :class:`~repro.store.store.MetricsStore`:
 
-1. **Plan**: the manifest's per-segment footers (time range, meeting ids,
-   media types) prune every sealed segment that cannot hold a matching
-   record; only the survivors are decompressed (``segments_scanned`` vs
-   ``segments_skipped`` on the result — the benchmark's speedup numbers).
-   ``use_index=False`` forces a full scan, kept for exactly that
-   comparison.
-2. **Scan**: surviving segments (plus any still-active tails) are read in
-   time order and records filtered exactly.
+1. **Plan**: each sealed segment's footer (cached in the manifest) goes
+   through :func:`_match`'s own predicate, its ``[start, end]`` standing in
+   for every record inside; only segments that could hold a match are
+   decompressed (``segments_scanned`` vs ``segments_skipped``).
+   ``use_index=False`` forces the full scan indexed answers must equal.
+2. **Scan**: surviving segments (plus any still-active tails) are read and
+   records filtered exactly.
 3. **Shape**: windows are optionally re-aggregated into coarser windows
    and/or projected down to the selected metrics.
 
 Querying by meeting resolves the meeting's activity span first (from
 ``meeting`` records, which the footer indexes by id) and then selects the
-windows/streams overlapping that span — the longitudinal "slice by time,
-meeting, and media type" workflow of the paper's §6.2 campus study.
+windows/streams overlapping that span (which also plans the scan) — the
+longitudinal "slice by time, meeting, and media type" workflow of the
+paper's §6.2 campus study.
 """
 
 from __future__ import annotations
@@ -211,23 +211,29 @@ def run_query(store: "MetricsStore", query: StoreQuery) -> QueryResult:
 # ----------------------------------------------------------------- planning
 
 
-def _segment_may_match(info: "SegmentInfo", query: StoreQuery) -> bool:
-    if query.start is not None and info.end < query.start:
+def _segment_may_match(
+    info: "SegmentInfo",
+    query: StoreQuery,
+    spans: list[tuple[float, float]] | None,
+) -> bool:
+    """:func:`_match` one level up: could some record of an asked kind,
+    bounded by the footer's ``[start, end]``, match?"""
+    if not _overlaps(info.start, info.end, query.start, query.end):
         return False
-    if query.end is not None and info.start >= query.end:
-        return False
-    kinds = dict(info.kinds)
-    if not any(kinds.get(kind) for kind in query.kinds):
-        return False
-    if (
-        query.meeting_id is not None
-        and query.kinds == ("meeting",)
-        and query.meeting_id not in info.meetings
-    ):
-        return False
-    if query.media is not None and info.media and query.media not in info.media:
-        return False
-    return True
+    counts = dict(info.kinds)
+    media_ok = query.media is None or not info.media or query.media in info.media
+    spans_ok = spans is None or any(
+        _overlaps(info.start, info.end, lo, hi) for lo, hi in spans
+    )
+    for kind in query.kinds:
+        if not counts.get(kind):
+            continue
+        if kind == "meeting":
+            if query.meeting_id is None or query.meeting_id in info.meetings:
+                return True
+        elif media_ok and spans_ok:
+            return True
+    return False
 
 
 def _scan(
@@ -239,7 +245,7 @@ def _scan(
     result = QueryResult()
     batches: list[list[dict]] = []
     for info in store.segments():
-        if query.use_index and not _segment_may_match(info, query):
+        if query.use_index and not _segment_may_match(info, query, spans):
             result.segments_skipped += 1
             continue
         result.segments_scanned += 1
@@ -252,9 +258,6 @@ def _scan(
             matched = _match(record, query, spans)
             if matched is not None:
                 result.records.append(matched)
-    result.records.sort(
-        key=lambda r: (float(r.get("start", 0.0)), str(r.get("kind", "")))
-    )
     return result
 
 

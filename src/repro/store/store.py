@@ -400,8 +400,12 @@ class MetricsStore:
 
     # --------------------------------------------------------------- queries
 
+    @_locked
     def query(self, query: "StoreQuery") -> "QueryResult":
-        """Run a :class:`~repro.store.query.StoreQuery` over this store."""
+        """Run a :class:`~repro.store.query.StoreQuery` over this store.
+
+        Locked end to end: compaction or retention on another thread cannot
+        unlink a planned segment before the scan reads it."""
         from repro.store.query import run_query
 
         return run_query(self, query)

@@ -138,6 +138,20 @@ class TestBitIdentity:
         # closed below, half-open above — same rule as a single store).
         assert [r["window"] for r in result.records] == [3, 4, 5, 6]
 
+    def test_meeting_fan_out_plans_by_the_fleet_wide_span(self, tmp_path):
+        """Windows alternate between nodes over six 100 s partitions."""
+        meetings = {"a": _meeting(1, 140.0, 170.0), "b": _meeting(2, 520.0, 550.0)}
+        for first, (node, meeting) in enumerate(meetings.items()):
+            _store(tmp_path / node, [_window(i) for i in range(first, 60, 2)] + [meeting])
+        nodes = tuple(FleetNodeConfig(name=n, store_dir=str(tmp_path / n)) for n in meetings)
+        config = FleetConfig(nodes=nodes)
+        indexed = federated_query(config, StoreQuery(meeting_id=1))
+        full = federated_query(config, StoreQuery(meeting_id=1, use_index=False))
+        assert [r["window"] for r in indexed.records] == [13, 14, 15, 16]
+        assert indexed.records == full.records
+        # Span pass: a's meeting segment; scan: partition 1's windows on each node.
+        assert (indexed.segments_scanned, full.segments_scanned) == (3, 26)
+
     def test_unknown_meeting_returns_empty(self, fleet):
         result = federated_query(fleet, StoreQuery(meeting_id=99))
         assert result.records == []

@@ -8,6 +8,7 @@ opens cleanly and loses at most the frame the truncation tore.
 
 import json
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,29 @@ class TestSealCrashWindow:
         reopened.close()
         windows = MetricsStore(tmp_path, config).query(StoreQuery()).records
         assert sorted(r["window"] for r in windows) == list(range(count + 1))
+
+
+class TestQueryRacingMaintenance:
+    def test_compaction_waits_for_a_planned_query(self, tmp_path, monkeypatch):
+        """Compaction released once the query opens its first planned segment."""
+        store = MetricsStore(tmp_path, StoreConfig(partition_seconds=1000.0, seal_records=4))
+        for i in range(20):  # five sealed 4-record segments
+            store.append(_record(i))
+        opened, read = threading.Event(), store.iter_segment_records
+        compactor = threading.Thread(target=lambda: opened.wait(5.0) and store.compact())
+
+        def first_read_lets_compaction_run(info):
+            if threading.current_thread() is not compactor and not opened.is_set():
+                opened.set()
+                compactor.join(timeout=0.5)  # blocked on the store lock
+            return read(info)
+
+        monkeypatch.setattr(store, "iter_segment_records", first_read_lets_compaction_run)
+        compactor.start()
+        records = store.query(StoreQuery()).records
+        compactor.join(timeout=5.0)
+        assert [r["window"] for r in records] == list(range(20))
+        assert not compactor.is_alive() and len(store.segments()) == 1  # compacted afterwards
 
 
 def _rotated_dir(tmp_path, captures):

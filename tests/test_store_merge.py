@@ -13,6 +13,7 @@ from repro.store import StoreQuery, window_record
 from repro.store.merge import (
     IDENTITY_KEYS,
     canonical_key,
+    canonical_sorted,
     merge_media_entries,
     project_record,
     reaggregate_windows,
@@ -68,6 +69,19 @@ class TestCanonicalKey:
         assert sorted([a, b], key=canonical_key) == sorted(
             [b, a], key=canonical_key
         )
+
+    # Forced (start, kind) ties: 0 == 0.0 == -0.0 == a missing start.
+    _tied = st.fixed_dictionaries(
+        {"kind": st.sampled_from(["window", "meeting"])},
+        optional={"start": st.sampled_from([0, 0.0, -0.0, 2.5]), "packets": st.integers(0, 2)},
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_tied, max_size=30))
+    def test_canonical_sorted_is_sorting_by_canonical_key(self, records):
+        # Compared by identity: 0.0 == -0.0 would hide a misordered tie.
+        expected = [id(r) for r in sorted(records, key=canonical_key)]
+        assert [id(r) for r in canonical_sorted(records)] == expected
 
 
 class TestReaggregateWindows:

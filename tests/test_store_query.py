@@ -1,6 +1,10 @@
 """Query-engine tests: planning, filters, re-aggregation, flat output."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import StoreConfig
 from repro.store import MetricsStore, StoreQuery, flatten_records, reaggregate_windows
@@ -80,6 +84,34 @@ def populated(tmp_path):
     return store
 
 
+_KINDS = ("window", "stream", "meeting")
+_MEDIA = st.sampled_from(("audio", "video", "screen"))
+#: Record and query bounds share one 10 s grid, so ranges touch at the ends.
+_GRID = st.integers(0, 6).map(lambda i: i * 10.0)
+
+
+@st.composite
+def _any_record(draw) -> dict:
+    start, kind = draw(_GRID), draw(st.sampled_from(_KINDS))
+    if kind == "window":
+        return _window(int(start // 10), media=draw(st.sets(_MEDIA, max_size=2).map(sorted)))
+    end = start + 10.0 * draw(st.integers(0, 2))
+    if kind == "stream":
+        return dict(_stream(start, media=draw(_MEDIA)), end=end)
+    return _meeting(draw(st.integers(0, 3)), start, end)  # ids repeat: several spans
+
+
+_any_query = st.builds(
+    StoreQuery,
+    start=st.none() | _GRID,
+    end=st.none() | _GRID,
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3, unique=True).map(tuple),
+    meeting_id=st.none() | st.integers(0, 4),
+    media=st.none() | _MEDIA,
+    meeting_spans=st.none() | st.lists(st.tuples(_GRID, _GRID), max_size=2).map(tuple),
+)
+
+
 class TestPlanning:
     def test_time_range_skips_non_overlapping_segments(self, populated):
         result = populated.query(StoreQuery(start=200.0, end=290.0))
@@ -105,6 +137,41 @@ class TestPlanning:
         result = populated.query(StoreQuery(media="screen"))
         assert result.records == []
         assert result.segments_scanned == 0  # every footer excludes "screen"
+
+    # One sealed segment per partition (0, 2, 5); partition 0 holds meeting
+    # 7 (0..60 s) and ends at 80 s.
+    @pytest.mark.parametrize(
+        "query, plan",
+        [
+            (StoreQuery(meeting_id=7), (2, 4)),  # partition 0 in each pass
+            (StoreQuery(meeting_spans=((0.0, 60.0),)), (1, 2)),
+            (StoreQuery(kinds=("meeting", "window"), meeting_id=7), (2, 4)),
+            (StoreQuery(start=80.0), (3, 0)),  # bounds that touch still overlap
+            (StoreQuery(meeting_spans=((80.0, 90.0),)), (1, 2)),
+            (StoreQuery(kinds=("meeting", "window"), media="screen"), (1, 2)),  # no media prune
+        ],
+    )
+    def test_plans_open_only_segments_that_can_match(self, populated, query, plan):
+        result = populated.query(query)
+        assert (result.segments_scanned, result.segments_skipped) == plan
+        assert result.records == populated.query(replace(query, use_index=False)).records
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        records=st.lists(_any_record(), max_size=40),
+        leave_active=st.booleans(),
+        queries=st.lists(_any_query, min_size=1, max_size=12),
+    )
+    def test_indexed_equals_full_scan(self, records, leave_active, queries, tmp_path_factory):
+        config = StoreConfig(partition_seconds=20.0, seal_records=3)
+        store = MetricsStore(tmp_path_factory.mktemp("plan"), config)
+        for record in records:  # drawn order: partitions are revisited
+            store.append(record)
+        if not leave_active:
+            store.close()
+        for query in queries:
+            full_scan = replace(query, use_index=False)
+            assert store.query(query).records == store.query(full_scan).records
 
 
 class TestFilters:
