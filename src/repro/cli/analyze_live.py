@@ -130,11 +130,9 @@ def run(args: argparse.Namespace) -> int:
             f"qoe: worst={report.qoe_worst_state} [{breakdown}] "
             f"{report.qoe_transitions} transitions, {report.qoe_alerts} alerts"
         )
-    if report.packets_dropped or report.ingest_restarts or report.kernel_drops:
+    if report.ingest_restarts or report.kernel_drops:
         print(
-            f"degraded: dropped {report.packets_dropped} packets "
-            f"({report.batches_dropped} batches), "
-            f"{report.kernel_drops} kernel ring drops, "
+            f"degraded: {report.kernel_drops} kernel ring drops, "
             f"{report.ingest_restarts} ingest restarts",
             file=sys.stderr,
         )

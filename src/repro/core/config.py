@@ -379,10 +379,7 @@ class ServiceConfig:
             (the server reports the bound address).
         jsonl_path: Append-only per-window JSONL log, or ``None``.
         jsonl_max_bytes: Size at which the JSONL log is rotated to ``.1``.
-        queue_max_batches: Bound on the ingest→analysis queue; when full,
-            new batches are dropped and counted (``service.dropped``)
-            rather than buffered without limit.
-        restart_backoff_base: First delay (seconds) after an ingest-thread
+        restart_backoff_base: First delay (seconds) after an ingest
             crash; doubles per consecutive crash.
         restart_backoff_max: Ceiling on the crash-restart delay.
         store_dir: Root directory of the persistent metrics store
@@ -402,7 +399,6 @@ class ServiceConfig:
     listen: str | None = None
     jsonl_path: str | None = None
     jsonl_max_bytes: int = 64 * 1024 * 1024
-    queue_max_batches: int = 256
     restart_backoff_base: float = 0.5
     restart_backoff_max: float = 30.0
     store_dir: str | None = None
@@ -416,8 +412,8 @@ class ServiceConfig:
             raise ValueError("watermark_lateness must be >= 0")
         if self.max_open_windows < 1:
             raise ValueError("max_open_windows must be >= 1")
-        if self.queue_max_batches < 1:
-            raise ValueError("queue_max_batches must be >= 1")
+        if self.poll_interval <= 0:
+            raise ValueError("poll_interval must be > 0")
         object.__setattr__(self, "analyzer", self.analyzer.replace(rolling=True))
 
     def replace(self, **changes: object) -> "ServiceConfig":
@@ -496,9 +492,6 @@ class FleetConfig:
         stale_after: Fleet-health rule: a node whose newest data trails
             the fleet's newest by more than this many seconds of capture
             time is flagged stale.
-        drop_outlier_ratio: Fleet-health rule: a node whose drop fraction
-            exceeds the fleet median by this factor (and a 1% floor) is
-            flagged as a drop-rate outlier.
     """
 
     nodes: tuple[FleetNodeConfig, ...]
@@ -506,7 +499,6 @@ class FleetConfig:
     query_retries: int = 1
     max_workers: int = 8
     stale_after: float = 120.0
-    drop_outlier_ratio: float = 3.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -524,8 +516,6 @@ class FleetConfig:
             raise ValueError("max_workers must be >= 1")
         if self.stale_after <= 0:
             raise ValueError("stale_after must be > 0")
-        if self.drop_outlier_ratio <= 1:
-            raise ValueError("drop_outlier_ratio must be > 1")
 
     def node(self, name: str) -> FleetNodeConfig:
         """The node called ``name`` (raises ``KeyError`` if absent)."""

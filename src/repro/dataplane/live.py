@@ -113,16 +113,11 @@ class DataplaneFilter:
     def sync(self) -> None:
         """Fold every tracker's learned endpoints into the shared pass-set.
 
-        Trackers are mutated on the analysis thread while this runs on the
-        ingest thread; :meth:`StunTracker.endpoints` copies a dict's keys,
-        which can race a concurrent resize.  A torn read is retried at the
-        next poll rather than crashing ingest.
+        Runs at a poll boundary on the thread that analyzes the batches,
+        so no tracker changes while it is read.
         """
         for tracker in self.stun_trackers:
-            try:
-                self.prefilter.sync_stun(tracker)
-            except RuntimeError:
-                continue
+            self.prefilter.sync_stun(tracker)
 
     def needs_recompile(self) -> bool:
         return self._compiled_count != self.prefilter.endpoint_count
@@ -345,12 +340,14 @@ def open_packet_socket(interface: str, **sim_options):
 class LiveInterfaceSource(PacketSourceBase):
     """A packet socket as a :class:`PacketSource` *and* a tailer.
 
-    The service runner's ingest loop speaks the
+    The service runner's loop speaks the
     :class:`~repro.service.tail.CaptureDirectoryTailer` contract — a
     bounded synchronous :meth:`poll` yielding batches, plus ``polls`` —
     and this class implements the same contract over a socket, so the
-    daemon's backpressure, crash-restart, and drain logic apply unchanged
-    to live capture.  Batch analyzers can instead consume
+    daemon's loop, crash-restart, and drain logic apply unchanged to live
+    capture.  The loop asks for the next batch only once the last one is
+    analyzed; meanwhile frames wait in the kernel ring, and what overflows
+    it is counted as ``kernel_drops``.  Batch analyzers can instead consume
     :meth:`frame_batches`, which polls until the socket is exhausted
     (simulated replay) — a NIC-backed source never exhausts and belongs
     under the service runner.
@@ -438,8 +435,8 @@ class LiveInterfaceSource(PacketSourceBase):
                 filtered += verdict.dropped
                 filtered_bytes += verdict.dropped_bytes
             if len(batch):
-                # Hand off at recv-chunk granularity: the analysis thread
-                # should not wait for a full-size batch on a quiet link.
+                # Hand off at recv-chunk granularity: the analyzer should
+                # not wait for a full-size batch on a quiet link.
                 yield self._emit(batch)
         if received:
             tel.count("dataplane.frames", received)

@@ -16,7 +16,7 @@ package makes that fleet operable as one system:
   taps, and degrade to annotated partial results when nodes are down.
 * :mod:`repro.fleet.health` — scrape every node's Prometheus/manifest
   surface into one ``fleet status`` view with fleet-level anomaly rules
-  (unreachable, stale, drop-rate outlier).
+  (unreachable, stale).
 * :mod:`repro.fleet.simulate` — build an N-node fleet in-process from
   campus-trace generators (imported lazily: it pulls in the service
   pipeline, which itself imports :mod:`repro.fleet.health` for the

@@ -16,10 +16,6 @@ Anomaly rules (each yields a :class:`FleetAnomaly`):
   newest by more than ``FleetConfig.stale_after`` seconds.  Staleness is
   *capture-time-relative* (node vs. fleet max), not wall-clock-relative,
   so replayed traces and live captures grade on the same scale.
-* **drop-rate-outlier** — the node's drop ratio (dropped / frames)
-  exceeds ``FleetConfig.drop_outlier_ratio`` × the fleet median *and* a
-  1% absolute floor (a fleet dropping nothing should not flag a node
-  that dropped one packet).
 
 This module stays importable from :mod:`repro.service.runner` (which
 pre-seeds :data:`FLEET_COUNTER_SEEDS`), so it must not import anything
@@ -29,7 +25,6 @@ from :mod:`repro.service` or :mod:`repro.fleet.federation`.
 from __future__ import annotations
 
 import json
-import statistics
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
@@ -90,7 +85,7 @@ class NodeHealth:
     """One node's vitals, normalized across scrape surfaces.
 
     ``None`` means "this surface does not report that" — a plain store
-    directory has record counts but no drop counters, a daemon endpoint
+    directory has record counts but no capture counters, a daemon endpoint
     the reverse — and the renderer prints ``-`` for it.
     """
 
@@ -99,20 +94,12 @@ class NodeHealth:
     reachable: bool
     error: str | None = None
     frames: int | None = None
-    dropped: int | None = None
     restarts: int | None = None
-    queue_depth: int | None = None
     windows: int | None = None
     qoe_states: dict[str, int] = field(default_factory=dict)
     newest: float | None = None
     store_records: int | None = None
     store_bytes: int | None = None
-
-    @property
-    def drop_ratio(self) -> float | None:
-        if self.frames is None or self.dropped is None:
-            return None
-        return self.dropped / max(self.frames, 1)
 
     def qoe_mix(self) -> str:
         """``good:3 impaired:1`` — only the non-zero states, in severity
@@ -167,9 +154,7 @@ def _scrape_endpoint(node: FleetNodeConfig, timeout: float) -> NodeHealth:
     samples = parse_prometheus_text(text)
     health.reachable = True
     health.frames = _as_int(samples.get("repro_capture_frames_total"))
-    health.dropped = _as_int(samples.get("repro_service_dropped_total"))
     health.restarts = _as_int(samples.get("repro_service_ingest_restarts_total"))
-    health.queue_depth = _as_int(samples.get("repro_service_queue_depth"))
     health.windows = _as_int(samples.get("repro_service_windows_total"))
     newest = samples.get("repro_window_start_seconds")
     health.newest = float(newest) if newest is not None else None
@@ -256,25 +241,6 @@ def _find_anomalies(
                         ),
                     )
                 )
-    ratios = {
-        node.name: ratio
-        for node in nodes
-        if node.reachable and (ratio := node.drop_ratio) is not None
-    }
-    if len(ratios) >= 2:
-        median = statistics.median(ratios.values())
-        for name, ratio in ratios.items():
-            if ratio > 0.01 and ratio > config.drop_outlier_ratio * median:
-                anomalies.append(
-                    FleetAnomaly(
-                        rule="drop-rate-outlier",
-                        node=name,
-                        detail=(
-                            f"drop ratio {ratio:.1%} vs fleet median"
-                            f" {median:.1%}"
-                        ),
-                    )
-                )
     return anomalies
 
 
@@ -285,7 +251,6 @@ def render_fleet_status(status: FleetStatus) -> str:
         "source",
         "up",
         "frames",
-        "dropped",
         "restarts",
         "records",
         "newest",
@@ -299,7 +264,6 @@ def render_fleet_status(status: FleetStatus) -> str:
                 node.source,
                 "yes" if node.reachable else "NO",
                 _cell(node.frames),
-                _cell(node.dropped),
                 _cell(node.restarts),
                 _cell(node.store_records),
                 _cell(node.newest),

@@ -39,7 +39,6 @@ _CONFIG_KEYS = (
     "query_retries",
     "max_workers",
     "stale_after",
-    "drop_outlier_ratio",
 )
 
 

@@ -9,7 +9,7 @@ for: it follows a capture directory a monitor daemon is still writing
 into tumbling per-media/per-meeting windows (:mod:`repro.service.windows`),
 and exports them as Prometheus metrics, health probes, and a JSONL window
 log (:mod:`repro.service.exporters`).  :mod:`repro.service.runner` is the
-supervisor tying the threads together; the ``analyze-live`` CLI subcommand
+supervisor running them in one loop; the ``analyze-live`` CLI subcommand
 is its entry point.
 """
 

@@ -5,7 +5,7 @@ Two consumers, two exporters:
 * Dashboards/alerting scrape :class:`MetricsHTTPServer` — a stdlib
   ``ThreadingHTTPServer`` on its own daemon thread serving ``/metrics``
   (Prometheus text format, rendered by :mod:`repro.service.prometheus`),
-  ``/healthz`` (liveness: the ingest thread is running), and ``/readyz``
+  ``/healthz`` (liveness: the service loop is running), and ``/readyz``
   (readiness: at least one directory poll completed).
 * Batch/offline tooling reads :class:`JsonlWindowLog` — one JSON object
   per closed window, appended as the window closes, with size-based
@@ -164,7 +164,7 @@ def _build_handler(
             if path == "/metrics":
                 self._respond(200, render_metrics(), "text/plain; version=0.0.4")
             elif path == "/healthz":
-                self._probe(healthy, "ok\n", "ingest thread down\n")
+                self._probe(healthy, "ok\n", "service loop not running\n")
             elif path == "/readyz":
                 self._probe(ready, "ready\n", "no poll completed yet\n")
             else:

@@ -59,7 +59,7 @@ def render_metrics(
         snapshot: Telemetry registry snapshot; every counter is exported.
         last_window: Most recently closed window; exported as per-media
             ``repro_window_*`` gauges labelled ``{media="audio"|...}``.
-        gauges: Extra point-in-time values by dotted name (queue depth,
+        gauges: Extra point-in-time values by dotted name (open windows,
             live streams, …).
     """
     lines: list[str] = []

@@ -1,31 +1,32 @@
-"""The monitoring daemon's supervisor: threads, backpressure, shutdown.
+"""The monitoring daemon's supervisor: one loop, restarts, shutdown.
 
-Topology (one arrow = one bounded hand-off)::
+Topology (one arrow = one synchronous call, all on the calling thread)::
 
-    capture dir ──poll── CaptureDirectoryTailer      (ingest thread)
-                               │  bounded queue (drop + count when full)
+    capture dir ──poll── CaptureDirectoryTailer
+                               │  lazy batch generator
                                ▼
-    WindowAggregator ── ZoomAnalyzer (rolling mode)  (analysis thread)
+    WindowAggregator ── ZoomAnalyzer (rolling mode)
                                │  closed WindowRecords
                                ▼
     JsonlWindowLog · MetricsHTTPServer · StoreSink   (exporter sinks)
 
 Design decisions an operator should know:
 
-* **Backpressure drops, never buffers without bound.**  If analysis falls
-  behind ingest, the queue fills and whole batches are dropped and counted
-  (``service.dropped`` packets, ``service.dropped_batches``) — the paper's
-  measurement appliance must shed load rather than grow RSS until the OOM
-  killer picks a victim.  Dropped packets remain on disk; a later batch
-  re-run over the same capture directory recovers them.
-* **The ingest thread restarts itself.**  An unexpected exception inside a
-  poll (a corrupt file, a transient NFS error) is counted
+* **The source is the buffer.**  The loop is ``for batch in
+  tailer.poll(): process(batch)``: the tailer reads the next batch only
+  when the analyzer has finished the last one, so a slow analyzer slows
+  reading rather than losing packets.  A capture directory keeps what has
+  not been read yet on disk; a live interface keeps it in the kernel
+  ring, whose overflow is counted (``dataplane.kernel_drops``).
+* **Ingest restarts itself.**  An unexpected exception from the tailer (a
+  corrupt file, a transient NFS error) is counted
   (``service.ingest_restarts``) and retried with exponential backoff
-  rather than killing the daemon.
-* **SIGTERM/SIGINT drain before exiting.**  The queue is flushed, every
-  live stream is finalized through one last sweep, and all open windows
-  are closed and exported exactly once — ``kill`` then diff is a lossless
-  way to end a measurement campaign.
+  rather than killing the daemon.  An exception from the analysis side
+  (the analyzer, its hooks, the store) is a bug and ends :meth:`run`.
+* **SIGTERM/SIGINT drain before exiting.**  The loop stops within one
+  poll interval, every live stream is finalized through one last sweep,
+  and all open windows are closed and exported exactly once — ``kill``
+  then diff is a lossless way to end a measurement campaign.
 * **Per-meeting QoE state machines ride the same decoded records.**  When
   ``config.qoe.enabled`` (the default), a
   :class:`~repro.qoe.MeetingQoeTracker` joins the rolling analyzer's
@@ -42,9 +43,7 @@ Design decisions an operator should know:
 
 from __future__ import annotations
 
-import queue
 import signal
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,8 +72,9 @@ class ServiceReport:
 
     polls: int
     packets_processed: int
+    #: Always 0: the loop reads a batch only when the last one is
+    #: processed, so the service itself never sheds packets.
     packets_dropped: int
-    batches_dropped: int
     ingest_restarts: int
     windows_emitted: int
     streams_finalized: int
@@ -105,7 +105,7 @@ class ZoomMonitorService:
     :class:`~repro.dataplane.LiveInterfaceSource` instead of a directory
     tailer: frames arrive through an ``AF_PACKET`` socket (or its
     simulated stand-in) with the compiled cBPF capture filter attached,
-    and everything downstream — queue, backpressure, drain — is shared
+    and everything downstream — the loop, restarts, drain — is shared
     with the directory path.  The source honours the same ``poll()`` /
     ``polls`` contract, so the loop below cannot tell the difference; the
     one addition is that a finite replay socket reports ``exhausted`` and
@@ -210,11 +210,7 @@ class ZoomMonitorService:
         # per-protocol claim/media/conflict counters ride the same pattern,
         # one dimension per enabled registry plugin.
         seeds = (
-            (
-                "service.dropped",
-                "service.dropped_batches",
-                "service.ingest_restarts",
-            )
+            ("service.ingest_restarts",)
             + protocol_counter_seeds(plugin.name for plugin in self.rolling.plugins)
             + (QOE_COUNTER_SEEDS if self.qoe is not None else ())
             + (FLEET_COUNTER_SEEDS if self.store_sink is not None else ())
@@ -222,15 +218,12 @@ class ZoomMonitorService:
         )
         for name in seeds:
             self.telemetry.count(name, 0)
-        self._queue: queue.Queue[FrameBatch] = queue.Queue(maxsize=config.queue_max_batches)
-        self._stop = threading.Event()
+        self._stopping = False
+        self._running = False
         self._ready = False
         self._flushed = False
         self._last_window: WindowRecord | None = None
-        self._ingest_thread: threading.Thread | None = None
         self.packets_processed = 0
-        self.packets_dropped = 0
-        self.batches_dropped = 0
         self.ingest_restarts = 0
 
     # ------------------------------------------------------------ lifecycle
@@ -247,8 +240,8 @@ class ZoomMonitorService:
             install_signal_handlers: Route SIGTERM/SIGINT to :meth:`stop`
                 (main thread only — the CLI path).
             stop_after_polls: Stop once the tailer has completed this many
-                directory polls and the queue has drained (test hook; the
-                daemon default is to run forever).
+                directory polls (test hook; the daemon default is to run
+                forever).
         """
         previous_handlers = {}
         if install_signal_handlers:
@@ -256,32 +249,33 @@ class ZoomMonitorService:
                 previous_handlers[signum] = signal.signal(signum, self._on_signal)
         if self.http is not None:
             self.http.start()
-        self._ingest_thread = threading.Thread(
-            target=self._ingest_loop,
-            name="repro-ingest",
-            args=(stop_after_polls,),
-            daemon=True,
-        )
-        self._ingest_thread.start()
+        self._running = True
         try:
-            self._analysis_loop()
+            self._loop(stop_after_polls)
         finally:
+            self._running = False
             self._shutdown()
             for signum, handler in previous_handlers.items():
                 signal.signal(signum, handler)
         return self.report()
 
     def stop(self) -> None:
-        """Ask the service to drain and exit (safe from any thread)."""
-        self._stop.set()
+        """Ask the service to drain and exit; the loop sees it within one
+        ``poll_interval``.
+
+        Safe from any thread and from a signal handler: it only sets a
+        flag.  A handler interrupts the loop on the main thread, so one
+        that took a lock the loop might hold (``Event.set`` does) could
+        deadlock.
+        """
+        self._stopping = True
 
     def report(self) -> ServiceReport:
         qoe = self.qoe
         return ServiceReport(
             polls=self.tailer.polls,
             packets_processed=self.packets_processed,
-            packets_dropped=self.packets_dropped,
-            batches_dropped=self.batches_dropped,
+            packets_dropped=0,
             ingest_restarts=self.ingest_restarts,
             windows_emitted=self.aggregator.windows_emitted,
             streams_finalized=self.rolling.eviction.streams_evicted,
@@ -296,58 +290,58 @@ class ZoomMonitorService:
             kernel_drops=getattr(self.tailer, "kernel_drops", 0),
         )
 
-    # -------------------------------------------------------------- ingest
+    # ---------------------------------------------------------------- loop
 
-    def _ingest_loop(self, stop_after_polls: int | None) -> None:
+    def _loop(self, stop_after_polls: int | None) -> None:
         backoff = self.config.restart_backoff_base
-        while not self._stop.is_set():
-            try:
-                for batch in self.tailer.poll():
-                    self._enqueue(batch)
-                    if self._stop.is_set():
-                        return
-                self._ready = True
-                backoff = self.config.restart_backoff_base
-                if getattr(self.tailer, "exhausted", False):
-                    # A finite replay socket ran dry: drain and exit like a
-                    # completed stop_after_polls run (the `sim:` CLI path).
-                    self._stop.set()
-                    return
-            except Exception:
+        while not self._stopping:
+            if not self._poll_once():
                 # Crash-restart: a corrupt file or transient I/O error must
                 # not take the daemon down.  Counted, backed off, retried.
                 self.ingest_restarts += 1
                 self.telemetry.count("service.ingest_restarts")
-                self._stop.wait(backoff)
+                self._sleep(backoff)
                 backoff = min(backoff * 2, self.config.restart_backoff_max)
                 continue
-            if stop_after_polls is not None and self.tailer.polls >= stop_after_polls:
-                self._stop.set()
+            if self._stopping:
+                return  # stopped mid-poll
+            self._ready = True
+            backoff = self.config.restart_backoff_base
+            if getattr(self.tailer, "exhausted", False):
+                # A finite replay socket ran dry: drain and exit like a
+                # completed stop_after_polls run (the `sim:` CLI path).
                 return
-            self._stop.wait(self.config.poll_interval)
+            if stop_after_polls is not None and self.tailer.polls >= stop_after_polls:
+                return
+            self._sleep(self.config.poll_interval)
 
-    def _enqueue(self, batch: FrameBatch) -> None:
+    def _poll_once(self) -> bool:
+        """Process one poll's batches; ``False`` when the tailer raised.
+
+        Only the tailer's calls sit inside a ``try``: an exception from
+        :meth:`_process` (the analyzer, its hooks, the store) propagates
+        out of :meth:`run` instead of passing for an ingest restart.
+        """
         try:
-            self._queue.put_nowait(batch)
-        except queue.Full:
-            self.batches_dropped += 1
-            self.packets_dropped += len(batch)
-            self.telemetry.count("service.dropped", len(batch))
-            self.telemetry.count("service.dropped_batches")
-
-    # ------------------------------------------------------------ analysis
-
-    def _analysis_loop(self) -> None:
-        while True:
+            batches = self.tailer.poll()
+        except Exception:
+            return False
+        while not self._stopping:
             try:
-                batch = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._stop.is_set():
-                    ingest = self._ingest_thread
-                    if ingest is None or not ingest.is_alive():
-                        return  # stop requested, producer gone, queue dry
-                continue
+                batch = next(batches)
+            except StopIteration:
+                break
+            except Exception:
+                return False
             self._process(batch)
+        return True
+
+    def _sleep(self, seconds: float) -> None:
+        """Sleep ``seconds`` in ``poll_interval`` slices, ending early at
+        the first slice after :meth:`stop`."""
+        deadline = time.monotonic() + seconds
+        while not self._stopping and (left := deadline - time.monotonic()) > 0:
+            time.sleep(min(left, self.config.poll_interval))
 
     def _process(self, batch: FrameBatch) -> None:
         if len(batch):
@@ -355,16 +349,7 @@ class ZoomMonitorService:
             self.packets_processed += len(batch)
 
     def _shutdown(self) -> None:
-        """Drain, final sweep, close windows exactly once, stop exporters."""
-        self._stop.set()
-        ingest = self._ingest_thread
-        if ingest is not None and ingest.is_alive():
-            ingest.join(timeout=10.0)
-        while True:  # whatever the ingest thread enqueued before stopping
-            try:
-                self._process(self._queue.get_nowait())
-            except queue.Empty:
-                break
+        """Final sweep, close windows exactly once, stop exporters."""
         if not self._flushed:
             self._flushed = True
             self.aggregator.finish()  # finalize every live stream, close windows
@@ -389,14 +374,14 @@ class ZoomMonitorService:
                 snapshot = self.telemetry.snapshot()
                 break
             except RuntimeError:
-                # The analysis thread resized a dict mid-copy; rare, retry.
+                # The service loop resized a dict while this (HTTP) thread
+                # copied it; rare, retry.
                 if attempt == 3:
                     raise
                 time.sleep(0.001)
         gauges = {
             "service.live_streams": float(len(self.rolling.result.streams)),
             "service.open_windows": float(self.aggregator.open_window_count()),
-            "service.queue_depth": float(self._queue.qsize()),
             "service.streams_finalized": float(self.rolling.eviction.streams_evicted),
         }
         # Per-protocol live-stream dimensions: every enabled plugin exports
@@ -446,8 +431,7 @@ class ZoomMonitorService:
         self._last_window = window
 
     def _healthy(self) -> bool:
-        ingest = self._ingest_thread
-        return ingest is not None and ingest.is_alive()
+        return self._running
 
     def _ready_probe(self) -> bool:
         return self._ready

@@ -19,8 +19,10 @@ poll:
   replaced and read from the start again (``ingest.tail.replaced``).
 
 The tailer is deliberately synchronous — :meth:`poll` does one bounded pass
-and returns.  Scheduling (sleep intervals, threads, backpressure) belongs to
-the supervisor in :mod:`repro.service.runner`.
+and returns.  Its generator is lazy: it reads the next batch only when the
+consumer asks for it, so a slow consumer leaves the rest on disk instead
+of losing it.  Sleep intervals and restarts belong to the loop in
+:mod:`repro.service.runner`.
 """
 
 from __future__ import annotations
@@ -68,10 +70,13 @@ class CaptureDirectoryTailer:
         """One pass over the directory; yields batches of *new* frames.
 
         Batches are raw :class:`~repro.net.batch.FrameBatch` buffers, which
-        the service runner hands whole to the analyzer.  Files are visited
-        in name order — rotation schemes number their files monotonically,
-        and per-file resume makes the order a presentation detail rather
-        than a correctness one.
+        the service runner hands whole to the analyzer.  Files are read in
+        name order, each to its current end before the next: rotation
+        schemes number their files monotonically.  The order matters — if a
+        later file is read before an earlier one (a writer that names files
+        out of capture order, or an earlier file that grows after a later
+        one was read), the earlier file's packets arrive late to the
+        windows and rolling analyzer.
         """
         tel = self._telemetry
         self.polls += 1

@@ -9,7 +9,7 @@ so the supervisor calls :meth:`write_meetings` during its final drain.
 The sink also drives background maintenance on the store's cadence
 (:meth:`~repro.store.store.MetricsStore.maintain_if_due` after each window)
 so a long-lived daemon compacts and enforces retention without a separate
-thread — maintenance work happens on the analysis thread between windows,
+thread — maintenance work happens in the service loop between windows,
 where the store is already being written from.
 """
 

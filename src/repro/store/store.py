@@ -79,7 +79,7 @@ _HANDOFF_RE = re.compile(r"^seal-p(-?\d+)-\d+\.seg$")
 def _locked(method):
     """Serialize a :class:`MetricsStore` method on the store's RLock.
 
-    The live daemon appends from its analysis thread while the metrics
+    The live daemon appends from its service loop while the metrics
     HTTP server answers ``POST /store/query`` from handler threads; the
     reentrant lock lets a query see a consistent segment set (and lets
     ``append`` seal through ``seal_partition`` without deadlocking).

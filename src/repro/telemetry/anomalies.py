@@ -18,9 +18,7 @@ handful of warnings an operator actually acts on:
 * meetings whose QoE state machine entered IMPAIRED or CRITICAL — sustained
   loss, jitter, or delivered-frame-rate collapse (§5) that a user would
   notice, surfaced from the ``qoe.transitions_to.*`` counters;
-* live-monitor degradation — packets shed by the daemon's bounded queue
-  (recoverable from the capture directory) or a crash-restarting ingest
-  thread;
+* live-monitor degradation — a crash-restarting ingest;
 * kernel packet-ring drops in live-interface mode — frames lost before
   userspace ever saw them, which no batch re-run can recover;
 * metrics-store recoveries — a torn frame truncated from an active segment
@@ -152,23 +150,6 @@ def detect_anomalies(
                 )
             )
 
-    dropped = snapshot.counter("service.dropped")
-    if dropped:
-        anomalies.append(
-            Anomaly(
-                name="service-backpressure-drops",
-                message=(
-                    f"{dropped} packet(s) shed by the live monitor's bounded "
-                    f"queue ({snapshot.counter('service.dropped_batches')} "
-                    "batches) — analysis is not keeping up with ingest; "
-                    "re-run the batch analyzer over the capture directory "
-                    "to recover them"
-                ),
-                counter="service.dropped",
-                value=dropped,
-            )
-        )
-
     kernel_drops = snapshot.counter("dataplane.kernel_drops")
     if kernel_drops:
         anomalies.append(
@@ -177,9 +158,8 @@ def detect_anomalies(
                 message=(
                     f"{kernel_drops} frame(s) dropped in the kernel packet "
                     "ring before the analyzer could read them — the live "
-                    "interface is overrunning userspace; unlike queue drops "
-                    "these are NOT on disk and cannot be recovered by a "
-                    "batch re-run"
+                    "interface is overrunning userspace; these are NOT on "
+                    "disk and cannot be recovered by a batch re-run"
                 ),
                 counter="dataplane.kernel_drops",
                 value=kernel_drops,
@@ -192,7 +172,7 @@ def detect_anomalies(
             Anomaly(
                 name="service-ingest-restarts",
                 message=(
-                    f"the live monitor's ingest thread crash-restarted "
+                    f"the live monitor's ingest crash-restarted "
                     f"{restarts} time(s) — check the capture directory for "
                     "corrupt or vanishing files"
                 ),

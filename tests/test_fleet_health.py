@@ -5,8 +5,6 @@ Scraping is exercised two ways: against a real store directory written by
 ``scrape`` callable (anomaly rules, rendering) so no sockets are needed.
 """
 
-import pytest
-
 from repro.core import FleetConfig, FleetNodeConfig, StoreConfig
 from repro.fleet.health import (
     FLEET_COUNTER_SEEDS,
@@ -61,9 +59,8 @@ class TestScrapeStore:
         assert health.source == "store"
         assert health.store_records == 5
         assert health.newest == 50.0
-        # Store surfaces do not report capture/drop counters.
+        # Store surfaces do not report capture counters.
         assert health.frames is None
-        assert health.drop_ratio is None
 
     def test_missing_manifest_is_unreachable_not_an_exception(self, tmp_path):
         node = FleetNodeConfig(name="gone", store_dir=str(tmp_path / "nope"))
@@ -86,14 +83,9 @@ def _fleet(names, **overrides):
     return FleetConfig(nodes=nodes, **overrides)
 
 
-def _healthy(name, *, newest=1000.0, frames=10_000, dropped=0):
+def _healthy(name, *, newest=1000.0):
     return NodeHealth(
-        name=name,
-        source="endpoint",
-        reachable=True,
-        frames=frames,
-        dropped=dropped,
-        newest=newest,
+        name=name, source="endpoint", reachable=True, frames=10_000, newest=newest
     )
 
 
@@ -147,42 +139,6 @@ class TestAnomalyRules:
         )
         assert status.anomalies == []
 
-    def test_drop_outlier_needs_median_multiple_and_floor(self):
-        config = _fleet(["a", "b", "c"], drop_outlier_ratio=3.0)
-        status = fleet_status(
-            config,
-            scrape=_injected(
-                {
-                    "a": _healthy("a", dropped=10),  # 0.1%
-                    "b": _healthy("b", dropped=20),  # 0.2% (median)
-                    "c": _healthy("c", dropped=800),  # 8% — outlier
-                }
-            ),
-        )
-        rules = [(a.rule, a.node) for a in status.anomalies]
-        assert rules == [("drop-rate-outlier", "c")]
-
-    def test_tiny_absolute_drops_never_flag(self):
-        # 3x the median but under the 1% floor: not actionable.
-        config = _fleet(["a", "b"], drop_outlier_ratio=3.0)
-        status = fleet_status(
-            config,
-            scrape=_injected(
-                {
-                    "a": _healthy("a", dropped=1),  # 0.01%
-                    "b": _healthy("b", dropped=50),  # 0.5%
-                }
-            ),
-        )
-        assert status.anomalies == []
-
-    def test_single_node_fleet_has_no_outlier_rule(self):
-        config = _fleet(["a"])
-        status = fleet_status(
-            config, scrape=_injected({"a": _healthy("a", dropped=9000)})
-        )
-        assert status.anomalies == []
-
 
 class TestRender:
     def test_table_and_anomaly_lines(self):
@@ -222,14 +178,3 @@ class TestCounterSeeds:
             telemetry.count(name, 0)
         for name in FLEET_COUNTER_SEEDS:
             assert telemetry.counters.get(name, None) == 0
-
-
-class TestDropRatio:
-    def test_ratio_and_none_propagation(self):
-        node = _healthy("a", frames=200, dropped=50)
-        assert node.drop_ratio == pytest.approx(0.25)
-        assert NodeHealth(name="x", source="store", reachable=True).drop_ratio is None
-
-    def test_zero_frames_does_not_divide_by_zero(self):
-        node = _healthy("a", frames=0, dropped=5)
-        assert node.drop_ratio == 5.0

@@ -35,7 +35,7 @@ class TestPrometheusRendering:
         assert metric_name("capture.frames", suffix="_total") == (
             "repro_capture_frames_total"
         )
-        assert metric_name("service.queue-depth") == "repro_service_queue_depth"
+        assert metric_name("service.open-windows") == "repro_service_open_windows"
 
     def test_counters_rendered_with_type_lines(self):
         telemetry = Telemetry()
@@ -51,9 +51,9 @@ class TestPrometheusRendering:
         body = render_metrics(
             Telemetry().snapshot(),
             last_window=_window(),
-            gauges={"service.queue_depth": 5.0},
+            gauges={"service.open_windows": 5.0},
         )
-        assert "repro_service_queue_depth 5" in body
+        assert "repro_service_open_windows 5" in body
         assert "repro_window_packets 500" in body
         assert 'repro_window_media_packets{media="video"} 400' in body
         assert 'repro_window_media_fps{media="video"} 24.5' in body
@@ -126,18 +126,15 @@ class TestJsonlWindowLog:
 
 class TestDegradationCountersExported:
     def test_dropped_and_restart_counters_always_present(self, tmp_path):
-        """`service.dropped` and `service.ingest_restarts` must appear on
-        the Prometheus page from the first scrape — a dashboard alerting on
-        increase() needs the zero sample, not a series that materializes at
-        the first incident."""
+        """`service.ingest_restarts` must appear on the Prometheus page
+        from the first scrape — a dashboard alerting on increase() needs the
+        zero sample, not a series that materializes at the first incident."""
         from repro.core import AnalyzerConfig, ServiceConfig
         from repro.service.runner import ZoomMonitorService
 
         config = ServiceConfig(analyzer=AnalyzerConfig(telemetry=True))
         service = ZoomMonitorService(tmp_path, config)
         body = service.render_metrics()
-        assert "repro_service_dropped_total 0" in body
-        assert "repro_service_dropped_batches_total 0" in body
         assert "repro_service_ingest_restarts_total 0" in body
 
 

@@ -1,4 +1,4 @@
-"""End-to-end service tests: batch equivalence, backpressure, SIGTERM drain.
+"""End-to-end service tests: batch equivalence, slow analysis, SIGTERM drain.
 
 The headline acceptance test for the monitoring daemon: run the full
 tailer → rolling analyzer → aggregator → exporter stack over a rotated
@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -108,34 +109,49 @@ class TestServiceEquivalence:
         assert "repro_window_start_seconds" in body  # last window exported
 
 
-class TestBackpressure:
-    def test_full_queue_drops_and_counts(self, sfu_meeting_result, tmp_path):
-        """With nothing draining a 1-deep queue, overload is shed and
-        counted — never buffered without bound."""
-        captures = sfu_meeting_result.captures
+class TestSlowAnalyzer:
+    def test_directory_outpacing_the_analyzer_loses_nothing(
+        self, sfu_meeting_result, tmp_path
+    ):
+        """A slow analyzer slows reading instead of shedding packets: the
+        tailer reads the next batch only when the last one is processed."""
+        captures = sfu_meeting_result.captures[:4500]
         directory = _rotated_dir(tmp_path, captures)
-        config = _service_config(tmp_path, jsonl_path=None, queue_max_batches=1)
-        service = ZoomMonitorService(directory, config)
-        service._ingest_loop(1)  # no analysis thread: the queue stays full
-        assert service.batches_dropped > 0
-        assert service.packets_dropped > 0
-        assert service.telemetry.counter("service.dropped") == service.packets_dropped
-        assert (
-            service.telemetry.counter("service.dropped_batches")
-            == service.batches_dropped
+        config = _service_config(
+            tmp_path,
+            jsonl_path=None,
+            analyzer=AnalyzerConfig(rolling=True, telemetry=True, batch_size=8),
         )
-        assert service._queue.qsize() == 1  # bounded, despite the overload
-        report = service.report()
-        assert report.packets_dropped == service.packets_dropped
-
-    def test_drained_queue_drops_nothing(self, sfu_meeting_result, tmp_path):
-        captures = sfu_meeting_result.captures
-        directory = _rotated_dir(tmp_path, captures)
-        config = _service_config(tmp_path, jsonl_path=None)
         service = ZoomMonitorService(directory, config)
+        service.rolling.record_hooks.append(lambda *_: time.sleep(0.0002))
         report = service.run(stop_after_polls=1)
-        assert report.packets_dropped == 0
         assert report.packets_processed == len(captures)
+        assert report.packets_dropped == 0
+
+    def test_analysis_error_propagates_and_still_shuts_down(
+        self, sfu_meeting_result, tmp_path
+    ):
+        """An exception from the analysis side is a bug, not an ingest
+        restart: run() raises it after the final flush."""
+        directory = _rotated_dir(tmp_path, sfu_meeting_result.captures)
+        config = _service_config(
+            tmp_path, jsonl_path=None, store_dir=str(tmp_path / "store")
+        )
+        service = ZoomMonitorService(directory, config)
+        raised = []
+
+        def failing_hook(*_):
+            if not raised:
+                raised.append(True)
+                raise RuntimeError("analysis bug")
+
+        service.rolling.record_hooks.append(failing_hook)
+        with pytest.raises(RuntimeError, match="analysis bug"):
+            service.run(stop_after_polls=1)
+        assert service.ingest_restarts == 0
+        assert service.telemetry.counter("service.ingest_restarts") == 0
+        with pytest.raises(ValueError, match="store is closed"):
+            service.store_sink.store.append({"kind": "window", "start": 0.0})
 
 
 class TestIngestRestart:
@@ -160,6 +176,35 @@ class TestIngestRestart:
         assert report.ingest_restarts == 1
         assert service.telemetry.counter("service.ingest_restarts") == 1
         assert report.packets_processed == len(captures)  # recovered fully
+
+
+class TestSignalDuringBackoff:
+    def test_sigterm_cuts_a_restart_backoff_short(self, tmp_path):
+        """The backoff sleeps in poll-interval slices, so a stop lands
+        within one slice, not after the 30 s backoff."""
+        config = _service_config(
+            tmp_path, jsonl_path=None, restart_backoff_base=30.0
+        )
+        service = ZoomMonitorService(tmp_path, config)
+
+        def broken_poll():
+            raise OSError("capture directory unmounted")
+
+        service.tailer.poll = broken_poll
+        timer = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGTERM))
+        started = time.monotonic()
+        timer.start()
+        try:
+            report = service.run(install_signal_handlers=True)
+        finally:
+            timer.cancel()
+        assert time.monotonic() - started < 5.0
+        assert report.ingest_restarts == 1
+
+    def test_poll_interval_must_be_positive(self, tmp_path):
+        # The poll interval is the slice a signal's stop waits out.
+        with pytest.raises(ValueError, match="poll_interval"):
+            _service_config(tmp_path, poll_interval=0.0)
 
 
 @pytest.mark.slow

@@ -251,15 +251,6 @@ class TestAnomalies:
         assert [a.name for a in findings] == ["rtcp-receiver-reports"]
         assert isinstance(findings[0], Anomaly)
 
-    def test_service_backpressure_drops_flagged(self):
-        tel = Telemetry()
-        tel.count("service.dropped", 512)
-        tel.count("service.dropped_batches", 2)
-        findings = detect_anomalies(tel.snapshot())
-        assert [a.name for a in findings] == ["service-backpressure-drops"]
-        assert "512" in findings[0].message
-        assert "re-run the batch analyzer" in findings[0].message
-
     def test_service_ingest_restarts_flagged(self):
         tel = Telemetry()
         tel.count("service.ingest_restarts", 3)
