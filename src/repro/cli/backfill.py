@@ -1,4 +1,13 @@
-"""``backfill`` — load pre-store history into a metrics store."""
+"""``backfill`` — load pre-store history into a metrics store.
+
+The capture inputs are one capture: a single
+:class:`~repro.core.session.AnalysisSession` reads them in capture order
+through :class:`~repro.net.source.CaptureDirectorySource`, so a meeting
+split across rotated files is one meeting with whole streams.  Still open:
+the store keeps no analyzer state between runs, so a second backfill into
+the same store numbers its meetings from 0 again, and captures are stored
+as stream/meeting records only, with no windows.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +23,9 @@ def register(sub) -> None:
         help="load pre-store history into a metrics store",
         description="Ingest existing artifacts into a store: service JSONL "
                     "window logs (plain or gzip-rotated) become window "
-                    "records; capture files are batch-analyzed and their "
-                    "stream/meeting summaries stored.",
+                    "records; capture files are batch-analyzed as one "
+                    "capture, in capture order, and its stream/meeting "
+                    "summaries stored.",
     )
     parser.add_argument("store", type=Path, help="store directory "
                         "(created if missing)")
@@ -28,7 +38,7 @@ def register(sub) -> None:
 
 def run(args: argparse.Namespace) -> int:
     from repro.core import AnalysisSession, AnalyzerConfig
-    from repro.net.source import open_capture_source
+    from repro.net.source import CaptureDirectorySource
     from repro.store import MetricsStore, backfill_jsonl, backfill_result
 
     jsonl_paths = [p for p in args.inputs if not _looks_like_capture(p)]
@@ -40,12 +50,13 @@ def run(args: argparse.Namespace) -> int:
                 f"jsonl: {report.windows} windows from {report.files} files "
                 f"({report.skipped_lines} lines skipped)"
             )
-        for path in capture_paths:
+        if capture_paths:
             config = AnalyzerConfig(zoom_subnets=tuple(args.zoom_subnets))
-            result = AnalysisSession(config).run(open_capture_source(str(path)))
-            report = backfill_result(store, result)
+            source = CaptureDirectorySource(capture_paths)
+            report = backfill_result(store, AnalysisSession(config).run(source))
             print(
-                f"{path}: {report.streams} streams, {report.meetings} meetings"
+                f"captures: {report.streams} streams, {report.meetings} "
+                f"meetings from {len(source.files)} files"
             )
         total = store.record_count()
     print(f"store now holds {total} records in {args.store}")

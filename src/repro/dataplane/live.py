@@ -17,7 +17,7 @@ pieces:
   it from the CLI.
 * :class:`LiveInterfaceSource` — adapts either socket to the existing
   :class:`~repro.net.source.PacketSource` protocol *and* to the service
-  runner's tailer contract (a bounded synchronous :meth:`poll` plus a
+  runner's polling surface (a bounded synchronous :meth:`poll` plus a
   ``polls`` counter), so :class:`~repro.service.runner.ZoomMonitorService`
   ingests from a NIC through the exact code path it uses for a capture
   directory.
@@ -338,12 +338,12 @@ def open_packet_socket(interface: str, **sim_options):
 
 
 class LiveInterfaceSource(PacketSourceBase):
-    """A packet socket as a :class:`PacketSource` *and* a tailer.
+    """A packet socket as a :class:`PacketSource` with a :meth:`poll`.
 
-    The service runner's loop speaks the
-    :class:`~repro.service.tail.CaptureDirectoryTailer` contract — a
-    bounded synchronous :meth:`poll` yielding batches, plus ``polls`` —
-    and this class implements the same contract over a socket, so the
+    The service runner's loop speaks the polling surface the capture
+    directory reader (:class:`~repro.net.source.CaptureDirectorySource`)
+    has — a bounded synchronous :meth:`poll` yielding batches, plus
+    ``polls`` — and this class implements it over a socket, so the
     daemon's loop, crash-restart, and drain logic apply unchanged to live
     capture.  The loop asks for the next batch only once the last one is
     analyzed; meanwhile frames wait in the kernel ring, and what overflows
@@ -421,30 +421,34 @@ class LiveInterfaceSource(PacketSourceBase):
         received = 0
         filtered = 0
         filtered_bytes = 0
-        while remaining > 0:
-            frames = self.socket.recv_batch(min(remaining, self._batch_size))
-            if not frames:
-                break
-            remaining -= len(frames)
-            received += len(frames)
-            for timestamp, frame in frames:
-                builder.append(frame, timestamp)
-            batch = builder.build()
-            if raw is not None:
-                batch, verdict = raw.filter_batch(batch)
-                filtered += verdict.dropped
-                filtered_bytes += verdict.dropped_bytes
-            if len(batch):
-                # Hand off at recv-chunk granularity: the analyzer should
-                # not wait for a full-size batch on a quiet link.
-                yield self._emit(batch)
-        if received:
-            tel.count("dataplane.frames", received)
-        if filtered:
-            self.frames_filtered += filtered
-            tel.count("dataplane.filtered", filtered)
-            tel.count("dataplane.filtered_bytes", filtered_bytes)
-        self._update_kernel_stats()
+        try:
+            while remaining > 0:
+                frames = self.socket.recv_batch(min(remaining, self._batch_size))
+                if not frames:
+                    break
+                remaining -= len(frames)
+                received += len(frames)
+                for timestamp, frame in frames:
+                    builder.append(frame, timestamp)
+                batch = builder.build()
+                if raw is not None:
+                    batch, verdict = raw.filter_batch(batch)
+                    filtered += verdict.dropped
+                    filtered_bytes += verdict.dropped_bytes
+                if len(batch):
+                    # Hand off at recv-chunk granularity: the analyzer should
+                    # not wait for a full-size batch on a quiet link.
+                    yield self._emit(batch)
+        finally:
+            # Also when a stop abandons the poll mid-loop: what was
+            # received is counted, and the kernel counters are read.
+            if received:
+                tel.count("dataplane.frames", received)
+            if filtered:
+                self.frames_filtered += filtered
+                tel.count("dataplane.filtered", filtered)
+                tel.count("dataplane.filtered_bytes", filtered_bytes)
+            self._update_kernel_stats()
 
     def _update_kernel_stats(self) -> None:
         packets, drops = self.socket.stats()

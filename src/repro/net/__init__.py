@@ -25,7 +25,6 @@ from repro.net.packet import CapturedPacket, ParsedPacket, parse_frame
 from repro.net.pcap import PcapReader, PcapWriter, write_pcap
 from repro.net.source import (
     CaptureDirectorySource,
-    InterleavedSource,
     IterableSource,
     PacketSource,
     PcapFileSource,
@@ -49,7 +48,6 @@ __all__ = [
     "IPProtocol",
     "IPv4Header",
     "IPv6Header",
-    "InterleavedSource",
     "IterableSource",
     "PacketSource",
     "ParsedPacket",

@@ -15,10 +15,11 @@ frames.  Concrete sources:
 * :class:`PcapFileSource` / :class:`PcapNgFileSource` — true streaming
   readers over one capture file (never hold the capture in memory).
 * :class:`CaptureDirectorySource` — many files / globs / directories,
-  ordered by each file's first capture timestamp.
+  read in capture order (each file's first timestamp), either once or poll
+  after poll with per-file resume tokens; the live service's tailer is
+  this class in tolerant mode.
 * :class:`SimulationSource` — :mod:`repro.simulation` scenarios fed straight
   into the analyzer with no pcap round trip.
-* :class:`InterleavedSource` — k-way timestamp merge composing any sources.
 * :class:`IterableSource` — adapts an in-memory packet sequence.
 
 :func:`open_capture_source` dispatches a file to the right reader by
@@ -29,7 +30,6 @@ nothing downstream of this module knows about files.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 from glob import glob as _glob
@@ -82,7 +82,7 @@ class PacketSource(Protocol):
         ...
 
     def __iter__(self) -> Iterator[ParsedPacket]:
-        """Yield individual parsed packets (inspection, merging, peeking)."""
+        """Yield individual parsed packets (inspection, peeking)."""
         ...
 
     def close(self) -> None:
@@ -106,7 +106,7 @@ class PacketSourceBase:
 
     #: Whether frames enter the process here, so this source records
     #: ``capture.frames``/``capture.bytes`` itself.  False where a wrapped
-    #: reader or the composed inputs already did.
+    #: reader already did.
     _records_capture = True
 
     def __init__(
@@ -346,15 +346,43 @@ class SimulationSource(PacketSourceBase):
 
 
 class CaptureDirectorySource(PacketSourceBase):
-    """Sequence many capture files as one source.
+    """Read many capture files as one source, in capture order.
 
     Accepts any mix of concrete paths, glob patterns, and directories (a
-    directory contributes every file matching ``pattern``).  Files are
-    ordered by their *first capture timestamp* — not by name — so captures
-    rotated by a monitor (``zoom-00.pcap``, ``zoom-01.pcap``, …) or handed
-    over out of order replay in wall-clock order.  Each opened file counts
-    one ``ingest.files``; per-file frame/byte counters land under
-    ``capture.*`` via the underlying reader.
+    directory contributes every file matching ``pattern``).  Files are read
+    in order of their *first capture timestamp*, ties broken by name — not
+    in name order, which a rotation scheme's names do not promise:
+    ``tcpdump -C`` writes ``trace.pcap``, ``trace.pcap1`` … ``trace.pcap10``,
+    and ``pcap10`` sorts before ``pcap2``.  A pcap promises order only
+    through its record timestamps, and the windows downstream close on a
+    watermark, so a later file read first would make an earlier file's
+    packets late.
+
+    Two ways to read:
+
+    * :meth:`frame_batches` is one pass over :attr:`files`, the inputs as
+      expanded and ordered at construction (``repro analyze``).
+    * :meth:`poll` expands the inputs again and delivers exactly the frames
+      that appeared since the last poll (the live service, through
+      :class:`~repro.service.tail.CaptureDirectoryTailer`).  Each file keeps
+      a :class:`CaptureResume` token beside its cached first timestamp, so
+      a file is never delivered twice however often it is rediscovered.  A
+      file that shrank, or whose format no longer matches its token, was
+      replaced under its name: its token and timestamp are dropped and it
+      is read from the start again (``ingest.tail.replaced``).
+
+    ``tolerant`` is for a directory a capture daemon is still writing: a
+    truncated last record ends the file's pass without advancing its
+    position, and a file whose header or first record is not fully written
+    (or that cannot be opened) waits for the next poll
+    (``ingest.tail.not_ready``) instead of raising.  Strict mode raises on
+    a truncated or unreadable file, and on inputs that match no file.
+
+    Counters: ``ingest.files`` per file first opened, ``ingest.tail.resumed``
+    per file continued, ``ingest.tail.packets`` and ``ingest.tail.polls``;
+    the readers record ``capture.*``.  The generators are lazy: a slow
+    consumer leaves the rest on disk, and one that abandons a poll resumes
+    at the first frame it never received.
     """
 
     _records_capture = False  # each file's reader does
@@ -369,96 +397,144 @@ class CaptureDirectorySource(PacketSourceBase):
         batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
+        self._inputs = [paths] if isinstance(paths, (str, Path)) else list(paths)
+        self._pattern = pattern
         self._tolerant = tolerant
-        if isinstance(paths, (str, Path)):
-            paths = [paths]
-        expanded: list[Path] = []
-        for entry in paths:
-            entry_path = Path(entry)
-            if entry_path.is_dir():
-                expanded.extend(sorted(entry_path.glob(pattern)))
-            elif _has_magic(str(entry)):
-                matches = sorted(Path(match) for match in _glob(str(entry)))
-                if not matches:
-                    raise FileNotFoundError(f"glob {entry!r} matched no files")
-                expanded.extend(matches)
-            else:
-                expanded.append(entry_path)
-        if not expanded:
-            raise FileNotFoundError(f"no capture files under {paths!r}")
-        # Tie-break equal first timestamps by file name so replay order is
-        # deterministic regardless of directory-listing or glob order —
-        # rotated capture files routinely share a boundary timestamp.
-        self.files: tuple[Path, ...] = tuple(
-            sorted(
-                expanded,
-                key=lambda p: (_first_capture_timestamp(p), p.name, str(p)),
-            )
-        )
+        self._positions: dict[Path, CaptureResume] = {}
+        self._first: dict[Path, float] = {}  # known first capture timestamps
         self._open: PacketSourceBase | None = None
+        self.polls = 0
+        self.files: tuple[Path, ...] = self._ordered(self._expand())
+        if not self.files and not tolerant:
+            raise FileNotFoundError(f"no capture files under {paths!r}")
 
     def frame_batches(self) -> Iterator[FrameBatch]:
-        """Raw-buffer batches, file by file in first-timestamp order."""
-        for path in self.files:
-            self._open = open_capture_source(
-                path,
-                telemetry=self._telemetry,
-                tolerant=self._tolerant,
-                batch_size=self._batch_size,
-            )
-            self._telemetry.count("ingest.files")
-            try:
-                for batch in self._open.frame_batches():
-                    yield self._emit(batch)
-            finally:
-                self._open.close()
-                self._open = None
+        """Raw-buffer batches: one pass over :attr:`files`, each listed file
+        from its start (a file listed twice is read twice)."""
+        return self._read(self.files, resume=False)
+
+    def poll(self) -> Iterator[FrameBatch]:
+        """One pass over the inputs as they are now; yields only new frames."""
+        self.polls += 1
+        self._telemetry.count("ingest.tail.polls")
+        yield from self._read(
+            self._ordered(path for path in self._expand() if self._has_news(path))
+        )
 
     def close(self) -> None:
         if self._open is not None:
             self._open.close()
             self._open = None
 
+    # ------------------------------------------------------------- internals
 
-class InterleavedSource(PacketSourceBase):
-    """Compose sources by k-way merging on capture timestamp.
+    def _expand(self) -> list[Path]:
+        found: list[Path] = []
+        for entry in self._inputs:
+            path = Path(entry)
+            if path.is_dir():
+                found.extend(p for p in path.glob(self._pattern) if p.is_file())
+            elif any(char in str(entry) for char in "*?["):
+                matches = [Path(match) for match in _glob(str(entry))]
+                if not matches and not self._tolerant:
+                    raise FileNotFoundError(f"glob {entry!r} matched no files")
+                found.extend(matches)
+            else:
+                found.append(path)
+        return found
 
-    Each input must itself be time-ordered (every source here is); the
-    merge is a heap over one head frame per input, so composing k live
-    taps costs O(log k) per frame and holds k frames of state.  Opening the
-    merge counts ``ingest.sources``.
-    """
+    def _ordered(self, paths: Iterable[Path]) -> tuple[Path, ...]:
+        """(first capture timestamp, name) order; unknown timestamps last.
 
-    _records_capture = False  # the inputs do
-
-    def __init__(
-        self,
-        *sources: PacketSource,
-        telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
-    ) -> None:
-        super().__init__(telemetry=telemetry, batch_size=batch_size)
-        if not sources:
-            raise ValueError("InterleavedSource needs at least one source")
-        self.sources: tuple[PacketSource, ...] = sources
-
-    def _frames(self) -> Iterator[tuple[bytes, float]]:
-        # Counted here, not at construction: the registry in use may have
-        # been adopted (``attach_telemetry``) after the source was built.
-        self._telemetry.count("ingest.sources", len(self.sources))
-        yield from heapq.merge(
-            *(_source_frames(source) for source in self.sources),
-            key=lambda frame: frame[1],
+        Rotated files routinely share a boundary timestamp, so the name
+        tie-break keeps the order independent of listing or argument order.
+        """
+        return tuple(
+            sorted(
+                paths,
+                key=lambda p: (self._first_timestamp(p), p.name, str(p)),
+            )
         )
 
-    def _propagate_telemetry(self, telemetry: Telemetry) -> None:
-        for source in self.sources:
-            if hasattr(source, "attach_telemetry"):
-                source.attach_telemetry(telemetry)
+    def _first_timestamp(self, path: Path) -> float:
+        """Peek one frame, once per file; ``inf`` while there is none."""
+        first = self._first.get(path)
+        if first is not None:
+            return first
+        try:
+            peek = open_capture_source(path, tolerant=self._tolerant, batch_size=1)
+        except (OSError, ValueError):
+            if not self._tolerant:
+                raise
+            return float("inf")
+        try:
+            for batch in peek.frame_batches():
+                self._first[path] = first = batch.timestamps[0]
+                return first
+            return float("inf")
+        finally:
+            peek.close()
 
-    def close(self) -> None:
-        for source in self.sources:
-            source.close()
+    def _has_news(self, path: Path) -> bool:
+        """Whether a known file grew; a shrunk one is forgotten and re-read."""
+        token = self._positions.get(path)
+        if token is None:
+            return True
+        try:
+            size = path.stat().st_size
+        except OSError:
+            return False  # raced with deletion; rediscovered next poll if back
+        if size < token.offset:
+            self._forget(path)
+            return True
+        return size > token.offset
+
+    def _forget(self, path: Path) -> None:
+        self._telemetry.count("ingest.tail.replaced")
+        self._positions.pop(path, None)
+        self._first.pop(path, None)
+
+    def _read(
+        self, files: tuple[Path, ...], *, resume: bool = True
+    ) -> Iterator[FrameBatch]:
+        tel = self._telemetry
+        for path in files:
+            if self._tolerant and path not in self._first:
+                tel.count("ingest.tail.not_ready")  # no complete first record
+                continue
+            token = self._positions.get(path) if resume else None
+            try:
+                source = open_capture_source(
+                    path,
+                    telemetry=tel,
+                    tolerant=self._tolerant,
+                    batch_size=self._batch_size,
+                    resume=token,
+                )
+            except (OSError, ValueError):
+                if token is not None:
+                    # The format changed under the name: start over, ordered
+                    # by the new first record at the next poll.
+                    self._forget(path)
+                elif self._tolerant:
+                    tel.count("ingest.tail.not_ready")
+                else:
+                    raise
+                continue
+            tel.count("ingest.files" if token is None else "ingest.tail.resumed")
+            self._open = source
+            try:
+                # Batch boundaries are record boundaries, and the position
+                # is saved before the hand-off: a consumer that abandons the
+                # generator resumes at the first frame it never received.
+                for batch in source.frame_batches():
+                    tel.count("ingest.tail.packets", len(batch))
+                    self._positions[path] = source.resume_state()
+                    yield self._emit(batch)
+                self._positions[path] = source.resume_state()
+            finally:
+                source.close()
+                self._open = None
 
 
 # --------------------------------------------------------------- dispatch
@@ -516,26 +592,6 @@ def open_capture_source(
 
 
 # --------------------------------------------------------------- internals
-
-
-def _has_magic(text: str) -> bool:
-    return any(char in text for char in "*?[")
-
-
-def _source_frames(source: PacketSource) -> Iterator[tuple[bytes, float]]:
-    for batch in source.frame_batches():
-        yield from batch.iter_frames()
-
-
-def _first_capture_timestamp(path: Path) -> float:
-    """Peek one frame for file ordering; empty files sort last."""
-    peek = open_capture_source(path, batch_size=1)
-    try:
-        for batch in peek.frame_batches():
-            return batch.timestamps[0]
-        return float("inf")
-    finally:
-        peek.close()
 
 
 #: What the drivers' ``run`` accepts (see :func:`coerce_source`).

@@ -106,10 +106,11 @@ class ZoomMonitorService:
     tailer: frames arrive through an ``AF_PACKET`` socket (or its
     simulated stand-in) with the compiled cBPF capture filter attached,
     and everything downstream — the loop, restarts, drain — is shared
-    with the directory path.  The source honours the same ``poll()`` /
-    ``polls`` contract, so the loop below cannot tell the difference; the
-    one addition is that a finite replay socket reports ``exhausted`` and
-    stops the service like a drained ``stop_after_polls`` run.
+    with the directory path.  Both inputs are packet sources with the same
+    ``poll()`` / ``polls`` / ``close()`` surface, so the loop below cannot
+    tell the difference; the one addition is that a finite replay socket
+    reports ``exhausted`` and stops the service like a drained
+    ``stop_after_polls`` run.
 
     The constructor builds everything but starts nothing; :meth:`run`
     blocks until :meth:`stop` (or a signal, when requested) and returns a
@@ -358,8 +359,7 @@ class ZoomMonitorService:
             if self.store_sink is not None:
                 self.store_sink.write_meetings(self.rolling.result.meetings)
                 self.store_sink.store.close()
-        if self.interface_mode:
-            self.tailer.close()  # release the packet socket
+        self.tailer.close()  # release the packet socket or open capture file
         if self.jsonl is not None:
             self.jsonl.close()
         if self.http is not None:

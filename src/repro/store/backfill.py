@@ -11,7 +11,10 @@ already have on disk:
 * :func:`backfill_result` — a finished batch
   :class:`~repro.core.pipeline.AnalysisResult`: its media streams and
   meetings become ``stream``/``meeting`` records (a batch run has no
-  tumbling-window timeline to store).
+  tumbling-window timeline to store).  ``repro backfill`` analyzes all of
+  its capture files as one run, so one meeting stays one record.  Meeting
+  ids come from that run alone: a second backfill into the same store
+  starts again at 0, and its records are not told apart from the first's.
 
 Both append through the normal store write path — partition routing,
 sealing, manifest updates, and telemetry all behave exactly as live ingest.

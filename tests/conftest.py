@@ -13,6 +13,7 @@ import pytest
 
 from repro.net.batch import BatchPrefilter, FrameBatchBuilder, decode_columns
 from repro.net.packet import parse_frame
+from repro.net.pcap import write_pcap
 from repro.protocols import build_registry
 from repro.simulation import (
     CongestionEvent,
@@ -115,6 +116,20 @@ def partition_homes(frames, shards):
                 if batch.hints is None or not batch.hints[i]:
                     homes[int(batch.timestamps[i])] = shard
     return [homes[position] for position in range(len(frames))], driver.partition_stats
+
+
+def rotated_capture_dir(
+    tmp_path, captures, names=("zoom-00.pcap", "zoom-01.pcap", "zoom-02.pcap")
+):
+    """``tmp_path/caps`` with one file per name, holding equal time slices
+    of ``captures`` in name-list order; the last file takes the rest."""
+    directory = tmp_path / "caps"
+    directory.mkdir()
+    size = len(captures) // len(names)
+    for index, name in enumerate(names):
+        end = (index + 1) * size if index < len(names) - 1 else None
+        write_pcap(directory / name, captures[index * size : end])
+    return directory
 
 
 @functools.lru_cache(maxsize=None)

@@ -333,6 +333,25 @@ class TestAnalyzeLive:
         assert "metrics: http://127.0.0.1:" in capsys.readouterr().out
 
 
+class TestBackfill:
+    def test_rotated_captures_backfill_as_one_meeting(self, sfu_meeting_result, tmp_path):
+        """One meeting split over three files is one analysis run: one
+        meeting record and whole streams, in any argument order."""
+        from repro.core import ZoomAnalyzer
+        from repro.store import MetricsStore, StoreQuery
+        from tests.conftest import rotated_capture_dir
+
+        captures = sfu_meeting_result.captures
+        paths = sorted(str(p) for p in rotated_capture_dir(tmp_path, captures).iterdir())
+        assert main(["backfill", str(tmp_path / "store"), *reversed(paths)]) == 0
+        with MetricsStore(tmp_path / "store") as store:
+            records = store.query(StoreQuery(kinds=("stream", "meeting"))).records
+        kinds = [record["kind"] for record in records]
+        batch = ZoomAnalyzer().analyze(captures)
+        assert kinds.count("meeting") == len(batch.meetings) == 1
+        assert kinds.count("stream") == len(batch.media_streams())
+
+
 class TestQuery:
     @pytest.mark.parametrize("fmt, printed", [("table", "\n"), ("csv", ""), ("json", "")])
     def test_empty_result_is_an_empty_table(self, meeting_pcap, tmp_path, capsys, fmt, printed):

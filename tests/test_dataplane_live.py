@@ -184,6 +184,22 @@ class TestLiveInterfaceSource:
         assert counter("dataplane.filtered_bytes") == 150 * len(background_frame(0))
         assert counter("dataplane.recompiles") == 0
 
+    def test_poll_abandoned_mid_loop_still_counts(self, tmp_path):
+        """A stop that closes the poll generator after two batches: what
+        was received is counted and the kernel counters are read."""
+        trace = tmp_path / "t.pcap"
+        write_trace(trace, pure_zoom_frames(120))
+        telemetry = Telemetry()
+        source = LiveInterfaceSource(
+            SimulatedPacketSocket.replay(trace, chunk=16), telemetry=telemetry,
+            dataplane=DataplaneFilter(BatchPrefilter([ZOOM_NET])), batch_size=16,
+        )
+        poll = source.poll()
+        assert [len(next(poll)), len(next(poll))] == [16, 16]
+        poll.close()
+        assert telemetry.snapshot().counter("dataplane.frames") == 32
+        assert source.kernel_packets >= 32
+
     def test_kernel_stats_fold_into_telemetry(self, tmp_path):
         trace = tmp_path / "t.pcap"
         write_trace(trace, pure_zoom_frames(100))

@@ -17,7 +17,7 @@ from repro.core.dissector import dissect
 from repro.core.entropy import analyze_flow
 from repro.core.offset_finder import discover_offsets
 from repro.net.packet import CapturedPacket, build_udp_frame, parse_frame
-from repro.net.source import InterleavedSource, IterableSource
+from repro.net.source import IterableSource
 from repro.rtp.rtcp import parse_rtcp_compound
 from repro.rtp.stun import is_stun
 from repro.zoom.packets import parse_zoom_payload
@@ -81,17 +81,10 @@ def test_analyzer_swallows_arbitrary_frames(items, batch_size):
     path every in-memory input takes: nothing raised, every frame and byte
     accounted by the analyzer and by the source."""
     packets = [CapturedPacket(timestamp, data) for timestamp, data in items]
-    for source in (
-        IterableSource(packets, batch_size=batch_size),
-        InterleavedSource(
-            IterableSource(packets[0::2]),
-            IterableSource(packets[1::2]),
-            batch_size=batch_size,
-        ),
-    ):
-        result = ZoomAnalyzer().run(source)
-        assert result.packets_total == source.packets_emitted == len(packets)
-        assert result.bytes_total == source.bytes_emitted == sum(len(d) for _, d in items)
+    source = IterableSource(packets, batch_size=batch_size)
+    result = ZoomAnalyzer().run(source)
+    assert result.packets_total == source.packets_emitted == len(packets)
+    assert result.bytes_total == source.bytes_emitted == sum(len(d) for _, d in items)
 
 
 @given(st.binary(min_size=10, max_size=400), st.integers(min_value=1, max_value=0xFFFF))

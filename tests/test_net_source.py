@@ -3,8 +3,7 @@
 Covers the :class:`PacketSource` contract properties ISSUE'd for this
 layer: streaming readers yield long before EOF (bounded memory),
 directory sources order files by first capture timestamp rather than by
-name, interleaved sources merge strictly by timestamp, and dispatch is
-by magic bytes only.
+name (in one pass and poll by poll), and dispatch is by magic bytes only.
 """
 
 import itertools
@@ -16,7 +15,6 @@ from repro.net.packet import CapturedPacket, ParsedPacket
 from repro.net.pcap import write_pcap
 from repro.net.source import (
     CaptureDirectorySource,
-    InterleavedSource,
     IterableSource,
     PacketSource,
     PcapFileSource,
@@ -168,6 +166,11 @@ class TestSimulationSource:
         assert sim_ts == file_ts
 
 
+def _read(source, how):
+    """Timestamps from one ``frame_batches()`` pass or one ``poll()``."""
+    return [t for batch in getattr(source, how)() for t in batch.timestamps]
+
+
 class TestCaptureDirectorySource:
     @pytest.fixture()
     def rotated_dir(self, tmp_path):
@@ -181,31 +184,31 @@ class TestCaptureDirectorySource:
 
     def test_orders_files_by_first_timestamp(self, rotated_dir):
         directory, per_file = rotated_dir
-        source = CaptureDirectorySource(directory)
-        assert [p.name for p in source.files] == ["zz.pcap", "aa.pcap"]
-        timestamps = [p.timestamp for p in source]
-        assert timestamps == sorted(timestamps)
-        assert source.packets_emitted == 2 * per_file
+        for how in ("frame_batches", "poll"):
+            source = CaptureDirectorySource(directory)
+            assert [p.name for p in source.files] == ["zz.pcap", "aa.pcap"]
+            timestamps = _read(source, how)
+            assert timestamps == sorted(timestamps)
+            assert source.packets_emitted == 2 * per_file
 
     def test_equal_first_timestamps_tie_break_by_name(self, tmp_path):
         """Rotated capture files sharing a boundary timestamp must replay
         in a deterministic (name) order, whatever order the inputs or the
         directory listing presented them in."""
         packets = _meeting_packets(seed=13, duration=1.0)
-        for name in ("cap-02.pcap", "cap-00.pcap", "cap-01.pcap"):
-            write_pcap(tmp_path / name, packets)
+        for index, name in enumerate(("cap-02.pcap", "cap-00.pcap", "cap-01.pcap")):
+            # Same first frame, then a per-file marker timestamp.
+            write_pcap(tmp_path / name, packets[:1] + [
+                CapturedPacket(packets[1].timestamp + index, packets[1].data)
+            ])
         expected = ["cap-00.pcap", "cap-01.pcap", "cap-02.pcap"]
-        source = CaptureDirectorySource(tmp_path)
-        assert [p.name for p in source.files] == expected
-        # Explicit path lists in any order resolve to the same plan.
-        shuffled = [
-            tmp_path / "cap-01.pcap",
-            tmp_path / "cap-02.pcap",
-            tmp_path / "cap-00.pcap",
-        ]
-        assert [
-            p.name for p in CaptureDirectorySource(shuffled).files
-        ] == expected
+        shuffled = [tmp_path / name for name in ("cap-01.pcap", "cap-02.pcap", "cap-00.pcap")]
+        for inputs in (tmp_path, shuffled):  # listing order, argument order
+            for how in ("frame_batches", "poll"):
+                source = CaptureDirectorySource(inputs)
+                assert [p.name for p in source.files] == expected
+                markers = [t - packets[1].timestamp for t in _read(source, how)[1::2]]
+                assert markers == pytest.approx([1, 2, 0], abs=1e-6)
 
     def test_glob_pattern(self, rotated_dir):
         directory, per_file = rotated_dir
@@ -225,35 +228,6 @@ class TestCaptureDirectorySource:
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             CaptureDirectorySource(tmp_path)
-
-
-class TestInterleavedSource:
-    def test_merges_by_timestamp(self, captures):
-        evens = IterableSource(captures[0::2])
-        odds = IterableSource(captures[1::2])
-        merged = list(InterleavedSource(evens, odds))
-        assert len(merged) == len(captures)
-        timestamps = [p.timestamp for p in merged]
-        assert timestamps == sorted(timestamps)
-
-    def test_counts_sources(self, captures):
-        """Built bare, adopted by the session: the run's registry must still
-        see ``ingest.sources`` (it used to be counted at construction, into
-        the disabled placeholder) and each input's ``capture.*`` once."""
-        from repro.core import AnalysisSession, AnalyzerConfig
-
-        source = InterleavedSource(
-            IterableSource(captures[0:40:2]), IterableSource(captures[1:40:2])
-        )
-        result = AnalysisSession(AnalyzerConfig(telemetry=True)).run(source)
-        counters = result.telemetry_snapshot().counters
-        assert counters["ingest.sources"] == 2
-        assert counters["capture.frames"] == result.packets_total == 40
-        assert counters["capture.bytes"] == result.bytes_total
-
-    def test_requires_at_least_one_source(self):
-        with pytest.raises(ValueError):
-            InterleavedSource()
 
 
 class TestFormatSniffing:

@@ -33,7 +33,7 @@ from repro.simulation import (
     congestion_adaptation_scenario,
     impairment_suite,
 )
-from tests.conftest import simulated
+from tests.conftest import rotated_capture_dir, simulated
 
 _SUITE = impairment_suite()
 _NAMES = [scenario.name for scenario in _SUITE]
@@ -86,12 +86,7 @@ def _session_transitions(captures, tmp_path: Path, *, rolling: bool):
 
 
 def _service_transitions(captures, tmp_path: Path):
-    directory = tmp_path / "caps"
-    directory.mkdir()
-    third = len(captures) // 3
-    write_pcap(directory / "zoom-00.pcap", captures[:third])
-    write_pcap(directory / "zoom-01.pcap", captures[third : 2 * third])
-    write_pcap(directory / "zoom-02.pcap", captures[2 * third :])
+    directory = rotated_capture_dir(tmp_path, captures)
     config = ServiceConfig(
         analyzer=AnalyzerConfig(
             rolling=True, rolling_idle_timeout=60.0, telemetry=True

@@ -19,19 +19,10 @@ from pathlib import Path
 import pytest
 
 from repro.core import AnalyzerConfig, ServiceConfig, ZoomAnalyzer
-from repro.net.pcap import write_pcap
 from repro.service.runner import ZoomMonitorService
 from repro.service.windows import media_name
-
-
-def _rotated_dir(tmp_path: Path, captures) -> Path:
-    directory = tmp_path / "caps"
-    directory.mkdir()
-    third = len(captures) // 3
-    write_pcap(directory / "zoom-00.pcap", captures[:third])
-    write_pcap(directory / "zoom-01.pcap", captures[third : 2 * third])
-    write_pcap(directory / "zoom-02.pcap", captures[2 * third :])
-    return directory
+from repro.store import MetricsStore, StoreQuery
+from tests.conftest import rotated_capture_dir
 
 
 def _service_config(tmp_path: Path, **overrides) -> ServiceConfig:
@@ -53,7 +44,7 @@ class TestServiceEquivalence:
     def run_artifacts(self, sfu_meeting_result, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("service")
         captures = sfu_meeting_result.captures
-        directory = _rotated_dir(tmp_path, captures)
+        directory = rotated_capture_dir(tmp_path, captures)
         config = _service_config(tmp_path, listen="127.0.0.1:0")
         service = ZoomMonitorService(directory, config)
         report = service.run(stop_after_polls=2)
@@ -109,6 +100,45 @@ class TestServiceEquivalence:
         assert "repro_window_start_seconds" in body  # last window exported
 
 
+class TestCaptureOrder:
+    """Rotated files are read in capture order, whatever their names:
+    ``tcpdump -C`` names sort ``trace.pcap1, trace.pcap10, trace.pcap2``."""
+
+    NAMINGS = {
+        "zero-padded": [f"zoom-{index:02d}.pcap" for index in range(12)],
+        "tcpdump": ["trace.pcap"] + [f"trace.pcap{index}" for index in range(1, 12)],
+        "shuffled": [f"cap-{i:02d}.pcap" for i in (7, 2, 11, 0, 5, 9, 1, 10, 3, 8, 6, 4)],
+    }
+
+    @pytest.fixture(scope="class")
+    def runs(self, sfu_meeting_result, tmp_path_factory):
+        runs = {}
+        for naming, names in self.NAMINGS.items():
+            tmp_path = tmp_path_factory.mktemp(naming)
+            directory = rotated_capture_dir(tmp_path, sfu_meeting_result.captures, names)
+            config = _service_config(tmp_path, store_dir=str(tmp_path / "store"))
+            service = ZoomMonitorService(directory, config)
+            service.run(stop_after_polls=1)
+            with MetricsStore(tmp_path / "store") as store:
+                query = StoreQuery(kinds=("window", "stream", "meeting"))
+                records = store.query(query).records
+            counters = service.telemetry.snapshot().counters
+            runs[naming] = ((tmp_path / "windows.jsonl").read_text(), records, counters)
+        return runs
+
+    def test_tcpdump_names_lose_no_media_record(self, runs):
+        jsonl, _, counters = runs["tcpdump"]
+        windows = [json.loads(line) for line in jsonl.splitlines()]
+        assert len(windows) == 6
+        assert sum(window["zoom_packets"] for window in windows) == 15_463
+        late = [counters.get(key, 0) for key in ("service.late_events", "qoe.late_packets")]
+        assert late == [0, 0]
+
+    @pytest.mark.parametrize("naming", ["tcpdump", "shuffled"])
+    def test_names_do_not_change_the_output(self, runs, naming):
+        assert runs[naming][:2] == runs["zero-padded"][:2]
+
+
 class TestSlowAnalyzer:
     def test_directory_outpacing_the_analyzer_loses_nothing(
         self, sfu_meeting_result, tmp_path
@@ -116,7 +146,7 @@ class TestSlowAnalyzer:
         """A slow analyzer slows reading instead of shedding packets: the
         tailer reads the next batch only when the last one is processed."""
         captures = sfu_meeting_result.captures[:4500]
-        directory = _rotated_dir(tmp_path, captures)
+        directory = rotated_capture_dir(tmp_path, captures)
         config = _service_config(
             tmp_path,
             jsonl_path=None,
@@ -133,7 +163,7 @@ class TestSlowAnalyzer:
     ):
         """An exception from the analysis side is a bug, not an ingest
         restart: run() raises it after the final flush."""
-        directory = _rotated_dir(tmp_path, sfu_meeting_result.captures)
+        directory = rotated_capture_dir(tmp_path, sfu_meeting_result.captures)
         config = _service_config(
             tmp_path, jsonl_path=None, store_dir=str(tmp_path / "store")
         )
@@ -157,7 +187,7 @@ class TestSlowAnalyzer:
 class TestIngestRestart:
     def test_poll_crash_is_counted_and_retried(self, sfu_meeting_result, tmp_path):
         captures = sfu_meeting_result.captures
-        directory = _rotated_dir(tmp_path, captures)
+        directory = rotated_capture_dir(tmp_path, captures)
         config = _service_config(
             tmp_path, jsonl_path=None, restart_backoff_base=0.01
         )
@@ -211,7 +241,7 @@ class TestSignalDuringBackoff:
 class TestSigtermShutdown:
     def test_sigterm_flushes_once_and_exits_zero(self, sfu_meeting_result, tmp_path):
         captures = sfu_meeting_result.captures
-        directory = _rotated_dir(tmp_path, captures)
+        directory = rotated_capture_dir(tmp_path, captures)
         jsonl_path = tmp_path / "windows.jsonl"
         process = subprocess.Popen(
             [

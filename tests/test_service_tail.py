@@ -12,31 +12,24 @@ import pytest
 
 from repro.net.pcap import PcapReader, PcapWriter, write_pcap
 from repro.net.pcapng import PcapngReader, PcapngWriter
-from repro.net.source import CaptureDirectorySource, PcapFileSource
+from repro.net.source import PcapFileSource
 from repro.service.tail import CaptureDirectoryTailer
 from repro.telemetry.registry import Telemetry
 
 
-def _packets(batch):
-    return [batch.materialize(index) for index in range(len(batch))]
-
-
 def _drain(tailer):
-    """All packets from one poll, flattened."""
-    return [parsed for batch in tailer.poll() for parsed in _packets(batch)]
+    """The timestamps of every frame from one poll, in delivery order."""
+    return [t for batch in tailer.poll() for t in batch.timestamps]
 
 
-def _pcap_bytes(packets) -> bytes:
+def _times(packets):
+    return [pytest.approx(packet.timestamp, abs=1e-6) for packet in packets]
+
+
+def _capture_bytes(packets, writer=PcapWriter) -> bytes:
     buffer = io.BytesIO()
-    with PcapWriter(buffer) as writer:
-        writer.write_all(packets)
-    return buffer.getvalue()
-
-
-def _pcapng_bytes(packets) -> bytes:
-    buffer = io.BytesIO()
-    with PcapngWriter(buffer) as writer:
-        writer.write_all(packets)
+    with writer(buffer) as out:
+        out.write_all(packets)
     return buffer.getvalue()
 
 
@@ -65,7 +58,7 @@ class TestReaderResume:
             PcapReader(path, start_offset=10)
 
     def test_pcap_truncated_tail_keeps_offset_at_boundary(self, captures, tmp_path):
-        data = _pcap_bytes(captures[:10])
+        data = _capture_bytes(captures[:10])
         path = tmp_path / "t.pcap"
         path.write_bytes(data[:-7])  # cut the last record mid-data
         with PcapReader(path, tolerant=True) as reader:
@@ -81,7 +74,7 @@ class TestReaderResume:
 
     def test_pcapng_resume_state_roundtrip(self, captures, tmp_path):
         path = tmp_path / "t.pcapng"
-        path.write_bytes(_pcapng_bytes(captures[:50]))
+        path.write_bytes(_capture_bytes(captures[:50], PcapngWriter))
         with PcapngReader(path) as reader:
             iterator = iter(reader)
             head = [next(iterator) for _ in range(20)]
@@ -99,57 +92,38 @@ class TestTailerRotation:
     def test_rotation_mid_meeting_delivers_every_packet_once(
         self, captures, tmp_path
     ):
-        """Files appear one at a time across polls; the union equals a
-        one-shot directory-source run over the final directory."""
+        """Files appear one at a time across polls; together they deliver
+        the capture once, in capture order."""
         third = len(captures) // 3
-        slices = [
-            captures[:third],
-            captures[third : 2 * third],
-            captures[2 * third :],
-        ]
         tailer = CaptureDirectoryTailer(tmp_path)
         collected = []
-        for index, piece in enumerate(slices):
+        for index in range(3):
+            piece = captures[index * third : (index + 1) * third if index < 2 else None]
             write_pcap(tmp_path / f"zoom-{index:02d}.pcap", piece)
             collected.extend(_drain(tailer))
         collected.extend(_drain(tailer))  # one more poll: nothing new
-        assert len(collected) == len(captures)
-        one_shot = list(CaptureDirectorySource(tmp_path))
-        assert len(one_shot) == len(collected)
-        assert sorted(p.timestamp for p in collected) == sorted(
-            p.timestamp for p in one_shot
-        )
+        assert collected == _times(sorted(captures, key=lambda c: c.timestamp))
 
     def test_growing_file_resumes_mid_file(self, captures, tmp_path):
-        data = _pcap_bytes(captures[:200])
-        grown = _pcap_bytes(captures[:200] + captures[200:400])
         path = tmp_path / "zoom-00.pcap"
-        path.write_bytes(data)
+        path.write_bytes(_capture_bytes(captures[:200]))
         tailer = CaptureDirectoryTailer(tmp_path)
-        first = _drain(tailer)
-        path.write_bytes(grown)
-        second = _drain(tailer)
-        assert len(first) == 200
-        assert len(second) == 200
-        assert [p.timestamp for p in second] == [
-            pytest.approx(p.timestamp, abs=1e-6) for p in captures[200:400]
-        ]
+        assert _drain(tailer) == _times(captures[:200])
+        path.write_bytes(_capture_bytes(captures[:400]))
+        assert _drain(tailer) == _times(captures[200:400])
 
     def test_truncated_tail_then_growth(self, captures, tmp_path):
         """A half-written record is skipped without advancing the offset,
         then delivered exactly once when the writer completes it."""
         tel = Telemetry()
-        full = _pcap_bytes(captures[:50])
+        full = _capture_bytes(captures[:50])
         path = tmp_path / "zoom-00.pcap"
         path.write_bytes(full[:-11])
         tailer = CaptureDirectoryTailer(tmp_path, telemetry=tel)
-        first = _drain(tailer)
-        assert len(first) == 49
+        assert _drain(tailer) == _times(captures[:49])
         assert tel.counter("capture.truncated") == 1
         path.write_bytes(full)
-        second = _drain(tailer)
-        assert len(second) == 1
-        assert second[0].timestamp == pytest.approx(captures[49].timestamp, abs=1e-6)
+        assert _drain(tailer) == _times(captures[49:50])
         assert _drain(tailer) == []
 
     def test_duplicate_rediscovery_is_idempotent(self, captures, tmp_path):
@@ -162,19 +136,12 @@ class TestTailerRotation:
         assert tailer.packets_emitted == 160
 
     def test_pcapng_files_tail_too(self, captures, tmp_path):
-        full = _pcapng_bytes(captures[:120])
-        partial_blocks = _pcapng_bytes(captures[:60])
         path = tmp_path / "zoom.pcapng"
-        path.write_bytes(partial_blocks)
+        path.write_bytes(_capture_bytes(captures[:60], PcapngWriter))
         tailer = CaptureDirectoryTailer(tmp_path)
-        first = _drain(tailer)
-        path.write_bytes(full)
-        second = _drain(tailer)
-        assert len(first) == 60
-        assert len(second) == 60
-        assert [p.timestamp for p in first + second] == [
-            pytest.approx(c.timestamp, abs=1e-6) for c in captures[:120]
-        ]
+        assert _drain(tailer) == _times(captures[:60])
+        path.write_bytes(_capture_bytes(captures[:120], PcapngWriter))
+        assert _drain(tailer) == _times(captures[60:120])
 
     def test_replaced_file_is_reread(self, captures, tmp_path):
         tel = Telemetry()
@@ -183,12 +150,12 @@ class TestTailerRotation:
         tailer = CaptureDirectoryTailer(tmp_path, telemetry=tel)
         assert len(_drain(tailer)) == 100
         write_pcap(path, captures[:30])  # shorter file under the same name
-        assert len(_drain(tailer)) == 30
+        assert _drain(tailer) == _times(captures[:30])
         assert tel.counter("ingest.tail.replaced") == 1
 
     def test_not_ready_header_retried(self, captures, tmp_path):
         tel = Telemetry()
-        data = _pcap_bytes(captures[:10])
+        data = _capture_bytes(captures[:10])
         path = tmp_path / "zoom-00.pcap"
         path.write_bytes(data[:12])  # global header itself incomplete
         tailer = CaptureDirectoryTailer(tmp_path, telemetry=tel)
@@ -205,15 +172,12 @@ class TestTailerRotation:
         received = []
         poll = tailer.poll()
         for batch in poll:
-            received.extend(_packets(batch))
+            received.extend(batch.timestamps)
             if len(received) >= 128:
                 poll.close()
                 break
         received.extend(_drain(tailer))
-        assert len(received) == 600
-        assert [p.timestamp for p in received] == [
-            pytest.approx(c.timestamp, abs=1e-6) for c in captures[:600]
-        ]
+        assert received == _times(captures[:600])
 
 
 class TestResumeTokenSafety:
@@ -223,7 +187,7 @@ class TestResumeTokenSafety:
         with PcapFileSource(path) as source:
             list(source)
             token = source.resume_state()
-        path.write_bytes(_pcapng_bytes(captures[:20]))
+        path.write_bytes(_capture_bytes(captures[:20], PcapngWriter))
         from repro.net.source import open_capture_source
 
         with pytest.raises(ValueError, match="resume token"):

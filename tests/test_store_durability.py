@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalyzerConfig, ServiceConfig, StoreConfig, ZoomAnalyzer
-from repro.net.pcap import write_pcap
 from repro.service.runner import ZoomMonitorService
 from repro.store import MetricsStore, StoreQuery, backfill_jsonl
 from repro.store.segment import SEGMENT_MAGIC, ActiveSegment, encode_frame
+from tests.conftest import rotated_capture_dir
 
 
 def _record(index: int) -> dict:
@@ -170,16 +170,6 @@ class TestQueryRacingMaintenance:
         assert not compactor.is_alive() and len(store.segments()) == 1  # compacted afterwards
 
 
-def _rotated_dir(tmp_path, captures):
-    directory = tmp_path / "caps"
-    directory.mkdir()
-    third = len(captures) // 3
-    write_pcap(directory / "zoom-00.pcap", captures[:third])
-    write_pcap(directory / "zoom-01.pcap", captures[third : 2 * third])
-    write_pcap(directory / "zoom-02.pcap", captures[2 * third :])
-    return directory
-
-
 class TestBackfillRoundTrip:
     """PR 4 pinned JSONL-window sums to the batch analyzer; the store must
     preserve that equivalence through write → seal → backfill → query."""
@@ -188,7 +178,7 @@ class TestBackfillRoundTrip:
     def campaign(self, sfu_meeting_result, tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("store-e2e")
         captures = sfu_meeting_result.captures
-        directory = _rotated_dir(tmp_path, captures)
+        directory = rotated_capture_dir(tmp_path, captures)
         store_dir = tmp_path / "store"
         config = ServiceConfig(
             analyzer=AnalyzerConfig(
